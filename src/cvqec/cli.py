@@ -35,7 +35,7 @@ from .verify import (
     detectability_check,
     gkp_exact_suite,
     logical_action,
-    markdown_table,
+    result_row,
     stabilizer_check,
     suite_markdown,
 )
@@ -77,7 +77,6 @@ class RunConfig:
     tol_rot: float | None = None
     inject_gamma: int | None = None
     samples: int | None = None
-    seed: int | None = None
     G: int | None = None
     eps_series: tuple[float, ...] | None = None
     hadamard_dim: int | None = None
@@ -182,54 +181,45 @@ def cmd_build_code(config: RunConfig) -> int:
     return 0
 
 
-def _logical_suite_rot(bundle: dict, config: RunConfig) -> list[dict]:
-    N, D = int(bundle["N"]), int(bundle["D"])
-    words = [FockVector.from_json_dict(d) for d in bundle["codewords"]]
-    ideal = bundle.get("primitive") == "ideal"
+def _logical_row(gate: str, N: int, D: int, words: list[FockVector], tol: float) -> dict:
+    action = logical_action(rot_logical_op(gate, N, D), words, GATE_TARGETS[gate], tol)
+    return result_row(
+        f"logical_{gate}",
+        action.passed,
+        {"aligned_fidelity": action.aligned_fidelity, "global_phase": action.global_phase, "tol": tol},
+    )
+
+
+def _logical_suite_rot(
+    N: int, D: int, words: list[FockVector], ideal: bool, config: RunConfig
+) -> list[dict]:
     tol_exact = config.tol if config.tol is not None else LOGICAL_TOL_EXACT
-    results = []
-    for gate in ("Z", "S", "T"):
-        action = logical_action(rot_logical_op(gate, N, D), words, GATE_TARGETS[gate], tol_exact)
-        results.append(
-            {
-                "name": f"logical_{gate}",
-                "pass": bool(action.passed),
-                "metrics": {
-                    "aligned_fidelity": action.aligned_fidelity,
-                    "global_phase": action.global_phase,
-                    "tol": tol_exact,
-                },
-            }
-        )
+    results = [_logical_row(gate, N, D, words, tol_exact) for gate in ("Z", "S", "T")]
     stab_ok = stabilizer_check(
         fock_operator("rotation", D, theta=Fraction(2, N)), words, tol_exact
     )
-    results.append(
-        {"name": "stabilizer_rotation", "pass": bool(stab_ok), "metrics": {"tol": tol_exact}}
-    )
+    results.append(result_row("stabilizer_rotation", stab_ok, {"tol": tol_exact}))
     if ideal:
         # truncation-limited rows: fidelity is capped by the envelope's edge teeth
         tol_approx = config.tol if config.tol is not None else LOGICAL_TOL_APPROX
-        for gate in ("X", "H"):
-            action = logical_action(rot_logical_op(gate, N, D), words, GATE_TARGETS[gate], tol_approx)
-            results.append(
-                {
-                    "name": f"logical_{gate}",
-                    "pass": bool(action.passed),
-                    "metrics": {
-                        "aligned_fidelity": action.aligned_fidelity,
-                        "global_phase": action.global_phase,
-                        "tol": tol_approx,
-                    },
-                }
-            )
+        results += [_logical_row(gate, N, D, words, tol_approx) for gate in ("X", "H")]
     return results
 
 
-def _detect_suite_rot(bundle: dict, config: RunConfig) -> list[dict]:
-    N, D = int(bundle["N"]), int(bundle["D"])
-    words = [FockVector.from_json_dict(d) for d in bundle["codewords"]]
-    ideal = bundle.get("primitive") == "ideal"
+def _detect_rows(words: list[FockVector], errors: dict, tol: float) -> list[dict]:
+    return [
+        result_row(
+            f"detect_{row.name}",
+            row.passed,
+            {"off_diag_max": row.off_diag_max, "diag_spread": row.diag_spread, "tol": tol},
+        )
+        for row in detectability_check(words, errors, tol).rows
+    ]
+
+
+def _detect_suite_rot(
+    N: int, D: int, words: list[FockVector], ideal: bool, config: RunConfig
+) -> list[dict]:
     samples = config.samples if config.samples is not None else 8
     generators = map_error_generators(N, D, rotation_samples=samples)
     shifts = {k: v for k, v in generators.items() if k.startswith("gamma")}
@@ -240,36 +230,12 @@ def _detect_suite_rot(bundle: dict, config: RunConfig) -> list[dict]:
             "number_shift", D, shift=config.inject_gamma
         )
     results = []
-    tol_shift = config.tol if config.tol is not None else DETECT_TOL_SHIFT
     if shifts:
-        report = detectability_check(words, shifts, tol_shift)
-        for row in report.rows:
-            results.append(
-                {
-                    "name": f"detect_{row.name}",
-                    "pass": row.passed,
-                    "metrics": {
-                        "off_diag_max": row.off_diag_max,
-                        "diag_spread": row.diag_spread,
-                        "tol": tol_shift,
-                    },
-                }
-            )
+        tol_shift = config.tol if config.tol is not None else DETECT_TOL_SHIFT
+        results += _detect_rows(words, shifts, tol_shift)
     if ideal and rotations:
         tol_rot = config.tol_rot if config.tol_rot is not None else DETECT_TOL_ROTATION
-        report = detectability_check(words, rotations, tol_rot)
-        for row in report.rows:
-            results.append(
-                {
-                    "name": f"detect_{row.name}",
-                    "pass": row.passed,
-                    "metrics": {
-                        "off_diag_max": row.off_diag_max,
-                        "diag_spread": row.diag_spread,
-                        "tol": tol_rot,
-                    },
-                }
-            )
+        results += _detect_rows(words, rotations, tol_rot)
     return results
 
 
@@ -278,25 +244,28 @@ def cmd_check(config: RunConfig) -> int:
         bundle = json.load(fh)
     family = bundle.get("family")
     _require(family in ("rot", "gkp"), f"bundle has unknown family {family!r}")
+    N = int(bundle["N"])
+    _require(1 <= N <= MAX_N, f"N must be in [1, {MAX_N}]")
     if family == "gkp":
         _require(
             config.suite == "logical",
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
-        results = gkp_exact_suite(int(bundle["N"]))
-    elif config.suite == "logical":
-        results = _logical_suite_rot(bundle, config)
-    else:
-        results = _detect_suite_rot(bundle, config)
-    return _finish(config, results)
+        return _finish(config, gkp_exact_suite(N))
+    D = int(bundle["D"])
+    _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
+    words = [FockVector.from_json_dict(d) for d in bundle["codewords"]]
+    suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
+    return _finish(config, suite(N, D, words, bundle.get("primitive") == "ideal", config))
 
 
 def cmd_bridge(config: RunConfig) -> int:
     _require(1 <= config.N <= MAX_BRIDGE_N, f"N must be in [1, {MAX_BRIDGE_N}]")
     _require(2 * config.N <= config.D <= MAX_D, f"D must be in [2N, {MAX_D}]")
-    results = []
-    for gate, row in bridge_gate_table(config.N, config.D).items():
-        results.append({"name": f"gate_{gate}", "pass": row["exact_match"], "metrics": row})
+    results = [
+        result_row(f"gate_{gate}", row["exact_match"], row)
+        for gate, row in bridge_gate_table(config.N, config.D).items()
+    ]
     eps_series = config.eps_series or (1e-1, 1e-2, 1e-3)
     dim = config.hadamard_dim or 256
     _require(2 * config.N <= dim <= MAX_D, f"hadamard dim must be in [2N, {MAX_D}]")
@@ -309,16 +278,16 @@ def cmd_bridge(config: RunConfig) -> int:
     scan = convergence_scan(fidelity, list(eps_series))
     final = scan.points[-1][1]
     results.append(
-        {
-            "name": "hadamard_series",
-            "pass": scan.monotonicity in ("nondecreasing", "constant") and final >= 1 - 1e-3,
-            "metrics": {
+        result_row(
+            "hadamard_series",
+            scan.monotonicity in ("nondecreasing", "constant") and final >= 1 - 1e-3,
+            {
                 "eps": list(eps_series),
                 "fidelities": [m for _, m in scan.points],
                 "monotonicity": scan.monotonicity,
                 "dim": dim,
             },
-        }
+        )
     )
     return _finish(config, results)
 
@@ -332,11 +301,15 @@ def cmd_alg1(config: RunConfig) -> int:
         and report["disjoint_ok"]
         and all(v == 0.0 for v in report["residuals"].values())
     )
-    results = [{"name": "alg1_pipeline", "pass": ok, "metrics": report}]
-    return _finish(config, results)
+    return _finish(config, [result_row("alg1_pipeline", ok, report)])
 
 
 # --- argument plumbing --------------------------------------------------------
+
+
+def comma_floats(text: str) -> tuple[float, ...] | None:
+    """Parse "0.1,0.01"; an empty string keeps the default."""
+    return tuple(float(part) for part in text.split(",")) if text else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,14 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol-rot", dest="tol_rot", type=float, default=None)
     check.add_argument("--inject-gamma", dest="inject_gamma", type=int, default=None)
     check.add_argument("--samples", type=int, default=None)
-    check.add_argument("--seed", type=int, default=None)
     check.add_argument("--format", dest="fmt", choices=["json", "md"], default="json")
     check.add_argument("--out", default=None)
 
     bridge = sub.add_parser("bridge", help="compare bridged gates against rotation-side ones")
     bridge.add_argument("--N", required=True, type=int)
     bridge.add_argument("--D", type=int, default=64)
-    bridge.add_argument("--eps-series", dest="eps_series", default=None)
+    bridge.add_argument("--eps-series", dest="eps_series", type=comma_floats, default=None)
     bridge.add_argument("--hadamard-dim", dest="hadamard_dim", type=int, default=None)
     bridge.add_argument("--format", dest="fmt", choices=["json", "md"], default="json")
     bridge.add_argument("--out", default=None)
@@ -380,33 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     alg1.add_argument("--out", default=None)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    eps_series = None
-    if getattr(args, "eps_series", None):
-        eps_series = tuple(float(part) for part in args.eps_series.split(","))
-    return RunConfig(
-        command=args.command,
-        family=getattr(args, "family", None),
-        N=getattr(args, "N", None),
-        D=getattr(args, "D", None),
-        eps=getattr(args, "eps", None),
-        primitive=getattr(args, "primitive", None),
-        window=getattr(args, "window", None),
-        suite=getattr(args, "suite", None),
-        code=getattr(args, "code", None),
-        tol=getattr(args, "tol", None),
-        tol_rot=getattr(args, "tol_rot", None),
-        inject_gamma=getattr(args, "inject_gamma", None),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-        G=getattr(args, "G", None),
-        eps_series=eps_series,
-        hadamard_dim=getattr(args, "hadamard_dim", None),
-        fmt=getattr(args, "fmt", "json"),
-        out=getattr(args, "out", None),
-    )
 
 
 _COMMANDS = {
@@ -423,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from_args(args)
+    config = RunConfig(**vars(args))
     try:
         return _COMMANDS[config.command](config)
     except CVCodeError as exc:

@@ -1,10 +1,11 @@
 """Truncated number-basis states, operators, and rotation-code constructions.
 
-Operators on the first D number states are plain complex matrices with a
-structure tag.  Diagonal operators built from rational angles additionally
-carry their phases as exact rationals of pi (see `phases`), which is what
-makes cross-checks between independently derived gate sets exact rather
-than approximate.
+Operators on the first D number states are stored by their structure: a
+diagonal or a number shift keeps one band vector, and only a "dense"
+operator keeps a D x D matrix.  Diagonal operators built from rational
+angles additionally carry their phases as exact rationals of pi (see
+`phases`), which is what makes cross-checks between independently derived
+gate sets exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -29,24 +30,8 @@ from .phases import (
 
 SUPPORT_TOL = 1e-12
 
-STRUCTURES = ("diagonal", "upper_shift", "lower_shift", "dense")
-
-
-def _check_structure(entries: np.ndarray, structure: str, shift: int) -> None:
-    dim = entries.shape[0]
-    if structure == "dense":
-        return
-    if structure == "diagonal":
-        mask = ~np.eye(dim, dtype=bool)
-    elif structure in ("upper_shift", "lower_shift"):
-        if shift < 1 or shift >= dim:
-            raise InvalidDimension(f"shift {shift} out of range for dim {dim}")
-        k = shift if structure == "upper_shift" else -shift
-        mask = ~np.eye(dim, k=k, dtype=bool)
-    else:
-        raise ValueError(f"unknown structure tag {structure!r}")
-    if np.any(np.abs(entries[mask]) > 0):
-        raise ValueError(f"entries do not match structure tag {structure!r}")
+# sign of the band's offset from the main diagonal, per banded structure
+_BAND_SIGN = {"diagonal": 0, "upper_shift": 1, "lower_shift": -1}
 
 
 @dataclass(frozen=True)
@@ -110,16 +95,21 @@ class FockVector:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Matrix on the truncated number basis with a sparsity-structure tag.
+    """Operator on the truncated number basis, stored by its structure.
+
+    For "dense", `data` is the dim x dim matrix.  For "diagonal",
+    "upper_shift" and "lower_shift" it is the one band that may be nonzero:
+    the diagonal at `offset` 0, +shift or -shift, of length dim - shift.
+    `entries` builds the dense matrix on demand.
 
     `phases` (optional) stores exact diagonal phases in units of pi for
     unit-modulus diagonal operators; `exact_diag` stores exact rational
     diagonal values for Hermitian diagonal generators.  Either implies the
-    float entries agree with the exact data at materialization precision.
+    float band agrees with the exact data at materialization precision.
     """
 
     dim: int
-    entries: np.ndarray
+    data: np.ndarray
     structure: str = "dense"
     shift: int = 0
     phases: tuple[Fraction, ...] | None = None
@@ -128,29 +118,46 @@ class FockOperator:
     def __post_init__(self):
         if self.dim <= 0:
             raise InvalidDimension(f"dim must be positive, got {self.dim}")
-        entries = np.asarray(self.entries, dtype=complex).copy()
-        if entries.shape != (self.dim, self.dim):
-            raise InvalidDimension(
-                f"entries have shape {entries.shape}, expected ({self.dim}, {self.dim})"
-            )
-        if self.structure not in STRUCTURES:
+        if self.structure == "dense":
+            shape = (self.dim, self.dim)
+        elif self.structure in _BAND_SIGN:
+            if self.structure != "diagonal" and not 1 <= self.shift < self.dim:
+                raise InvalidDimension(f"shift {self.shift} out of range for dim {self.dim}")
+            shape = (self.dim - abs(self.offset),)
+        else:
             raise ValueError(f"unknown structure tag {self.structure!r}")
-        _check_structure(entries, self.structure, self.shift)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        data = np.array(self.data, dtype=complex)
+        if data.shape != shape:
+            raise InvalidDimension(f"data has shape {data.shape}, expected {shape}")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
         for name in ("phases", "exact_diag"):
-            data = getattr(self, name)
-            if data is None:
+            values = getattr(self, name)
+            if values is None:
                 continue
             if self.structure != "diagonal":
                 raise ValueError(f"{name} only makes sense for diagonal operators")
-            if len(data) != self.dim:
-                raise InvalidDimension(f"{name} length {len(data)} != dim {self.dim}")
-            object.__setattr__(self, name, tuple(Fraction(x) for x in data))
+            if len(values) != self.dim:
+                raise InvalidDimension(f"{name} length {len(values)} != dim {self.dim}")
+            object.__setattr__(self, name, tuple(Fraction(x) for x in values))
+
+    @property
+    def offset(self) -> int:
+        """Offset of the stored band from the main diagonal (0 for dense)."""
+        return _BAND_SIGN.get(self.structure, 0) * self.shift
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix, read-only."""
+        if self.structure == "dense":
+            return self.data
+        matrix = np.diag(self.data, k=self.offset)
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def is_zero(self) -> bool:
-        return bool(np.all(self.entries == 0))
+        return bool(np.all(self.data == 0))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -168,30 +175,43 @@ class FockOperator:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "FockOperator":
+        """Read a dense matrix and its tag; a banded tag keeps only its band.
+
+        The matrix comes from outside the program, so every entry off the
+        tagged band must be zero.
+        """
         dim = int(obj["dim"])
-        flat = np.array([complex(re, im) for re, im in obj["entries"]])
+        matrix = np.array([complex(re, im) for re, im in obj["entries"]]).reshape(dim, dim)
+        structure = obj.get("structure", "dense")
+        shift = int(obj.get("shift", 0))
+        data = matrix
+        if structure in _BAND_SIGN:
+            data = np.diagonal(matrix, _BAND_SIGN[structure] * shift)
         phases = obj.get("phases")
         exact = obj.get("exact_diag")
-        return FockOperator(
+        op = FockOperator(
             dim,
-            flat.reshape(dim, dim),
-            structure=obj.get("structure", "dense"),
-            shift=int(obj.get("shift", 0)),
+            data,
+            structure=structure,
+            shift=shift,
             phases=None if phases is None else tuple(rational_from_json(p) for p in phases),
             exact_diag=None if exact is None else tuple(rational_from_json(x) for x in exact),
         )
+        if np.count_nonzero(matrix) != np.count_nonzero(op.data):
+            raise ValueError(f"entries do not match structure tag {structure!r}")
+        return op
 
 
 @dataclass(frozen=True)
 class TwoModeOperator:
-    """Operator on a product of two truncated number-basis modes.
+    """Diagonal operator on a product of two truncated number-basis modes.
 
-    Entries are indexed lexicographically: row m*dim2 + m'.  Diagonal
-    two-mode phase gates keep their angles exactly, like FockOperator.
+    The diagonal is indexed lexicographically: entry m*dim2 + m'.  Two-mode
+    phase gates keep their angles exactly, like FockOperator.
     """
 
     dims: tuple[int, int]
-    entries: np.ndarray
+    diagonal: np.ndarray
     phases: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
@@ -199,13 +219,11 @@ class TwoModeOperator:
         if d1 <= 0 or d2 <= 0:
             raise InvalidDimension(f"dims must be positive, got {self.dims}")
         total = d1 * d2
-        entries = np.asarray(self.entries, dtype=complex).copy()
-        if entries.shape != (total, total):
-            raise InvalidDimension(
-                f"entries have shape {entries.shape}, expected ({total}, {total})"
-            )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        diagonal = np.array(self.diagonal, dtype=complex)
+        if diagonal.shape != (total,):
+            raise InvalidDimension(f"diagonal has shape {diagonal.shape}, expected ({total},)")
+        diagonal.setflags(write=False)
+        object.__setattr__(self, "diagonal", diagonal)
         if self.phases is not None:
             if len(self.phases) != total:
                 raise InvalidDimension("phase table length mismatch")
@@ -213,7 +231,7 @@ class TwoModeOperator:
 
 
 def identity(dim: int) -> FockOperator:
-    return FockOperator(dim, np.eye(dim, dtype=complex), structure="diagonal")
+    return FockOperator(dim, np.ones(dim), structure="diagonal")
 
 
 def diagonal_phase_operator(phases: Sequence[RationalLike], dim: int | None = None) -> FockOperator:
@@ -223,7 +241,7 @@ def diagonal_phase_operator(phases: Sequence[RationalLike], dim: int | None = No
         dim = len(reduced)
     if len(reduced) != dim:
         raise InvalidDimension("phase list length != dim")
-    return FockOperator(dim, np.diag(phases_to_array(reduced)), structure="diagonal", phases=reduced)
+    return FockOperator(dim, phases_to_array(reduced), structure="diagonal", phases=reduced)
 
 
 def diagonal_value_operator(values: Sequence[RationalLike], dim: int | None = None) -> FockOperator:
@@ -235,7 +253,7 @@ def diagonal_value_operator(values: Sequence[RationalLike], dim: int | None = No
         raise InvalidDimension("value list length != dim")
     return FockOperator(
         dim,
-        np.diag(np.array([float(v) for v in exact], dtype=complex)),
+        np.array([float(v) for v in exact], dtype=complex),
         structure="diagonal",
         exact_diag=exact,
     )
@@ -263,12 +281,7 @@ def fock_operator(
     if kind == "number":
         return diagonal_value_operator(range(dim))
     if kind == "annihilation":
-        return FockOperator(
-            dim,
-            np.diag(np.sqrt(np.arange(1, dim)), k=1),
-            structure="upper_shift",
-            shift=1,
-        )
+        return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="upper_shift", shift=1)
     if kind == "rotation":
         if theta is None:
             raise ValueError("rotation requires theta")
@@ -276,26 +289,23 @@ def fock_operator(
             frac = as_fraction(theta)
             return diagonal_phase_operator([frac * m for m in range(dim)], dim)
         angles = float(theta) * np.arange(dim)
-        return FockOperator(dim, np.diag(np.exp(1j * angles)), structure="diagonal")
+        return FockOperator(dim, np.exp(1j * angles), structure="diagonal")
     if kind == "number_shift":
         if shift is None:
             raise ValueError("number_shift requires shift")
         if not 1 <= shift < dim:
             raise InvalidDimension(f"shift {shift} outside [1, {dim})")
-        return FockOperator(dim, np.eye(dim, k=shift, dtype=complex), structure="upper_shift", shift=shift)
+        return FockOperator(dim, np.ones(dim - shift), structure="upper_shift", shift=shift)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def adjoint(op: FockOperator) -> FockOperator:
-    structure = op.structure
-    if structure == "upper_shift":
-        structure = "lower_shift"
-    elif structure == "lower_shift":
-        structure = "upper_shift"
+    """Conjugate transpose; a shift's band moves to the opposite offset."""
+    flipped = {"upper_shift": "lower_shift", "lower_shift": "upper_shift"}
     return FockOperator(
         op.dim,
-        op.entries.conj().T,
-        structure=structure,
+        op.data.conj().T,
+        structure=flipped.get(op.structure, op.structure),
         shift=op.shift,
         phases=None if op.phases is None else tuple(mod2(-p) for p in op.phases),
         exact_diag=op.exact_diag,
@@ -303,9 +313,17 @@ def adjoint(op: FockOperator) -> FockOperator:
 
 
 def apply_operator(op: FockOperator, vec: FockVector) -> FockVector:
+    """op|vec>; O(dim) for banded operators."""
     if op.dim != vec.dim:
         raise InvalidDimension(f"operator dim {op.dim} != vector dim {vec.dim}")
-    return FockVector(vec.dim, op.entries @ vec.amplitudes)
+    if op.structure == "dense":
+        return FockVector(vec.dim, op.data @ vec.amplitudes)
+    # band entry i sits at (row + i, col + i)
+    n = op.data.size
+    row, col = max(-op.offset, 0), max(op.offset, 0)
+    out = np.zeros(vec.dim, dtype=complex)
+    out[row : row + n] = op.data * vec.amplitudes[col : col + n]
+    return FockVector(vec.dim, out)
 
 
 def inner(left: FockVector, right: FockVector) -> complex:
@@ -342,10 +360,9 @@ def u_invariant_projector(
     for value in spectrum:
         q = as_fraction(value) * s
         picked.append(q.denominator == 1 and (q.numerator - j) % 2 == 0)
-    diag = np.array([1.0 if p else 0.0 for p in picked], dtype=complex)
     return FockOperator(
         len(picked),
-        np.diag(diag),
+        np.array([1.0 if p else 0.0 for p in picked], dtype=complex),
         structure="diagonal",
         exact_diag=tuple(Fraction(1 if p else 0) for p in picked),
     )
@@ -442,9 +459,7 @@ def crot(n_fold: int, m_fold: int, dim1: int, dim2: int) -> TwoModeOperator:
     for m in range(dim1):
         for mp in range(dim2):
             phases.append(mod2(Fraction(m * mp, n_fold * m_fold)))
-    return TwoModeOperator(
-        (dim1, dim2), np.diag(phases_to_array(phases)), phases=tuple(phases)
-    )
+    return TwoModeOperator((dim1, dim2), phases_to_array(phases), phases=tuple(phases))
 
 
 def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> FockVector:
@@ -461,10 +476,6 @@ def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> Fock
     amps = np.zeros(dim, dtype=complex)
     amps[support] = np.exp(-eps * support.astype(float))
     return FockVector(dim, amps).normalized_copy()
-
-
-def operators_close(a: FockOperator, b: FockOperator, tol: float = 1e-12) -> bool:
-    return a.dim == b.dim and bool(np.max(np.abs(a.entries - b.entries)) <= tol)
 
 
 def phases_equal(a: FockOperator, b: FockOperator) -> bool:

@@ -215,23 +215,29 @@ def convergence_scan(builder: Callable[[object], float], params: Sequence[object
     return ConvergenceScan(points, label)
 
 
+# --- report rows ------------------------------------------------------------
+
+
+def result_row(name: str, passed, metrics: dict) -> dict:
+    """One row of a suite report."""
+    return {"name": name, "pass": bool(passed), "metrics": metrics}
+
+
+def _phase_text(phase: Fraction | None) -> str | None:
+    return None if phase is None else f"{phase.numerator}/{phase.denominator}"
+
+
 # --- exact comb-side suite --------------------------------------------------
 
 
-def _phase_row(name: str, state_in, gate: str, n_fold: int, expected: Fraction, reference=None) -> dict:
-    """Apply a comb gate and demand equality with the reference up to the expected phase."""
-    result = combs.gkp_apply(gate, state_in, n_fold)
-    base = reference if reference is not None else state_in
-    same, phase = combs.comb_equal_up_to_phase(base, result)
-    ok = same and phase == mod2(expected)
-    return {
-        "name": name,
-        "pass": bool(ok),
-        "metrics": {
-            "phase": None if phase is None else f"{phase.numerator}/{phase.denominator}",
-            "expected": f"{mod2(expected).numerator}/{mod2(expected).denominator}",
-        },
-    }
+def _phase_row(name: str, want, got, expected: Fraction | None) -> dict:
+    """Demand got == e^{i pi phase} want, with phase == expected (any phase when None)."""
+    same, phase = combs.comb_equal_up_to_phase(want, got)
+    if expected is None:
+        ok, wanted = same and phase is not None, "any global"
+    else:
+        ok, wanted = same and phase == expected, _phase_text(expected)
+    return result_row(name, ok, {"phase": _phase_text(phase), "expected": wanted})
 
 
 def gkp_exact_suite(n_fold: int) -> list[dict]:
@@ -244,71 +250,44 @@ def gkp_exact_suite(n_fold: int) -> list[dict]:
     """
     N = n_fold
     words = {j: combs.gkp_codeword(N, j) for j in (0, 1)}
+
+    def gate(name, state):
+        return combs.gkp_apply(name, state, N)
+
     rows: list[dict] = []
     for j in (0, 1):
-        rows.append(_phase_row(f"Z_on_{j}", words[j], "Z", N, Fraction(j)))
-        rows.append(_phase_row(f"S_on_{j}", words[j], "S", N, Fraction(j, 2)))
-        rows.append(_phase_row(f"T_on_{j}", words[j], "T", N, Fraction(j, 4)))
-        rows.append(_phase_row(f"stab_q_on_{j}", words[j], "stab_q", N, Fraction(0)))
-        rows.append(_phase_row(f"stab_p_on_{j}", words[j], "stab_p", N, Fraction(0)))
-        rows.append(
-            _phase_row(f"X_swaps_{j}", words[j], "X", N, Fraction(0), reference=words[1 - j])
-        )
+        w = words[j]
+        gate_phases = {"Z": j, "S": Fraction(j, 2), "T": Fraction(j, 4), "stab_q": 0, "stab_p": 0}
+        for name, phase in gate_phases.items():
+            rows.append(_phase_row(f"{name}_on_{j}", w, gate(name, w), mod2(phase)))
+        rows.append(_phase_row(f"X_swaps_{j}", words[1 - j], gate("X", w), Fraction(0)))
     # CZ acts tooth by tooth, so windowed codewords witness the ideal phases
     for j in (0, 1):
         for jp in (0, 1):
             prod = combs.product_comb(
                 combs.gkp_codeword(N, j, window=2), combs.gkp_codeword(N, jp, window=2)
             )
-            out = combs.gkp_apply("CZ", prod, N)
-            same, phase = combs.twomode_equal_up_to_phase(prod, out)
-            ok = same and phase == mod2(Fraction(j * jp))
+            same, phase = combs.twomode_equal_up_to_phase(prod, gate("CZ", prod))
+            expected = mod2(j * jp)
             rows.append(
-                {
-                    "name": f"CZ_on_{j}{jp}",
-                    "pass": bool(ok),
-                    "metrics": {
-                        "phase": None if phase is None else f"{phase.numerator}/{phase.denominator}",
-                        "expected": f"{j * jp}/1",
-                    },
-                }
+                result_row(
+                    f"CZ_on_{j}{jp}",
+                    same and phase == expected,
+                    {"phase": _phase_text(phase), "expected": _phase_text(expected)},
+                )
             )
-    # composition identities on the ideal codewords
+    # composition identities on the ideal codewords: (name, doubled gate, single gate, phase)
+    identities = (
+        ("ZZ_is_stab_q", "Z", "stab_q", Fraction(0)),
+        ("XX_is_stab_p", "X", "stab_p", Fraction(0)),
+        ("SS_is_Z", "S", "Z", None),
+        ("TT_is_S", "T", "S", None),
+    )
     for j in (0, 1):
         w = words[j]
-        checks = [
-            ("ZZ_is_stab_q", combs.gkp_apply("Z", combs.gkp_apply("Z", w, N), N),
-             combs.gkp_apply("stab_q", w, N), Fraction(0)),
-            ("XX_is_stab_p", combs.gkp_apply("X", combs.gkp_apply("X", w, N), N),
-             combs.gkp_apply("stab_p", w, N), Fraction(0)),
-        ]
-        for name, got, want, expected in checks:
-            same, phase = combs.comb_equal_up_to_phase(want, got)
-            ok = same and phase == expected
-            rows.append(
-                {
-                    "name": f"{name}_on_{j}",
-                    "pass": bool(ok),
-                    "metrics": {
-                        "phase": None if phase is None else f"{phase.numerator}/{phase.denominator}",
-                        "expected": "0/1",
-                    },
-                }
-            )
-        for name, double, single in (("SS_is_Z", "S", "Z"), ("TT_is_S", "T", "S")):
-            got = combs.gkp_apply(double, combs.gkp_apply(double, w, N), N)
-            want = combs.gkp_apply(single, w, N)
-            same, phase = combs.comb_equal_up_to_phase(want, got)
-            rows.append(
-                {
-                    "name": f"{name}_on_{j}",
-                    "pass": bool(same and phase is not None),
-                    "metrics": {
-                        "phase": None if phase is None else f"{phase.numerator}/{phase.denominator}",
-                        "expected": "any global",
-                    },
-                }
-            )
+        for name, double, single, expected in identities:
+            got = gate(double, gate(double, w))
+            rows.append(_phase_row(f"{name}_on_{j}", gate(single, w), got, expected))
     return rows
 
 

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from cvqec import __version__
-from cvqec.cli import main
+from cvqec.cli import MAX_D, MAX_N, main
+from cvqec.combs import comb_to_json_dict, gkp_codeword
+from cvqec.fock import approx_ideal_rot_codeword
 
 
 def run_json(capsys, argv):
@@ -136,6 +138,35 @@ def test_gkp_detect_suite_is_refused(gkp_bundle, capsys):
     assert "logical suite" in err
 
 
+def _hand_written_bundle(path, family, N, D=None):
+    """A bundle with well-formed codewords, written without build-code's bounds."""
+    bundle = {"tool_version": __version__, "family": family, "N": N, "primitive": "ideal"}
+    if family == "rot":
+        words = [approx_ideal_rot_codeword(N, j, D, 1e-3).to_json_dict() for j in (0, 1)]
+        bundle.update({"D": D, "eps": 1e-3, "codewords": words})
+    else:
+        bundle["codewords"] = [comb_to_json_dict(gkp_codeword(N, j)) for j in (0, 1)]
+    path.write_text(json.dumps(bundle))
+    return path
+
+
+@pytest.mark.parametrize("suite", ["logical", "detect"])
+@pytest.mark.parametrize(
+    "family, N, D, message",
+    [
+        ("rot", MAX_N + 1, 300, "N must be in"),
+        ("gkp", MAX_N + 1, None, "N must be in"),
+        ("rot", 2, MAX_D + 1, "D must be in"),
+    ],
+)
+def test_check_rejects_oversized_bundles(tmp_path, capsys, suite, family, N, D, message):
+    path = _hand_written_bundle(tmp_path / "big.json", family, N, D)
+    assert main(["check", "--code", str(path), "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_check_missing_bundle_file(capsys):
     assert main(["check", "--code", "/no/such/bundle.json", "--suite", "logical"]) == 2
     capsys.readouterr()
@@ -173,6 +204,12 @@ def test_bridge_rejects_out_of_range(capsys):
     assert main(["bridge", "--N", "9"]) == 2
     assert main(["bridge", "--N", "4", "--D", "6"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("series", ["abc", "0.1,,0.2"])
+def test_bridge_rejects_malformed_eps_series(series, capsys):
+    assert main(["bridge", "--N", "2", "--eps-series", series]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_alg1_command_reports_certificate(capsys):

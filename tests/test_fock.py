@@ -1,6 +1,7 @@
 """Truncated Fock-space operators, codeword construction, exact phase channels."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -237,3 +238,63 @@ def test_coherent_state_recursion():
     for m in range(10):
         ratio = v.amplitudes[m + 1] / v.amplitudes[m]
         assert abs(ratio - alpha / math.sqrt(m + 1)) < 1e-12
+
+
+# --- structured storage -------------------------------------------------------------
+
+
+def test_banded_operators_store_no_dense_matrix():
+    # dense storage at this size would take 2**32 complex entries, 64 GiB
+    dim = 2**16
+    m = 5
+    tracemalloc.start()
+    try:
+        ops = [
+            fock_operator("number_shift", dim, shift=3),
+            fock_operator("annihilation", dim),
+            fock_operator("rotation", dim, theta=0.3),
+        ]
+        ops += [adjoint(op) for op in ops]
+        vec = basis(dim, m)
+        # (index of the single nonzero amplitude of op|m>, its value)
+        expected = [
+            (m - 3, 1.0),
+            (m - 1, math.sqrt(m)),
+            (m, np.exp(0.3j * m)),
+            (m + 3, 1.0),
+            (m + 1, math.sqrt(m + 1)),
+            (m, np.exp(-0.3j * m)),
+        ]
+        for op, (index, value) in zip(ops, expected):
+            amps = apply_operator(op, vec).amplitudes
+            assert np.count_nonzero(amps) == 1
+            assert abs(amps[index] - value) < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("structure, shift", [("diagonal", 0), ("upper_shift", 2)])
+def test_operator_json_rejects_entries_off_the_tagged_band(structure, shift):
+    dim = 5
+    band = np.diag(np.arange(1.0, dim + 1 - shift), k=shift)
+    obj = {"dim": dim, "structure": structure, "shift": shift}
+    clean = FockOperator.from_json_dict(obj | {"entries": [[x, 0.0] for x in band.ravel()]})
+    assert np.array_equal(clean.entries, band)
+    stray = band.copy()
+    stray[4, 0] = 1e-300
+    with pytest.raises(ValueError):
+        FockOperator.from_json_dict(obj | {"entries": [[x, 0.0] for x in stray.ravel()]})
+
+
+@pytest.mark.parametrize("structure, shift", [("diagonal", 0), ("upper_shift", 3), ("lower_shift", 3)])
+def test_band_action_matches_dense_matrix(structure, shift):
+    rng = np.random.default_rng(11)
+    dim = 12
+    band = rng.normal(size=dim - shift) + 1j * rng.normal(size=dim - shift)
+    op = FockOperator(dim, band, structure, shift)
+    vec = random_state(rng, dim)
+    dense = op.entries @ vec.amplitudes
+    assert np.max(np.abs(apply_operator(op, vec).amplitudes - dense)) < 1e-14
+    assert np.array_equal(adjoint(op).entries, op.entries.conj().T)
