@@ -242,9 +242,11 @@ def _detect_suite_rot(
 def cmd_check(config: RunConfig) -> int:
     with open(config.code, encoding="utf-8") as fh:
         bundle = json.load(fh)
+    _require(isinstance(bundle, dict), "bundle must be a JSON object")
     family = bundle.get("family")
     _require(family in ("rot", "gkp"), f"bundle has unknown family {family!r}")
-    N = int(bundle["N"])
+    N = bundle["N"]
+    _require(type(N) is int, "bundle N must be an integer")
     _require(1 <= N <= MAX_N, f"N must be in [1, {MAX_N}]")
     if family == "gkp":
         _require(
@@ -252,9 +254,14 @@ def cmd_check(config: RunConfig) -> int:
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
         return _finish(config, gkp_exact_suite(N))
-    D = int(bundle["D"])
+    D, words = bundle["D"], bundle["codewords"]
+    _require(type(D) is int, "bundle D must be an integer")
     _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
-    words = [FockVector.from_json_dict(d) for d in bundle["codewords"]]
+    _require(
+        isinstance(words, list) and all(isinstance(w, dict) for w in words),
+        "bundle codewords must be a list of objects",
+    )
+    words = [FockVector.from_json_dict(d) for d in words]
     suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
     return _finish(config, suite(N, D, words, bundle.get("primitive") == "ideal", config))
 

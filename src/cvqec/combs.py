@@ -117,7 +117,7 @@ def finite_comb(unit: CombUnit, teeth: Iterable[tuple[RationalLike, RationalLike
 
 def _minimal_cycle(pattern: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = len(pattern)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and all(pattern[i] == pattern[(i + d) % n] for i in range(n)):
             return tuple(pattern[:d])
     return tuple(pattern)
@@ -192,53 +192,45 @@ def _newton_coeffs(values: Sequence[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _binomial(t: int, i: int) -> Fraction:
-    num = Fraction(1)
-    for s in range(i):
-        num *= t - s
-    return num / math.factorial(i)
-
-
-def _eval_newton(coeffs: Sequence[Fraction], t: int) -> Fraction:
-    return sum((c * _binomial(t, i) for i, c in enumerate(coeffs)), Fraction(0))
-
-
 def _monomial_coeffs(newton: Sequence[Fraction]) -> list[Fraction]:
     """Convert binomial-basis coefficients to monomial coefficients."""
-    poly = [Fraction(0)] * (len(newton) or 1)
+    poly, basis = [Fraction(0)] * len(newton), [Fraction(1)]  # basis: C(t, i) in monomials
     for i, c in enumerate(newton):
-        # expand C(t, i) = t(t-1)...(t-i+1)/i! as a polynomial in t
-        basis = [Fraction(1)]
-        for s in range(i):
-            shifted = [Fraction(0)] + basis
-            scaled = [(-s) * b for b in basis] + [Fraction(0)]
-            basis = [x + y for x, y in zip(shifted, scaled)]
-        for d, b in enumerate(basis):
-            poly[d] += c * b / math.factorial(i)
+        poly = [a + c * b for a, b in zip(poly, basis + [0] * len(poly))]
+        # C(t, i+1) = C(t, i) (t - i) / (i + 1)
+        basis = [(x - i * y) / (i + 1) for x, y in zip([0] + basis, basis + [0])]
     return poly
 
 
-def _is_valid_period(delta_newton: Sequence[Fraction], degree: int, T: int) -> bool:
-    # g(t) = delta(t+T) - delta(t) must lie in 2Z for every integer t,
-    # i.e. its binomial-basis coefficients are even integers.
-    g_values = [
-        _eval_newton(delta_newton, t + T) - _eval_newton(delta_newton, t)
-        for t in range(degree + 1)
-    ]
-    for b in _newton_coeffs(g_values):
-        if b.denominator != 1 or b.numerator % 2 != 0:
-            return False
-    return True
+def _is_valid_period(row: Sequence[int], modulus: int, T: int) -> bool:
+    # For delta = sum_j row[j] C(t, j) / den, den (delta(t+T) - delta(t)) has binomial-basis
+    # coefficients sum_{j>i} row[j] C(T, j-i); it lies in 2 den Z at every integer t iff they do.
+    n = len(row)
+    return all(
+        sum(row[j] * math.comb(T, j - i) for j in range(i + 1, n)) % modulus == 0
+        for i in range(n - 1)
+    )
 
 
-def _phase_cycle_period(delta_newton: Sequence[Fraction], degree: int) -> int:
-    mono = _monomial_coeffs(delta_newton)
-    q = math.lcm(*(c.denominator for c in mono)) if mono else 1
-    cap = 2 * q
-    for T in range(1, cap + 1):
-        if _is_valid_period(delta_newton, degree, T):
+def _phase_cycle_period(newton: Sequence[Fraction], row: Sequence[int], modulus: int) -> int:
+    """Least T >= 1 with delta(t+T) - delta(t) in 2Z for every integer t.
+
+    delta has binomial-basis coefficients `newton`, also given as integer
+    numerators `row` over den = modulus / 2.  Let q be the lcm of the
+    denominators of delta's monomial coefficients c_k.  2q is a period:
+    (t + 2q)^k - t^k is 2q times an integer, so c_k ((t + 2q)^k - t^k) is
+    2 (c_k q) times an integer, and c_k q is an integer.  The periods form a
+    subgroup of Z: 0 is one, and for periods T and U, delta(t+T-U) - delta(t)
+    = [delta((t-U)+T) - delta(t-U)] - [delta((t-U)+U) - delta(t-U)] lies in 2Z.
+    That subgroup is dZ with d the least period, and 2q in dZ means d divides
+    2q.  So the first divisor of 2q, in ascending order, that passes
+    `_is_valid_period` is the least period.
+    """
+    two_q = 2 * math.lcm(*(c.denominator for c in _monomial_coeffs(newton)))
+    for T in range(1, two_q + 1):
+        if two_q % T == 0 and _is_valid_period(row, modulus, T):
             return T
-    raise RuntimeError("no phase period found below the guaranteed bound")
+    raise RuntimeError("2q failed the period test, which the proof in this docstring rules out")
 
 
 def _apply_phase_fn(
@@ -250,20 +242,21 @@ def _apply_phase_fn(
     _require_regime(state.unit, n_fold)
     N = n_fold
     if state.entries is not None:
-        teeth = [
-            (t.index, t.magnitude, mod2(t.phase + fn(t.index / N)))
-            for t in state.entries
-        ]
+        teeth = [(t.index, t.magnitude, t.phase + fn(t.index / N)) for t in state.entries]
         return finite_comb(state.unit, teeth)
     p = state.periodic
-    delta_values = [fn((p.offset + t * p.period) / N) for t in range(degree + 1)]
-    delta_newton = _newton_coeffs(delta_values)
-    T = _phase_cycle_period(delta_newton, degree)
-    L = len(p.pattern)
-    length = math.lcm(L, T)
-    new_pattern = [
-        mod2(p.pattern[t % L] + _eval_newton(delta_newton, t)) for t in range(length)
-    ]
+    newton = _newton_coeffs([fn((p.offset + t * p.period) / N) for t in range(degree + 1)])
+    # phases as integer numerators over one common denominator, mod 2 den
+    den = math.lcm(*(c.denominator for c in (*newton, *p.pattern)))
+    modulus = 2 * den
+    row = [c.numerator * (den // c.denominator) % modulus for c in newton]
+    start = [c.numerator * (den // c.denominator) for c in p.pattern]
+    T = _phase_cycle_period(newton, row, modulus)
+    new_pattern = []
+    for t in range(math.lcm(len(start), T)):
+        new_pattern.append(Fraction((start[t % len(start)] + row[0]) % modulus, den))
+        # forward differences: row[i] becomes den (Delta^i delta)(t + 1)
+        row = [(a + b) % modulus for a, b in zip(row, row[1:])] + row[-1:]
     return periodic_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
 
 

@@ -1,10 +1,14 @@
 """Command line behavior: bundles, suites, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqec import __version__
 from cvqec.cli import MAX_D, MAX_N, main
@@ -165,6 +169,73 @@ def test_check_rejects_oversized_bundles(tmp_path, capsys, suite, family, N, D, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
+
+
+def _check_exit(path, suite):
+    """Exit code and stderr of `check`; an exception escaping `main` fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", "--code", str(path), "--suite", suite])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_rot_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "rot.json"
+    assert main(["build-code", "--family", "rot", "--N", "2", "--D", "16", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("suite", ["logical", "detect"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (None, "list", "JSON object"),
+        ("N", None, "N must be an integer"),
+        ("N", "2", "N must be an integer"),
+        ("D", "16", "D must be an integer"),
+        ("codewords", {"0": {}}, "codewords must be a list"),
+        ("codewords", [1, 2], "codewords must be a list"),
+    ],
+)
+def test_check_rejects_wrongly_typed_bundles(
+    small_rot_bundle, tmp_path, suite, field, value, message
+):
+    bundle = [small_rot_bundle] if field is None else {**small_rot_bundle, field: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(bundle))
+    code, err = _check_exit(path, suite)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, MAX_N + 2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+)
+json_values = (
+    json_scalars
+    | st.lists(json_scalars, max_size=3)
+    | st.dictionaries(st.text(max_size=3), json_scalars, max_size=2)
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    field=st.sampled_from(["D", "N", "codewords", "eps", "family", "primitive", "tool_version"]),
+    value=json_values,
+    suite=st.sampled_from(["logical", "detect"]),
+)
+def test_check_survives_retyped_bundle_fields(small_rot_bundle, tmp_path_factory, field, value, suite):
+    path = tmp_path_factory.getbasetemp() / "retyped.json"
+    path.write_text(json.dumps({**small_rot_bundle, field: value}))
+    code, err = _check_exit(path, suite)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert code != 2 or err.startswith("error:")
 
 
 def test_check_missing_bundle_file(capsys):

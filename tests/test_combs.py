@@ -1,11 +1,14 @@
 """Exact comb states: constructors, gates, projectors, serialization."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqec import combs
 from cvqec.combs import (
     CombUnit,
     bridge_unit,
@@ -241,6 +244,77 @@ def test_periodic_gate_action_matches_windowed(offset, period, pattern, gate):
     got = {(t.index, t.phase) for t in teeth_in_range(per_out, lo, hi)}
     want = {(t.index, t.phase) for t in fin_out.entries}
     assert got == want
+
+
+PHASE_FNS = {
+    "S": (lambda r: lambda l: l * l / 2, 2),
+    "T": (lambda r: lambda l: l**4 / 4, 4),
+    "translate_q": (lambda r: lambda l: -r * l, 1),
+}
+
+
+def linear_scan_period(fn, offset, period, N, degree):
+    """Least T >= 1 with fn(l(t + T)) - fn(l(t)) in 2Z for all t, tried T = 1, 2, ...
+
+    The difference is a polynomial in t of degree below `degree`, so it lies
+    in 2Z at every integer t iff it does at t = 0..degree.
+    """
+    delta = lambda t: fn((offset + t * period) / N)
+    T = 1
+    while any((delta(t + T) - delta(t)) % 2 for t in range(degree + 1)):
+        T += 1
+    return T
+
+
+def assert_minimal(pattern):
+    L = len(pattern)
+    for d in range(1, L):
+        if L % d == 0:
+            assert any(pattern[i] != pattern[(i + d) % L] for i in range(L)), d
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.fractions(min_value=0, max_value=4, max_denominator=4),
+    st.integers(1, 5),
+    st.lists(small_phase, min_size=1, max_size=4),
+    st.sampled_from(sorted(PHASE_FNS)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+def test_phase_period_matches_linear_scan(offset, period, pattern, gate, r):
+    N = 2
+    state = periodic_comb(bridge_unit(N), offset, period, pattern)
+    found = []
+    search = combs._phase_cycle_period
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    with mock.patch.object(combs, "_phase_cycle_period", spy):
+        out = gkp_apply(gate, state, N, amount=r if gate == "translate_q" else None)
+    make_fn, degree = PHASE_FNS[gate]
+    fn = make_fn(r)
+    p = state.periodic
+    assert found == [linear_scan_period(fn, p.offset, p.period, N, degree)]
+    got = out.periodic
+    assert (got.offset, got.period, got.magnitude) == (p.offset, p.period, p.magnitude)
+    assert math.lcm(len(p.pattern), found[0]) % len(got.pattern) == 0
+    assert_minimal(got.pattern)
+    for t in range(len(got.pattern) + len(p.pattern)):
+        want = (p.pattern[t % len(p.pattern)] + fn((p.offset + t * p.period) / N)) % 2
+        assert got.pattern[t % len(got.pattern)] == want
+
+
+def test_t_gate_with_long_phase_period():
+    # l = (1/7 + 10 t)/5 = 1/35 + 2t; l^4/4 repeats mod 2 after 35^3 = 42,875 teeth
+    N, offset = 5, Fraction(1, 7)
+    out = gkp_apply("T", periodic_comb(bridge_unit(N), offset, 2 * N, [0]), N).periodic
+    L = len(out.pattern)
+    assert L == 42_875
+    for t in [*range(0, L, 1_013), L - 1, L, L + 1, 3 * L + 17]:
+        l = (offset + 2 * N * t) / N
+        assert out.pattern[t % L] == (l**4 / 4) % 2
 
 
 # --- projectors and validity -----------------------------------------------------
