@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -60,37 +59,6 @@ GATE_TARGETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, echoed into its report."""
-
-    command: str
-    family: str | None = None
-    N: int | None = None
-    D: int | None = None
-    eps: float | None = None
-    primitive: str | None = None
-    window: int | None = None
-    suite: str | None = None
-    code: str | None = None
-    tol: float | None = None
-    tol_rot: float | None = None
-    inject_gamma: int | None = None
-    samples: int | None = None
-    G: int | None = None
-    eps_series: tuple[float, ...] | None = None
-    hadamard_dim: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-
-    def public_dict(self) -> dict:
-        data = asdict(self)
-        data.pop("out")
-        if data.get("eps_series") is not None:
-            data["eps_series"] = list(data["eps_series"])
-        return {k: v for k, v in data.items() if v is not None}
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -99,20 +67,20 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _report_text(config: RunConfig, results: list[dict]) -> str:
+def _report_text(config: argparse.Namespace, results: list[dict]) -> str:
     if config.fmt == "md":
         return suite_markdown(results)
     passed = sum(1 for r in results if r["pass"])
     report = {
         "tool_version": __version__,
-        "config": config.public_dict(),
+        "config": {k: v for k, v in vars(config).items() if v is not None and k != "out"},
         "results": results,
         "summary": {"total": len(results), "passed": passed, "failed": len(results) - passed},
     }
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _finish(config: RunConfig, results: list[dict]) -> int:
+def _finish(config: argparse.Namespace, results: list[dict]) -> int:
     _emit(_report_text(config, results), config.out)
     return 0 if all(r["pass"] for r in results) else 1
 
@@ -142,7 +110,7 @@ def _parse_primitive(text: str, dim: int) -> FockVector | None:
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_build_code(config: RunConfig) -> int:
+def cmd_build_code(config: argparse.Namespace) -> int:
     _require(config.family in ("rot", "gkp"), "family must be rot or gkp")
     _require(1 <= config.N <= MAX_N, f"N must be in [1, {MAX_N}]")
     bundle = {"tool_version": __version__, "family": config.family, "N": config.N}
@@ -191,7 +159,7 @@ def _logical_row(gate: str, N: int, D: int, words: list[FockVector], tol: float)
 
 
 def _logical_suite_rot(
-    N: int, D: int, words: list[FockVector], ideal: bool, config: RunConfig
+    N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
     tol_exact = config.tol if config.tol is not None else LOGICAL_TOL_EXACT
     results = [_logical_row(gate, N, D, words, tol_exact) for gate in ("Z", "S", "T")]
@@ -218,7 +186,7 @@ def _detect_rows(words: list[FockVector], errors: dict, tol: float) -> list[dict
 
 
 def _detect_suite_rot(
-    N: int, D: int, words: list[FockVector], ideal: bool, config: RunConfig
+    N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
     samples = config.samples if config.samples is not None else 8
     generators = map_error_generators(N, D, rotation_samples=samples)
@@ -239,7 +207,7 @@ def _detect_suite_rot(
     return results
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(config: argparse.Namespace) -> int:
     with open(config.code, encoding="utf-8") as fh:
         bundle = json.load(fh)
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
@@ -266,14 +234,14 @@ def cmd_check(config: RunConfig) -> int:
     return _finish(config, suite(N, D, words, bundle.get("primitive") == "ideal", config))
 
 
-def cmd_bridge(config: RunConfig) -> int:
+def cmd_bridge(config: argparse.Namespace) -> int:
     _require(1 <= config.N <= MAX_BRIDGE_N, f"N must be in [1, {MAX_BRIDGE_N}]")
     _require(2 * config.N <= config.D <= MAX_D, f"D must be in [2N, {MAX_D}]")
     results = [
         result_row(f"gate_{gate}", row["exact_match"], row)
         for gate, row in bridge_gate_table(config.N, config.D).items()
     ]
-    eps_series = config.eps_series or (1e-1, 1e-2, 1e-3)
+    eps_series = config.eps_series or [1e-1, 1e-2, 1e-3]
     dim = config.hadamard_dim or 256
     _require(2 * config.N <= dim <= MAX_D, f"hadamard dim must be in [2N, {MAX_D}]")
     hadamard = rot_logical_op("H", config.N, dim)
@@ -282,14 +250,14 @@ def cmd_bridge(config: RunConfig) -> int:
         words = [approx_ideal_rot_codeword(config.N, j, dim, eps) for j in (0, 1)]
         return logical_action(hadamard, words, GATE_TARGETS["H"]).aligned_fidelity
 
-    scan = convergence_scan(fidelity, list(eps_series))
+    scan = convergence_scan(fidelity, eps_series)
     final = scan.points[-1][1]
     results.append(
         result_row(
             "hadamard_series",
             scan.monotonicity in ("nondecreasing", "constant") and final >= 1 - 1e-3,
             {
-                "eps": list(eps_series),
+                "eps": eps_series,
                 "fidelities": [m for _, m in scan.points],
                 "monotonicity": scan.monotonicity,
                 "dim": dim,
@@ -299,7 +267,7 @@ def cmd_bridge(config: RunConfig) -> int:
     return _finish(config, results)
 
 
-def cmd_alg1(config: RunConfig) -> int:
+def cmd_alg1(config: argparse.Namespace) -> int:
     _require(config.D >= 1 and config.G >= 1, "D and G must be >= 1")
     _require(config.D * config.G <= MAX_ALG1_CELLS, f"D*G must stay <= {MAX_ALG1_CELLS}")
     report = alg1_report(config.D, config.G)
@@ -314,9 +282,9 @@ def cmd_alg1(config: RunConfig) -> int:
 # --- argument plumbing --------------------------------------------------------
 
 
-def comma_floats(text: str) -> tuple[float, ...] | None:
+def comma_floats(text: str) -> list[float] | None:
     """Parse "0.1,0.01"; an empty string keeps the default."""
-    return tuple(float(part) for part in text.split(",")) if text else None
+    return [float(part) for part in text.split(",")] if text else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,9 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(**vars(args))
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except CVCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -192,16 +192,6 @@ def _newton_coeffs(values: Sequence[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _monomial_coeffs(newton: Sequence[Fraction]) -> list[Fraction]:
-    """Convert binomial-basis coefficients to monomial coefficients."""
-    poly, basis = [Fraction(0)] * len(newton), [Fraction(1)]  # basis: C(t, i) in monomials
-    for i, c in enumerate(newton):
-        poly = [a + c * b for a, b in zip(poly, basis + [0] * len(poly))]
-        # C(t, i+1) = C(t, i) (t - i) / (i + 1)
-        basis = [(x - i * y) / (i + 1) for x, y in zip([0] + basis, basis + [0])]
-    return poly
-
-
 def _is_valid_period(row: Sequence[int], modulus: int, T: int) -> bool:
     # For delta = sum_j row[j] C(t, j) / den, den (delta(t+T) - delta(t)) has binomial-basis
     # coefficients sum_{j>i} row[j] C(T, j-i); it lies in 2 den Z at every integer t iff they do.
@@ -212,25 +202,26 @@ def _is_valid_period(row: Sequence[int], modulus: int, T: int) -> bool:
     )
 
 
-def _phase_cycle_period(newton: Sequence[Fraction], row: Sequence[int], modulus: int) -> int:
+def _phase_cycle_period(row: Sequence[int], modulus: int) -> int:
     """Least T >= 1 with delta(t+T) - delta(t) in 2Z for every integer t.
 
-    delta has binomial-basis coefficients `newton`, also given as integer
-    numerators `row` over den = modulus / 2.  Let q be the lcm of the
-    denominators of delta's monomial coefficients c_k.  2q is a period:
-    (t + 2q)^k - t^k is 2q times an integer, so c_k ((t + 2q)^k - t^k) is
-    2 (c_k q) times an integer, and c_k q is an integer.  The periods form a
+    delta(t) = sum_j row[j] C(t, j) / den with integer `row` and den =
+    modulus / 2.  Let deg = len(row) - 1 and B = 2 den lcm(1, ..., deg).  B is
+    a period: by Vandermonde, C(t+B, j) - C(t, j) = sum_{i>=1} C(B, i)
+    C(t, j-i), and for 1 <= i <= deg, C(B, i) = (B/i) C(B-1, i-1) is a
+    multiple of 2 den because i divides lcm(1, ..., deg).  So
+    den (delta(t+B) - delta(t)) lies in 2 den Z.  The periods form a
     subgroup of Z: 0 is one, and for periods T and U, delta(t+T-U) - delta(t)
     = [delta((t-U)+T) - delta(t-U)] - [delta((t-U)+U) - delta(t-U)] lies in 2Z.
-    That subgroup is dZ with d the least period, and 2q in dZ means d divides
-    2q.  So the first divisor of 2q, in ascending order, that passes
+    That subgroup is dZ with d the least period, and B in dZ means d divides
+    B.  So the first divisor of B, in ascending order, that passes
     `_is_valid_period` is the least period.
     """
-    two_q = 2 * math.lcm(*(c.denominator for c in _monomial_coeffs(newton)))
-    for T in range(1, two_q + 1):
-        if two_q % T == 0 and _is_valid_period(row, modulus, T):
+    B = modulus * math.lcm(*range(1, len(row)))
+    for T in range(1, B + 1):
+        if B % T == 0 and _is_valid_period(row, modulus, T):
             return T
-    raise RuntimeError("2q failed the period test, which the proof in this docstring rules out")
+    raise RuntimeError("B failed the period test, which the proof in this docstring rules out")
 
 
 def _apply_phase_fn(
@@ -251,7 +242,7 @@ def _apply_phase_fn(
     modulus = 2 * den
     row = [c.numerator * (den // c.denominator) % modulus for c in newton]
     start = [c.numerator * (den // c.denominator) for c in p.pattern]
-    T = _phase_cycle_period(newton, row, modulus)
+    T = _phase_cycle_period(row, modulus)
     new_pattern = []
     for t in range(math.lcm(len(start), T)):
         new_pattern.append(Fraction((start[t % len(start)] + row[0]) % modulus, den))

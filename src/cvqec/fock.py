@@ -86,8 +86,17 @@ class FockVector:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "FockVector":
-        amps = np.array([complex(re, im) for re, im in obj["entries"]])
-        v = FockVector(int(obj["dim"]), amps)
+        dim, entries = obj["dim"], obj["entries"]
+        if type(dim) is not int:
+            raise ValueError("codeword dim must be an integer")
+        if not isinstance(entries, list) or not all(
+            isinstance(z, list) and len(z) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
+            for z in entries
+        ):
+            raise ValueError("codeword entries must be a list of [re, im] number pairs")
+        amps = np.array([complex(re, im) for re, im in entries])
+        v = FockVector(dim, amps)
         if abs(v.norm - 1.0) <= 1e-12:
             v = FockVector(v.dim, v.amplitudes, normalized=True)
         return v

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,43 +77,72 @@ class Interval:
         return f"{left}{lo}, {hi}{right}"
 
 
-def _lo_sort_key(iv: Interval):
-    head = (0, Fraction(0)) if iv.lo is None else (1, iv.lo)
-    return (*head, iv.lo_open)
+def _scale(specs: Sequence[SpectrumSpec]) -> int:
+    """The least common denominator of every finite end in specs."""
+    dens = {p.denominator for s in specs for p in s.points}
+    dens.update(v.denominator for s in specs for iv in s.intervals for v in (iv.lo, iv.hi) if v is not None)
+    return math.lcm(*dens)
 
 
-def _reaches_less(hi_a: Fraction | None, open_a: bool, hi_b: Fraction | None, open_b: bool) -> bool:
-    """True if upper end (hi_a, open_a) stops strictly before (hi_b, open_b)."""
-    if hi_a is None:
-        return False
-    if hi_b is None:
-        return True
-    if hi_a != hi_b:
-        return hi_a < hi_b
-    return open_a and not open_b
+def _atom(value: Fraction, scale: int) -> int:
+    return 2 * value.numerator * (scale // value.denominator)
 
 
-def _merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
-    ivs = sorted(intervals, key=_lo_sort_key)
-    out: list[Interval] = []
-    for iv in ivs:
-        if not out:
-            out.append(iv)
-            continue
-        last = out[-1]
-        # touching with both ends open leaves a pinhole gap: keep separate
-        attaches = (
-            last.hi is None
-            or iv.lo is None
-            or iv.lo < last.hi
-            or (iv.lo == last.hi and not (iv.lo_open and last.hi_open))
-        )
-        if not attaches:
-            out.append(iv)
-            continue
-        if _reaches_less(last.hi, last.hi_open, iv.hi, iv.hi_open):
-            out[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+def _pieces(specs: Sequence[SpectrumSpec], scale: int) -> list[tuple]:
+    """Every point and interval of specs as (lo, hi, spec index, item), sorted by lo.
+
+    Scaling every end to an integer n = value * scale splits the line into
+    atoms: atom 2n is the point n / scale, atom 2n + 1 the open gap after it.
+    Each piece is then a whole run of atoms, the closed range [lo, hi] (a
+    point is [2n, 2n]; rays run to -inf or inf).  So two pieces share a point
+    iff their ranges meet, and two unions are equal iff their merged runs are.
+    """
+    out = []
+    for i, s in enumerate(specs):
+        for p in s.points:
+            n = _atom(p, scale)
+            out.append((n, n, i, p))
+        for iv in s.intervals:
+            lo = -math.inf if iv.lo is None else _atom(iv.lo, scale) + iv.lo_open
+            hi = math.inf if iv.hi is None else _atom(iv.hi, scale) - iv.hi_open
+            out.append((lo, hi, i, iv))
+    out.sort(key=itemgetter(0))
     return out
+
+
+def _shared(pieces: list[tuple]) -> Iterator[tuple[tuple, tuple, int]]:
+    """Every pair (a, b) of sorted pieces, a first, that meets, with one shared atom."""
+    active: list[tuple] = []
+    for b in pieces:
+        active = [a for a in active if a[1] >= b[0]]
+        for a in active:
+            # they share the atoms from b's lo to the lower hi; name the one nearest 0
+            yield a, b, max(b[0], min(a[1], b[1], 0))
+        active.append(b)
+
+
+def _runs(pieces: list[tuple]) -> list:
+    """The union of sorted pieces as maximal runs of atoms, flat: [lo, hi, lo, hi, ...]."""
+    runs: list = []
+    for lo, hi, _, _ in pieces:
+        if runs and lo <= runs[-1] + 1:
+            runs[-1] = max(runs[-1], hi)
+        else:
+            runs += (lo, hi)
+    return runs
+
+
+def _runs_text(runs: list, scale: int) -> str:
+    points, intervals = [], []
+    for lo, hi in zip(runs[::2], runs[1::2]):
+        if lo == hi and lo % 2 == 0:
+            points.append(str(Fraction(lo, 2 * scale)))
+        else:
+            # an odd end is open: the gap after the point lo // 2, or before -(-hi // 2)
+            left = None if lo == -math.inf else Fraction(lo // 2, scale)
+            right = None if hi == math.inf else Fraction(-(-hi // 2), scale)
+            intervals.append(str(Interval(left, right, lo % 2 == 1, hi % 2 == 1)))
+    return f"points {points} intervals {intervals}"
 
 
 @dataclass(frozen=True)
@@ -123,130 +153,44 @@ class SpectrumSpec:
     intervals: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        pts = tuple(sorted(as_fraction(p) for p in self.points))
-        if any(a == b for a, b in zip(pts, pts[1:])):
-            raise ValueError("points must be distinct")
-        ivs = tuple(sorted(self.intervals, key=_lo_sort_key))
-        for a, b in zip(ivs, ivs[1:]):
-            separated = a.hi is not None and b.lo is not None and (
-                a.hi < b.lo or (a.hi == b.lo and (a.hi_open or b.lo_open))
-            )
-            if not separated:
-                raise ValueError(f"intervals {a} and {b} are not disjoint")
-        for p in pts:
-            for iv in ivs:
-                if iv.contains(p):
-                    raise ValueError(f"point {p} lies inside interval {iv}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "points", tuple(as_fraction(p) for p in self.points))
+        pieces = _pieces([self], _scale([self]))
+        for a, b, _ in _shared(pieces):
+            raise ValueError(f"spectrum pieces {a[3]} and {b[3]} share a point")
+        object.__setattr__(self, "points", tuple(x for *_, x in pieces if not isinstance(x, Interval)))
+        object.__setattr__(self, "intervals", tuple(x for *_, x in pieces if isinstance(x, Interval)))
 
 
-def _canonical_set(specs: Sequence[SpectrumSpec]) -> tuple[tuple[Fraction, ...], tuple[Interval, ...]]:
-    """Canonical form of a union of spectra: merged intervals, leftover points.
-
-    Points falling on an open endpoint close it; points inside intervals are
-    absorbed.  The result is a unique representation, so two unions are equal
-    as sets iff their canonical forms compare equal.
-    """
-    points = sorted({p for s in specs for p in s.points})
-    intervals = [iv for s in specs for iv in s.intervals]
-    while True:
-        intervals = _merge_intervals(intervals)
-        leftover: list[Fraction] = []
-        closed_any = False
-        for p in points:
-            hit = False
-            for i, iv in enumerate(intervals):
-                if iv.contains(p):
-                    hit = True
-                    break
-                if iv.lo == p and iv.lo_open:
-                    intervals[i] = Interval(p, iv.hi, False, iv.hi_open)
-                    hit = closed_any = True
-                    break
-                if iv.hi == p and iv.hi_open:
-                    intervals[i] = Interval(iv.lo, p, iv.lo_open, False)
-                    hit = closed_any = True
-                    break
-            if not hit:
-                leftover.append(p)
-        points = leftover
-        if not closed_any:
-            return (tuple(points), tuple(_merge_intervals(intervals)))
-
-
-def _interval_overlap_witness(a: Interval, b: Interval) -> Fraction | None:
-    """Some rational contained in both intervals, or None if disjoint."""
-    if a.lo is None:
-        lo, lo_from = b.lo, b
-    elif b.lo is None or a.lo > b.lo or (a.lo == b.lo and a.lo_open):
-        lo, lo_from = a.lo, a
-    else:
-        lo, lo_from = b.lo, b
-    if a.hi is None:
-        hi, hi_from = b.hi, b
-    elif b.hi is None or a.hi < b.hi or (a.hi == b.hi and a.hi_open):
-        hi, hi_from = a.hi, a
-    else:
-        hi, hi_from = b.hi, b
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1
-    if hi is None:
-        return lo + 1
-    if lo < hi:
-        return (lo + hi) / 2
-    if lo == hi and lo_from.contains(lo) and hi_from.contains(lo) and a.contains(lo) and b.contains(lo):
-        return lo
-    return None
+def _witness(a: tuple, b: tuple, atom: int, scale: int) -> str:
+    """The report line for pieces of two specs that share `atom`."""
+    # intervals first: (i, x) is an interval whenever either piece is
+    (i, x), (k, y) = sorted((a[2:], b[2:]), key=lambda s: not isinstance(s[1], Interval))
+    if isinstance(y, Interval):
+        return f"specs {i} and {k} intervals {x} and {y} meet at {Fraction(atom, 2 * scale)}"
+    if isinstance(x, Interval):
+        return f"spec {k} point {y} lies in spec {i} interval {x}"
+    return f"specs {[i, k]} share point {y}"
 
 
 def validate_spectrum_family(specs: Sequence[SpectrumSpec], target: SpectrumSpec) -> dict:
     """Check that specs are pairwise disjoint and their union equals target.
 
-    All comparisons are exact; witnesses name every offending point or
-    interval pair and, on union failure, the mismatching canonical forms.
-    Point collisions are found through a value index, so large pure-point
-    families stay linear in the total point count.
+    All comparisons are exact.  One sweep over the family's pieces names
+    every pair of specs that share a point, and one merge of the same pieces
+    gives the union's canonical runs, which must equal the target's.
     """
-    witnesses: list[str] = []
-    by_value: dict[Fraction, list[int]] = {}
-    for i, s in enumerate(specs):
-        for p in s.points:
-            by_value.setdefault(p, []).append(i)
-    for p in sorted(by_value):
-        idxs = by_value[p]
-        if len(idxs) > 1:
-            witnesses.append(f"specs {idxs} share point {p}")
-    with_intervals = [(i, s) for i, s in enumerate(specs) if s.intervals]
-    for i, s in with_intervals:
-        for iv in s.intervals:
-            for k, other in enumerate(specs):
-                if k == i:
-                    continue
-                for p in other.points:
-                    if iv.contains(p):
-                        witnesses.append(f"spec {k} point {p} lies in spec {i} interval {iv}")
-    for a_pos in range(len(with_intervals)):
-        for b_pos in range(a_pos + 1, len(with_intervals)):
-            i, a = with_intervals[a_pos]
-            k, b = with_intervals[b_pos]
-            for ia in a.intervals:
-                for ib in b.intervals:
-                    w = _interval_overlap_witness(ia, ib)
-                    if w is not None:
-                        witnesses.append(f"specs {i} and {k} intervals {ia} and {ib} meet at {w}")
+    scale = _scale([*specs, target])
+    pieces = _pieces(specs, scale)
+    witnesses = [_witness(a, b, atom, scale) for a, b, atom in _shared(pieces)]
     disjoint_ok = not witnesses
-    union_canon = _canonical_set(list(specs))
-    target_canon = _canonical_set([target])
-    union_ok = union_canon == target_canon
+    union = _runs(pieces)
+    del pieces  # free the family's pieces before building the target's: it lowers peak memory
+    want = _runs(_pieces([target], scale))
+    union_ok = union == want
     if not union_ok:
         witnesses.append(
-            "union mismatch: family gives points "
-            f"{[str(p) for p in union_canon[0]]} intervals {[str(v) for v in union_canon[1]]}, "
-            f"target has points {[str(p) for p in target_canon[0]]} intervals "
-            f"{[str(v) for v in target_canon[1]]}"
+            f"union mismatch: family gives {_runs_text(union, scale)}, "
+            f"target has {_runs_text(want, scale)}"
         )
     return {"union_ok": union_ok, "disjoint_ok": disjoint_ok, "witnesses": witnesses}
 

@@ -64,21 +64,6 @@ class DetectabilityReport:
     passed: bool
     pair_rows: tuple[ErrorRow, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        def row(r: ErrorRow) -> dict:
-            return {
-                "name": r.name,
-                "c_E": [r.c_E.real, r.c_E.imag],
-                "off_diag_max": r.off_diag_max,
-                "diag_spread": r.diag_spread,
-                "pass": r.passed,
-            }
-
-        out = {"tol": self.tol, "pass": self.passed, "rows": [row(r) for r in self.rows]}
-        if self.pair_rows:
-            out["pair_rows"] = [row(r) for r in self.pair_rows]
-        return out
-
 
 def _error_row(name: str, op: FockOperator, codewords, tol: float) -> ErrorRow:
     M = restricted_matrix(op, codewords)
@@ -130,14 +115,6 @@ class LogicalActionResult:
     global_phase: float
     passed: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-            "aligned_fidelity": self.aligned_fidelity,
-            "global_phase": self.global_phase,
-            "pass": self.passed,
-        }
-
 
 def logical_action(
     op: FockOperator,
@@ -183,12 +160,6 @@ def stabilizer_check(op: FockOperator, codewords: Sequence[FockVector], tol: flo
 class ConvergenceScan:
     points: tuple[tuple[object, float], ...]
     monotonicity: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [[repr(p), m] for p, m in self.points],
-            "monotonicity": self.monotonicity,
-        }
 
 
 def convergence_scan(builder: Callable[[object], float], params: Sequence[object]) -> ConvergenceScan:
@@ -299,20 +270,6 @@ def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> 
     rule = "| " + " | ".join("---" for _ in headers) + " |"
     body = ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
     return "\n".join([head, rule, *body])
-
-
-def detectability_markdown(report: DetectabilityReport) -> str:
-    rows = [
-        (
-            r.name,
-            f"{r.c_E.real:+.3e}{r.c_E.imag:+.3e}j",
-            f"{r.off_diag_max:.3e}",
-            f"{r.diag_spread:.3e}",
-            "pass" if r.passed else "FAIL",
-        )
-        for r in (*report.rows, *report.pair_rows)
-    ]
-    return markdown_table(["error", "c_E", "off_diag_max", "diag_spread", "status"], rows)
 
 
 def suite_markdown(rows: Sequence[dict]) -> str:

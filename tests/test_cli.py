@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from cvqec import __version__
 from cvqec.cli import MAX_D, MAX_N, main
 from cvqec.combs import comb_to_json_dict, gkp_codeword
 from cvqec.fock import approx_ideal_rot_codeword
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_json(capsys, argv):
@@ -186,6 +189,14 @@ def small_rot_bundle(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+def _retyped(bundle, field, value):
+    """The bundle with one field replaced; "codeword.<key>" names a field of codeword 0."""
+    if field.startswith("codeword."):
+        word = {**bundle["codewords"][0], field.removeprefix("codeword."): value}
+        return {**bundle, "codewords": [word, *bundle["codewords"][1:]]}
+    return {**bundle, field: value}
+
+
 @pytest.mark.parametrize("suite", ["logical", "detect"])
 @pytest.mark.parametrize(
     "field, value, message",
@@ -196,12 +207,15 @@ def small_rot_bundle(tmp_path_factory):
         ("D", "16", "D must be an integer"),
         ("codewords", {"0": {}}, "codewords must be a list"),
         ("codewords", [1, 2], "codewords must be a list"),
+        ("codeword.dim", None, "dim must be an integer"),
+        ("codeword.dim", "16", "dim must be an integer"),
+        ("codeword.entries", [1, 2], "entries must be a list"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
     small_rot_bundle, tmp_path, suite, field, value, message
 ):
-    bundle = [small_rot_bundle] if field is None else {**small_rot_bundle, field: value}
+    bundle = [small_rot_bundle] if field is None else _retyped(small_rot_bundle, field, value)
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(bundle))
     code, err = _check_exit(path, suite)
@@ -219,19 +233,23 @@ json_scalars = (
 json_values = (
     json_scalars
     | st.lists(json_scalars, max_size=3)
+    | st.lists(st.lists(json_scalars, max_size=3), max_size=3)
     | st.dictionaries(st.text(max_size=3), json_scalars, max_size=2)
 )
 
 
 @settings(deadline=None, max_examples=60)
 @given(
-    field=st.sampled_from(["D", "N", "codewords", "eps", "family", "primitive", "tool_version"]),
+    field=st.sampled_from(
+        ["D", "N", "codewords", "eps", "family", "primitive", "tool_version",
+         "codeword.dim", "codeword.entries", "codeword.structure"]
+    ),
     value=json_values,
     suite=st.sampled_from(["logical", "detect"]),
 )
 def test_check_survives_retyped_bundle_fields(small_rot_bundle, tmp_path_factory, field, value, suite):
     path = tmp_path_factory.getbasetemp() / "retyped.json"
-    path.write_text(json.dumps({**small_rot_bundle, field: value}))
+    path.write_text(json.dumps(_retyped(small_rot_bundle, field, value)))
     code, err = _check_exit(path, suite)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -295,6 +313,26 @@ def test_alg1_command_reports_certificate(capsys):
 def test_alg1_size_guard(capsys):
     assert main(["alg1", "--D", "100", "--G", "100"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (f"alg1-D{D}-G{G}.json", ["alg1", "--D", str(D), "--G", str(G)])
+        for D, G in [(1, 1), (4, 3), (64, 64), (8, 512)]
+    ]
+    + [
+        (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt])
+        for fmt in ("json", "md")
+    ],
+)
+def test_reports_match_golden_bytes(gkp_bundle, capsys, name, argv):
+    # these reports carry no float from a numerical routine, so their bytes are portable
+    if argv[0] == "check":
+        argv = [*argv, "--code", str(gkp_bundle)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.replace(json.dumps(str(gkp_bundle))[1:-1], "<code>")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_unknown_command_exits_nonzero(capsys):

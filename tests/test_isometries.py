@@ -122,6 +122,132 @@ def test_single_spec_must_equal_target():
     assert any("union mismatch" in w for w in out["witnesses"])
 
 
+@pytest.mark.parametrize(
+    "points, intervals",
+    [
+        ((F(1), F(1)), ()),
+        ((), (Interval(F(0), F(2)), Interval(F(1), F(3)))),
+        ((), (Interval(F(0), F(1)), Interval(F(1), F(2)))),
+        ((F(1),), (Interval(F(0), F(2)),)),
+        ((F(2),), (Interval(F(0), F(2)),)),
+        ((F(-5),), (Interval(None, F(0), hi_open=True),)),
+    ],
+    ids=["duplicate points", "overlapping intervals", "closed ends meet", "point inside",
+         "point on closed end", "point under a ray"],
+)
+def test_spec_rejects_its_own_overlaps(points, intervals):
+    with pytest.raises(ValueError):
+        SpectrumSpec(points=points, intervals=intervals)
+
+
+def test_spec_accepts_point_on_open_end():
+    spec = SpectrumSpec(points=(F(2),), intervals=(Interval(F(0), F(2), hi_open=True),))
+    assert spec.points == (F(2),)
+    closed = SpectrumSpec(intervals=(Interval(F(0), F(2)),))
+    assert validate_spectrum_family([spec], closed)["union_ok"]
+    touching = SpectrumSpec(intervals=(Interval(F(0), F(1), hi_open=True), Interval(F(1), F(2))))
+    assert validate_spectrum_family([touching], closed)["union_ok"]
+
+
+def _member(piece, x):
+    if not isinstance(piece, Interval):
+        return x == piece
+    above = piece.lo is None or piece.lo < x or (piece.lo == x and not piece.lo_open)
+    below = piece.hi is None or x < piece.hi or (x == piece.hi and not piece.hi_open)
+    return above and below
+
+
+def _samples(pieces):
+    """Every end, the midpoints between consecutive ends, and a point beyond each extreme."""
+    ends = sorted(
+        {e for p in pieces for e in ((p.lo, p.hi) if isinstance(p, Interval) else (p,)) if e is not None}
+    )
+    if not ends:
+        return [F(0)]
+    return [ends[0] - 1, *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])), ends[-1] + 1]
+
+
+def _meets(a, b):
+    return any(_member(a, x) and _member(b, x) for x in _samples([a, b]))
+
+
+def _spec(pieces):
+    return SpectrumSpec(
+        points=[p for p in pieces if not isinstance(p, Interval)],
+        intervals=[p for p in pieces if isinstance(p, Interval)],
+    )
+
+
+half_grid_points = st.integers(-6, 6).map(lambda n: F(n, 2))
+integer_ends = st.none() | st.integers(-3, 3).map(F)
+integer_intervals = st.tuples(integer_ends, integer_ends, st.booleans(), st.booleans()).filter(
+    lambda t: t[0] is None or t[1] is None or t[0] < t[1]
+).map(lambda t: Interval(*t))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_family_verdicts_match_membership_oracle(data):
+    # the line cut at integer values, as alternating gap and point atoms
+    cuts = sorted(data.draw(st.sets(st.integers(-3, 3).map(F), max_size=4)))
+    bounds = [None, *cuts, None]
+    atoms = []
+    for i in range(len(cuts) + 1):
+        atoms.append((bounds[i], bounds[i + 1]))
+        if i < len(cuts):
+            atoms.append((cuts[i], cuts[i]))
+    cover = data.draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+
+    def is_point(atom):
+        return atom[0] is not None and atom[0] == atom[1]
+
+    def chunked():
+        """The covered atoms cut into pieces at random places."""
+        cut_after = data.draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+        pieces, start = [], None
+        for i, atom in enumerate(atoms):
+            if not cover[i]:
+                continue
+            start = atom if start is None else start
+            if i + 1 == len(atoms) or not cover[i + 1] or cut_after[i]:
+                if start == atom and is_point(atom):
+                    pieces.append(atom[0])
+                else:  # an end that is a gap atom is open
+                    pieces.append(Interval(start[0], atom[1], not is_point(start), not is_point(atom)))
+                start = None
+        return pieces
+
+    # a family and a target that tile the same set in different pieces ...
+    k = data.draw(st.integers(1, 3))
+    groups = [[] for _ in range(k + 1)]
+    for piece in chunked():
+        groups[data.draw(st.integers(0, k - 1))].append(piece)
+    groups[k] = chunked()
+    # ... then perhaps one family piece dropped and a few random pieces added
+    family_pieces = [p for g in groups[:k] for p in g]
+    if family_pieces and data.draw(st.booleans()):
+        dropped = data.draw(st.sampled_from(family_pieces))
+        groups = [[p for p in g if p is not dropped] for g in groups[:k]] + [groups[k]]
+    for _ in range(data.draw(st.integers(0, 2))):
+        owner = data.draw(st.integers(0, k))
+        piece = data.draw(half_grid_points | integer_intervals)
+        if any(_meets(piece, other) for other in groups[owner]):
+            with pytest.raises(ValueError):
+                _spec(groups[owner] + [piece])
+        else:
+            groups[owner].append(piece)
+
+    *family, target = groups
+    samples = _samples([p for g in groups for p in g])
+    owners = [[i for i, g in enumerate(family) if any(_member(p, x) for p in g)] for x in samples]
+    union = [bool(o) for o in owners]
+    want = [any(_member(p, x) for p in target) for x in samples]
+    out = validate_spectrum_family([_spec(g) for g in family], _spec(target))
+    assert out["disjoint_ok"] == all(len(o) <= 1 for o in owners)
+    assert out["union_ok"] == (union == want)
+    assert (out["witnesses"] == []) == (out["disjoint_ok"] and out["union_ok"])
+
+
 # --- canonical partial isometries --------------------------------------------
 
 

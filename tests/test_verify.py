@@ -21,7 +21,6 @@ from cvqec.fock import (
 from cvqec.verify import (
     convergence_scan,
     detectability_check,
-    detectability_markdown,
     gkp_exact_suite,
     logical_action,
     markdown_table,
@@ -214,8 +213,7 @@ def test_scan_tolerates_float_noise_on_flat_series():
 def test_scan_records_points():
     scan = convergence_scan(lambda x: x * 0.5, [2, 4])
     assert scan.points == ((2, 1.0), (4, 2.0))
-    d = scan.to_json_dict()
-    assert d["monotonicity"] == "nondecreasing" and len(d["points"]) == 2
+    assert scan.monotonicity == "nondecreasing"
 
 
 # --- exact suite and reports -------------------------------------------------------
@@ -242,10 +240,6 @@ def test_markdown_emitters():
     assert lines[1] == "| --- | --- |"
     assert lines[2] == "| 1 | 2 |"
 
-    report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-9)
-    md = detectability_markdown(report)
-    assert "| id |" in md and "pass" in md
-
     md_suite = suite_markdown(gkp_exact_suite(1))
     assert md_suite.count("\n") >= 24
 
@@ -261,9 +255,8 @@ def test_restricted_matrix_entries():
     assert M == pytest.approx(np.zeros((2, 2)))
 
 
-def test_report_serialization_shape():
+def test_report_rows_and_pair_rows():
     report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-9, pairwise=True)
-    d = report.to_json_dict()
-    assert d["pass"] is True and d["tol"] == 1e-9
-    assert d["rows"][0]["name"] == "id"
-    assert d["pair_rows"][0]["name"] == "id^dag id"
+    assert report.passed is True and report.tol == 1e-9
+    assert report.rows[0].name == "id"
+    assert report.pair_rows[0].name == "id^dag id"
