@@ -30,9 +30,10 @@ from .fock import (
     diagonal_phase_operator,
     fock_operator,
     identity,
+    max_phase_gap,
     rot_logical_op,
 )
-from .phases import RationalLike, as_fraction, mod2, phase_to_complex
+from .phases import RationalLike, as_fraction, mod_power, phase_to_complex
 
 CONVENTION = "positive lattice constant; p-shift by +N lowers the number index by N"
 
@@ -112,7 +113,7 @@ def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int
         raise InvalidDimension("n_fold and dim must be >= 1")
     a = as_fraction(amount)
     if kind == "q":
-        return diagonal_phase_operator([mod2(a * m) for m in range(dim)])
+        return fock_operator("rotation", dim, theta=a)
     if kind == "p":
         if a.denominator != 1:
             return FockOperator(dim, np.zeros(dim), "diagonal")
@@ -133,14 +134,17 @@ def _bridged_gates(n_fold: int, dim: int) -> dict[str, FockOperator]:
     if dim < 2 * n_fold:
         raise InvalidDimension("dim must be at least 2*n_fold")
     N = n_fold
+    m = np.arange(dim)
 
-    def diag_from(poly):
-        return diagonal_phase_operator([mod2(poly(Fraction(m, N))) for m in range(dim)])
+    def diag_from(coef: Fraction, power: int) -> FockOperator:
+        # the phase coef * l**power at l = m / N is coef.numerator * m**power / den
+        den = coef.denominator * N**power
+        return diagonal_phase_operator(coef.numerator * mod_power(m, power, 2 * den), den=den)
 
     return {
-        "Z": diag_from(lambda l: l),
-        "S": diag_from(lambda l: l * l / 2),
-        "T": diag_from(lambda l: l**4 / 4),
+        "Z": diag_from(Fraction(1), 1),
+        "S": diag_from(Fraction(1, 2), 2),
+        "T": diag_from(Fraction(1, 4), 4),
         "X": omega_map_translation("p", N, N, dim),
     }
 
@@ -192,13 +196,7 @@ def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
     derived = _bridged_gates(n_fold, dim)
     table: dict[str, dict] = {}
     for gate in ("Z", "S", "T"):
-        ref = rot_logical_op(gate, n_fold, dim)
-        got = derived[gate]
-        diffs = [
-            min(d, 2 - d)
-            for d in (mod2(a - b) for a, b in zip(got.phases, ref.phases))
-        ]
-        worst = max(diffs) if diffs else Fraction(0)
+        worst = max_phase_gap(derived[gate], rot_logical_op(gate, n_fold, dim))
         table[gate] = {"exact_match": worst == 0, "max_phase_diff": float(worst)}
     ref_x = rot_logical_op("X", n_fold, dim)
     got_x = derived["X"]

@@ -90,6 +90,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _field(bundle: dict, key: str):
+    _require(key in bundle, f"bundle lacks field {key!r}")
+    return bundle[key]
+
+
 def _parse_primitive(text: str, dim: int) -> FockVector | None:
     """Parse a primitive descriptor; returns None for the ideal family member."""
     if text == "ideal":
@@ -213,7 +218,7 @@ def cmd_check(config: argparse.Namespace) -> int:
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
     family = bundle.get("family")
     _require(family in ("rot", "gkp"), f"bundle has unknown family {family!r}")
-    N = bundle["N"]
+    N = _field(bundle, "N")
     _require(type(N) is int, "bundle N must be an integer")
     _require(1 <= N <= MAX_N, f"N must be in [1, {MAX_N}]")
     if family == "gkp":
@@ -222,14 +227,14 @@ def cmd_check(config: argparse.Namespace) -> int:
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
         return _finish(config, gkp_exact_suite(N))
-    D, words = bundle["D"], bundle["codewords"]
+    D, words = _field(bundle, "D"), _field(bundle, "codewords")
     _require(type(D) is int, "bundle D must be an integer")
     _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
     _require(
         isinstance(words, list) and all(isinstance(w, dict) for w in words),
         "bundle codewords must be a list of objects",
     )
-    words = [FockVector.from_json_dict(d) for d in words]
+    words = [FockVector.from_json_dict({k: _field(w, k) for k in ("dim", "entries")}) for w in words]
     suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
     return _finish(config, suite(N, D, words, bundle.get("primitive") == "ideal", config))
 

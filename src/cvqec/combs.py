@@ -141,7 +141,11 @@ def periodic_comb(
     rho = as_fraction(offset)
     rho_canon = rho % period
     shift = int((rho - rho_canon) / period)
-    cycle = [mod2(p) for p in pattern]
+    # entries already in [0, 2) are kept as they are: a gate's new pattern is built reduced
+    cycle = [
+        p if type(p) is Fraction and 0 <= p.numerator < 2 * p.denominator else mod2(p)
+        for p in pattern
+    ]
     n = len(cycle)
     rotated = tuple(cycle[(t - shift) % n] for t in range(n))
     return CombState(

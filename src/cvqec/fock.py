@@ -3,17 +3,17 @@
 Operators on the first D number states are stored by their structure: a
 diagonal or a number shift keeps one band vector, and only a "dense"
 operator keeps a D x D matrix.  Diagonal operators built from rational
-angles additionally carry their phases as exact rationals of pi (see
-`phases`), which is what makes cross-checks between independently derived
-gate sets exact rather than approximate.
+angles or eigenvalues also keep them exactly, as an int64 numerator array
+over one denominator (see `phases`).  That is what makes cross-checks
+between independently derived gate sets exact rather than approximate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .errors import InvalidDimension, ZeroProjection
 from .phases import (
     RationalLike,
     as_fraction,
-    mod2,
-    phase_to_complex,
-    phases_to_array,
+    fraction_view,
+    mod_power,
+    numerators,
     rational_from_json,
     rational_to_json,
 )
@@ -32,6 +32,9 @@ SUPPORT_TOL = 1e-12
 
 # sign of the band's offset from the main diagonal, per banded structure
 _BAND_SIGN = {"diagonal": 0, "upper_shift": 1, "lower_shift": -1}
+
+# logical Z, S, T carry the phase m^k / (k N^k) at level m
+_PHASE_POWERS = {"Z": 1, "S": 2, "T": 4}
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,23 @@ class FockOperator:
     the diagonal at `offset` 0, +shift or -shift, of length dim - shift.
     `entries` builds the dense matrix on demand.
 
-    `phases` (optional) stores exact diagonal phases in units of pi for
-    unit-modulus diagonal operators; `exact_diag` stores exact rational
-    diagonal values for Hermitian diagonal generators.  Either implies the
-    float band agrees with the exact data at materialization precision.
+    A diagonal operator may keep its values exactly, as int64 numerators
+    over the one denominator `den`: `phase_num` for the phases of a
+    unit-modulus operator (units of pi, reduced into [0, 2 den)), and
+    `diag_num` for the eigenvalues of a Hermitian generator.  Either implies
+    the float band agrees with the exact data at materialization precision.
+    `den` is reduced to the least common denominator, so two operators have
+    equal exact data iff their arrays and `den` are equal.  `phases` and
+    `exact_diag` are the same data as tuples of Fraction, built on demand.
     """
 
     dim: int
     data: np.ndarray
     structure: str = "dense"
     shift: int = 0
-    phases: tuple[Fraction, ...] | None = None
-    exact_diag: tuple[Fraction, ...] | None = None
+    phase_num: np.ndarray | None = None
+    diag_num: np.ndarray | None = None
+    den: int = 1
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -140,15 +148,36 @@ class FockOperator:
             raise InvalidDimension(f"data has shape {data.shape}, expected {shape}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        for name in ("phases", "exact_diag"):
-            values = getattr(self, name)
-            if values is None:
+        den = int(self.den)
+        if den < 1:
+            raise ValueError(f"den must be a positive integer, got {den}")
+        exact = {}
+        for name in ("phase_num", "diag_num"):
+            num = getattr(self, name)
+            if num is None:
                 continue
             if self.structure != "diagonal":
                 raise ValueError(f"{name} only makes sense for diagonal operators")
-            if len(values) != self.dim:
-                raise InvalidDimension(f"{name} length {len(values)} != dim {self.dim}")
-            object.__setattr__(self, name, tuple(Fraction(x) for x in values))
+            num = np.asarray(num)
+            if num.dtype.kind not in "iu" or num.shape != (self.dim,):
+                raise InvalidDimension(f"{name} must be {self.dim} integers")
+            num = num.astype(np.int64)
+            exact[name] = num % (2 * den) if name == "phase_num" else num
+        # divide out the common factor, so that den is the least common denominator
+        g = math.gcd(den, *(int(np.gcd.reduce(num)) for num in exact.values()))
+        object.__setattr__(self, "den", den // g)
+        for name, num in exact.items():
+            num //= g  # this operator's own copy
+            num.setflags(write=False)
+            object.__setattr__(self, name, num)
+
+    @property
+    def phases(self) -> tuple[Fraction, ...] | None:
+        return None if self.phase_num is None else fraction_view(self.phase_num, self.den)
+
+    @property
+    def exact_diag(self) -> tuple[Fraction, ...] | None:
+        return None if self.diag_num is None else fraction_view(self.diag_num, self.den)
 
     @property
     def offset(self) -> int:
@@ -196,76 +225,54 @@ class FockOperator:
         data = matrix
         if structure in _BAND_SIGN:
             data = np.diagonal(matrix, _BAND_SIGN[structure] * shift)
-        phases = obj.get("phases")
-        exact = obj.get("exact_diag")
+        exact = {
+            key: numerators([rational_from_json(x) for x in obj[key]])
+            for key in ("phases", "exact_diag")
+            if obj.get(key) is not None
+        }
+        den = math.lcm(*(d for _, d in exact.values()))
+        num = {key: n * (den // d) for key, (n, d) in exact.items()}
         op = FockOperator(
             dim,
             data,
             structure=structure,
             shift=shift,
-            phases=None if phases is None else tuple(rational_from_json(p) for p in phases),
-            exact_diag=None if exact is None else tuple(rational_from_json(x) for x in exact),
+            phase_num=num.get("phases"),
+            diag_num=num.get("exact_diag"),
+            den=den,
         )
         if np.count_nonzero(matrix) != np.count_nonzero(op.data):
             raise ValueError(f"entries do not match structure tag {structure!r}")
         return op
 
 
-@dataclass(frozen=True)
-class TwoModeOperator:
-    """Diagonal operator on a product of two truncated number-basis modes.
-
-    The diagonal is indexed lexicographically: entry m*dim2 + m'.  Two-mode
-    phase gates keep their angles exactly, like FockOperator.
-    """
-
-    dims: tuple[int, int]
-    diagonal: np.ndarray
-    phases: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        d1, d2 = self.dims
-        if d1 <= 0 or d2 <= 0:
-            raise InvalidDimension(f"dims must be positive, got {self.dims}")
-        total = d1 * d2
-        diagonal = np.array(self.diagonal, dtype=complex)
-        if diagonal.shape != (total,):
-            raise InvalidDimension(f"diagonal has shape {diagonal.shape}, expected ({total},)")
-        diagonal.setflags(write=False)
-        object.__setattr__(self, "diagonal", diagonal)
-        if self.phases is not None:
-            if len(self.phases) != total:
-                raise InvalidDimension("phase table length mismatch")
-            object.__setattr__(self, "phases", tuple(Fraction(p) for p in self.phases))
-
-
 def identity(dim: int) -> FockOperator:
     return FockOperator(dim, np.ones(dim), structure="diagonal")
 
 
-def diagonal_phase_operator(phases: Sequence[RationalLike], dim: int | None = None) -> FockOperator:
-    """Unit-modulus diagonal operator diag(e^{i pi phase_m}), phases kept exact."""
-    reduced = tuple(mod2(p) for p in phases)
-    if dim is None:
-        dim = len(reduced)
-    if len(reduced) != dim:
-        raise InvalidDimension("phase list length != dim")
-    return FockOperator(dim, phases_to_array(reduced), structure="diagonal", phases=reduced)
+def diagonal_phase_operator(phases: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
+    """Unit-modulus diagonal operator diag(e^{i pi phase_m / den}), phases kept exact.
+
+    `phases` are rationals, or an integer numerator array.  Each entry is the
+    cos and sin of pi times the float of the reduced phase, as in
+    `phase_to_complex`.
+    """
+    num, scale = numerators(phases)
+    den *= scale
+    num %= 2 * den
+    angle = np.pi * (num / den)
+    data = np.cos(angle) + 1j * np.sin(angle)
+    return FockOperator(len(num), data, structure="diagonal", phase_num=num, den=den)
 
 
-def diagonal_value_operator(values: Sequence[RationalLike], dim: int | None = None) -> FockOperator:
-    """Hermitian diagonal operator with exact rational eigenvalues."""
-    exact = tuple(as_fraction(v) for v in values)
-    if dim is None:
-        dim = len(exact)
-    if len(exact) != dim:
-        raise InvalidDimension("value list length != dim")
-    return FockOperator(
-        dim,
-        np.array([float(v) for v in exact], dtype=complex),
-        structure="diagonal",
-        exact_diag=exact,
-    )
+def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
+    """Hermitian diagonal operator with exact eigenvalues value_m / den.
+
+    `values` are rationals, or an integer numerator array.
+    """
+    num, scale = numerators(values)
+    den *= scale
+    return FockOperator(len(num), num / den, structure="diagonal", diag_num=num, den=den)
 
 
 def fock_operator(
@@ -288,7 +295,7 @@ def fock_operator(
     if dim <= 0:
         raise InvalidDimension(f"dim must be positive, got {dim}")
     if kind == "number":
-        return diagonal_value_operator(range(dim))
+        return diagonal_value_operator(np.arange(dim))
     if kind == "annihilation":
         return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="upper_shift", shift=1)
     if kind == "rotation":
@@ -296,7 +303,8 @@ def fock_operator(
             raise ValueError("rotation requires theta")
         if isinstance(theta, (int, Fraction)):
             frac = as_fraction(theta)
-            return diagonal_phase_operator([frac * m for m in range(dim)], dim)
+            den = frac.denominator
+            return diagonal_phase_operator(frac.numerator % (2 * den) * np.arange(dim), den=den)
         angles = float(theta) * np.arange(dim)
         return FockOperator(dim, np.exp(1j * angles), structure="diagonal")
     if kind == "number_shift":
@@ -316,8 +324,9 @@ def adjoint(op: FockOperator) -> FockOperator:
         op.data.conj().T,
         structure=flipped.get(op.structure, op.structure),
         shift=op.shift,
-        phases=None if op.phases is None else tuple(mod2(-p) for p in op.phases),
-        exact_diag=op.exact_diag,
+        phase_num=None if op.phase_num is None else -op.phase_num,
+        diag_num=op.diag_num,
+        den=op.den,
     )
 
 
@@ -365,16 +374,11 @@ def u_invariant_projector(
     s = as_fraction(s_z)
     if s == 0:
         raise ValueError("s_z must be nonzero")
-    picked = []
-    for value in spectrum:
-        q = as_fraction(value) * s
-        picked.append(q.denominator == 1 and (q.numerator - j) % 2 == 0)
-    return FockOperator(
-        len(picked),
-        np.array([1.0 if p else 0.0 for p in picked], dtype=complex),
-        structure="diagonal",
-        exact_diag=tuple(Fraction(1 if p else 0) for p in picked),
-    )
+    num, den = numerators(spectrum)
+    # value * s_z = q / q_den
+    q, q_den = num * s.numerator, den * s.denominator
+    picked = (q % q_den == 0) & ((q // q_den - j) % 2 == 0)
+    return diagonal_value_operator(picked.astype(np.int64))
 
 
 def rot_primitive_validity(primitive: FockVector, n_fold: int) -> bool:
@@ -434,21 +438,20 @@ def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> F
 def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
     """Logical operators of the order-N rotation code on `dim` levels.
 
-    Z, S, T are diagonal with exact phases m/N, m^2/(2N^2), m^4/(4N^4)
-    (units of pi).  X is the unit-amplitude lowering shift by N.  H is the
-    dense kernel (2 pi)^{-1/2} e^{-i pi m m' / N^2}.
+    Z, S, T are diagonal with exact phases m^k/(k N^k) for k = 1, 2, 4, that
+    is m/N, m^2/(2N^2), m^4/(4N^4) (units of pi).  X is the unit-amplitude
+    lowering shift by N.  H is the dense kernel
+    (2 pi)^{-1/2} e^{-i pi m m' / N^2}.
     """
     if n_fold <= 0:
         raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
     if dim <= 0:
         raise InvalidDimension(f"dim must be positive, got {dim}")
     N = n_fold
-    if kind == "Z":
-        return diagonal_phase_operator([Fraction(m, N) for m in range(dim)], dim)
-    if kind == "S":
-        return diagonal_phase_operator([Fraction(m * m, 2 * N * N) for m in range(dim)], dim)
-    if kind == "T":
-        return diagonal_phase_operator([Fraction(m**4, 4 * N**4) for m in range(dim)], dim)
+    if kind in _PHASE_POWERS:
+        k = _PHASE_POWERS[kind]
+        den = k * N**k
+        return diagonal_phase_operator(mod_power(np.arange(dim), k, 2 * den), den=den)
     if kind == "X":
         if dim <= N:
             raise InvalidDimension(f"dim {dim} too small for shift {N}")
@@ -460,15 +463,15 @@ def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
     raise ValueError(f"unknown logical operator kind {kind!r}")
 
 
-def crot(n_fold: int, m_fold: int, dim1: int, dim2: int) -> TwoModeOperator:
-    """Two-mode diagonal phase gate e^{i pi m m' / (N M)} on |m, m'>."""
+def crot(n_fold: int, m_fold: int, dim1: int, dim2: int) -> FockOperator:
+    """Two-mode diagonal phase gate e^{i pi m m' / (N M)} on |m, m'>.
+
+    It is diagonal on the product basis, so it is returned as a diagonal
+    operator of dim dim1 * dim2, indexed lexicographically: entry m*dim2 + m'.
+    """
     if n_fold <= 0 or m_fold <= 0:
         raise InvalidDimension("orders must be positive")
-    phases = []
-    for m in range(dim1):
-        for mp in range(dim2):
-            phases.append(mod2(Fraction(m * mp, n_fold * m_fold)))
-    return TwoModeOperator((dim1, dim2), phases_to_array(phases), phases=tuple(phases))
+    return diagonal_phase_operator(np.outer(np.arange(dim1), np.arange(dim2)).ravel(), den=n_fold * m_fold)
 
 
 def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> FockVector:
@@ -487,8 +490,18 @@ def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> Fock
     return FockVector(dim, amps).normalized_copy()
 
 
+def max_phase_gap(a: FockOperator, b: FockOperator) -> Fraction:
+    """The largest distance on the circle between the exact phases of a and b, in units of pi.
+
+    Both operators must carry phases; they are compared as integers over a common denominator.
+    """
+    if a.phase_num is None or b.phase_num is None:
+        raise ValueError("both operators must carry exact phases")
+    den = math.lcm(a.den, b.den)
+    diff = (a.phase_num * (den // a.den) - b.phase_num * (den // b.den)) % (2 * den)
+    return Fraction(int(np.max(np.minimum(diff, 2 * den - diff))), den)
+
+
 def phases_equal(a: FockOperator, b: FockOperator) -> bool:
     """Exact diagonal-phase comparison; both operators must carry phases."""
-    if a.phases is None or b.phases is None:
-        raise ValueError("both operators must carry exact phases")
-    return a.phases == b.phases
+    return max_phase_gap(a, b) == 0

@@ -9,7 +9,8 @@ Three layers live here:
   from isometry families;
 * the exact block pipeline that discretizes a momentum-like grid operator into
   a direct sum of shifted number operators, with the permutation conjugating
-  one into the other computed and checked in rational arithmetic.
+  one into the other computed and checked on integer numerators over one
+  denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     UnknownLabel,
 )
 from .fock import FockOperator, diagonal_value_operator
-from .phases import RationalLike, as_fraction
+from .phases import as_fraction, fraction_view, numerators
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
@@ -79,9 +80,8 @@ class Interval:
 
 def _scale(specs: Sequence[SpectrumSpec]) -> int:
     """The least common denominator of every finite end in specs."""
-    dens = {p.denominator for s in specs for p in s.points}
-    dens.update(v.denominator for s in specs for iv in s.intervals for v in (iv.lo, iv.hi) if v is not None)
-    return math.lcm(*dens)
+    ends = [v for s in specs for iv in s.intervals for v in (iv.lo, iv.hi) if v is not None]
+    return math.lcm(*(s.den for s in specs), *(v.denominator for v in ends))
 
 
 def _atom(value: Fraction, scale: int) -> int:
@@ -96,12 +96,12 @@ def _pieces(specs: Sequence[SpectrumSpec], scale: int) -> list[tuple]:
     Each piece is then a whole run of atoms, the closed range [lo, hi] (a
     point is [2n, 2n]; rays run to -inf or inf).  So two pieces share a point
     iff their ranges meet, and two unions are equal iff their merged runs are.
+    The item is the Interval, or None for a point.
     """
     out = []
     for i, s in enumerate(specs):
-        for p in s.points:
-            n = _atom(p, scale)
-            out.append((n, n, i, p))
+        step = 2 * (scale // s.den)  # numerator to atom; Python ints, as scale may exceed int64
+        out += [(n * step, n * step, i, None) for n in s.point_num.tolist()]
         for iv in s.intervals:
             lo = -math.inf if iv.lo is None else _atom(iv.lo, scale) + iv.lo_open
             hi = math.inf if iv.hi is None else _atom(iv.hi, scale) - iv.hi_open
@@ -113,12 +113,18 @@ def _pieces(specs: Sequence[SpectrumSpec], scale: int) -> list[tuple]:
 def _shared(pieces: list[tuple]) -> Iterator[tuple[tuple, tuple, int]]:
     """Every pair (a, b) of sorted pieces, a first, that meets, with one shared atom."""
     active: list[tuple] = []
+    reach = -math.inf  # the highest hi among the active pieces
     for b in pieces:
-        active = [a for a in active if a[1] >= b[0]]
+        lo, hi = b[0], b[1]
+        if lo > reach:  # every active piece ends before b
+            active, reach = [b], hi
+            continue
+        active = [a for a in active if a[1] >= lo]
         for a in active:
             # they share the atoms from b's lo to the lower hi; name the one nearest 0
-            yield a, b, max(b[0], min(a[1], b[1], 0))
+            yield a, b, max(lo, min(a[1], hi, 0))
         active.append(b)
+        reach = max(reach, hi)
 
 
 def _runs(pieces: list[tuple]) -> list:
@@ -130,6 +136,10 @@ def _runs(pieces: list[tuple]) -> list:
         else:
             runs += (lo, hi)
     return runs
+
+
+def _piece_text(piece: tuple, scale: int) -> str:
+    return str(Fraction(piece[0], 2 * scale) if piece[3] is None else piece[3])
 
 
 def _runs_text(runs: list, scale: int) -> str:
@@ -145,29 +155,47 @@ def _runs_text(runs: list, scale: int) -> str:
     return f"points {points} intervals {intervals}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectrumSpec:
-    """A spectrum as a pure-point part plus disjoint continuous intervals."""
+    """A spectrum as a pure-point part plus disjoint continuous intervals.
 
-    points: tuple[Fraction, ...] = ()
-    intervals: tuple[Interval, ...] = ()
+    The points are kept sorted as int64 numerators `point_num` over one
+    denominator `den`; `points` is their Fraction view.  Pass `points` as
+    rationals, or as an integer numerator array over `den`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(as_fraction(p) for p in self.points))
-        pieces = _pieces([self], _scale([self]))
+    point_num: np.ndarray
+    den: int
+    intervals: tuple[Interval, ...]
+
+    def __init__(self, points=(), intervals: Sequence[Interval] = (), *, den: int = 1):
+        num, scale = numerators(points)
+        num = np.sort(num)
+        num.setflags(write=False)
+        object.__setattr__(self, "point_num", num)
+        object.__setattr__(self, "den", den * scale)
+        object.__setattr__(self, "intervals", tuple(intervals))
+        scale = _scale([self])
+        pieces = _pieces([self], scale)
         for a, b, _ in _shared(pieces):
-            raise ValueError(f"spectrum pieces {a[3]} and {b[3]} share a point")
-        object.__setattr__(self, "points", tuple(x for *_, x in pieces if not isinstance(x, Interval)))
-        object.__setattr__(self, "intervals", tuple(x for *_, x in pieces if isinstance(x, Interval)))
+            raise ValueError(
+                f"spectrum pieces {_piece_text(a, scale)} and {_piece_text(b, scale)} share a point"
+            )
+        object.__setattr__(self, "intervals", tuple(p[3] for p in pieces if p[3] is not None))
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        return fraction_view(self.point_num, self.den)
 
 
 def _witness(a: tuple, b: tuple, atom: int, scale: int) -> str:
     """The report line for pieces of two specs that share `atom`."""
-    # intervals first: (i, x) is an interval whenever either piece is
-    (i, x), (k, y) = sorted((a[2:], b[2:]), key=lambda s: not isinstance(s[1], Interval))
-    if isinstance(y, Interval):
+    # intervals first: a is an interval whenever either piece is
+    a, b = sorted((a, b), key=lambda p: p[3] is None)
+    i, x, k, y = a[2], _piece_text(a, scale), b[2], _piece_text(b, scale)
+    if b[3] is not None:
         return f"specs {i} and {k} intervals {x} and {y} meet at {Fraction(atom, 2 * scale)}"
-    if isinstance(x, Interval):
+    if a[3] is not None:
         return f"spec {k} point {y} lies in spec {i} interval {x}"
     return f"specs {[i, k]} share point {y}"
 
@@ -387,9 +415,10 @@ class BlockOperator:
                 raise ValueError("tau must be -1 or +1")
             if not (0 <= nu <= 1):
                 raise ValueError("nu must lie in [0, 1]")
-            if (tau, nu) not in self.blocks:
+            block = self.blocks.get((tau, nu))
+            if block is None:
                 raise UnknownLabel(f"missing block for label ({tau}, {nu})")
-            dims.add(self.blocks[(tau, nu)].dim)
+            dims.add(block.dim)
         if len(dims) > 1:
             raise InvalidDimension("blocks must share one dimension")
 
@@ -437,7 +466,9 @@ def iota_embed(
     keys = tuple((tau, as_fraction(nu)) for tau, nu in labels)
     blocks = {}
     for tau, nu in keys:
-        shifted = diagonal_value_operator([tau * (v + nu) for v in A.exact_diag])
+        # tau (v + nu) with v = n / den and nu = p / q is tau (n q + p den) / (den q)
+        num = tau * (A.diag_num * nu.denominator + nu.numerator * A.den)
+        shifted = diagonal_value_operator(num, den=A.den * nu.denominator)
         blocks[(tau, nu)] = series_action(shifted)
     return BlockOperator(keys, blocks)
 
@@ -469,16 +500,19 @@ class Alg1Result:
     G: int
     labels: tuple[Label, ...]
     block_op: BlockOperator
-    grid_values: tuple[Fraction, ...]
     sigma: tuple[int, ...]
     residuals: dict[str, float]
+
+    @property
+    def grid_values(self) -> tuple[Fraction, ...]:
+        """The grid diagonal j/G for j in [-DG, DG)."""
+        return fraction_view(np.arange(-self.D * self.G, self.D * self.G), self.G)
 
     def u_matrix(self) -> np.ndarray:
         """The permutation matrix U with U grid U^dag = blocks, as 0/1 ints."""
         n = len(self.sigma)
         U = np.zeros((n, n), dtype=np.int64)
-        for b, j in enumerate(self.sigma):
-            U[b, j] = 1
+        U[np.arange(n), self.sigma] = 1
         return U
 
     def upsilon_matrix(self) -> np.ndarray:
@@ -489,60 +523,58 @@ class Alg1Result:
 def alg1_pipeline(D: int, G: int) -> Alg1Result:
     """Discretize the grid operator diag(j/G) into shifted number blocks.
 
-    Builds the label family, the block direct sum with exact rational
-    diagonals, the grid diagonal, and the permutation matching them; verifies
+    Builds the label family, the block direct sum with exact diagonals, the
+    grid diagonal, and the permutation matching them; verifies
     U grid U^dag = blocks, unitarity of U, and that the distinguished block
-    rows extract the plain number operator, all with zero tolerance.
+    rows extract the plain number operator, all with zero tolerance.  Every
+    value is compared scaled by G, as an integer: block (tau, g/G) holds
+    tau (G m + g) and grid position j holds j - DG.
     """
     if D < 1 or G < 1:
         raise InvalidDimension("D and G must be >= 1")
     labels = family_labels(G)
-    blocks = {
-        (tau, nu): diagonal_value_operator([tau * (m + nu) for m in range(D)])
-        for tau, nu in labels
-    }
+    m = np.arange(D, dtype=np.int64)
+    # label (tau, nu) with nu = g/G in lowest terms holds tau (G m + g) over G
+    tau, g = np.array([(t, nu.numerator * (G // nu.denominator)) for t, nu in labels]).T
+    rows = tau[:, None] * (G * m + g[:, None])
+    blocks = {label: diagonal_value_operator(row, den=G) for label, row in zip(labels, rows)}
     block_op = BlockOperator(labels, blocks)
-    block_values = block_op.diagonal_values()
-    grid_values = tuple(Fraction(j, G) for j in range(-D * G, D * G))
+    # read the values back from the blocks, whose least denominators divide G
+    block_values = np.concatenate([b.diag_num * (G // b.den) for b in blocks.values()])
     size = 2 * D * G
-    sigma = []
-    for v in block_values:
-        j = int(v * G) + D * G
-        if not (0 <= j < size) or grid_values[j] != v:
-            raise RuntimeError(f"block value {v} missing from the grid")
-        sigma.append(j)
-    if len(set(sigma)) != size:
+    grid = np.arange(size) - D * G
+    sigma = block_values + D * G
+    if sigma.min() < 0 or sigma.max() >= size:
+        raise RuntimeError(f"block values fall outside the grid [-{D}, {D})")
+    if not np.all(np.bincount(sigma, minlength=size) == 1):
         raise RuntimeError("block values do not cover the grid bijectively")
-    conj_residual = max(
-        abs(grid_values[j] - v) for j, v in zip(sigma, block_values)
-    )
-    upsilon_residual = max(
-        abs(grid_values[sigma[m]] - m) for m in range(D)
-    )
+    conj_residual = int(np.max(np.abs(grid[sigma] - block_values)))
+    upsilon_residual = int(np.max(np.abs(grid[sigma[:D]] - G * m)))
     residuals = {
         "permutation": 0.0,
-        "U_grid_Udag_minus_blocks": float(conj_residual),
-        "upsilon_grid_minus_number": float(upsilon_residual),
+        "U_grid_Udag_minus_blocks": conj_residual / G,
+        "upsilon_grid_minus_number": upsilon_residual / G,
     }
     if any(r != 0.0 for r in residuals.values()):
         raise RuntimeError(f"pipeline identities violated: {residuals}")
-    return Alg1Result(D, G, labels, block_op, grid_values, tuple(sigma), residuals)
+    return Alg1Result(D, G, labels, block_op, tuple(sigma.tolist()), residuals)
 
 
 def alg1_report(D: int, G: int) -> dict:
     """Pipeline run plus the spectrum-family certificate, ready to serialize."""
     result = alg1_pipeline(D, G)
+    # the pipeline builds its blocks in label order
     specs = [
-        SpectrumSpec(points=result.block_op.blocks[label].exact_diag)
-        for label in result.labels
+        SpectrumSpec(points=block.diag_num, den=block.den)
+        for block in result.block_op.blocks.values()
     ]
-    target = SpectrumSpec(points=result.grid_values)
+    target = SpectrumSpec(points=np.arange(-D * G, D * G), den=G)
     family = validate_spectrum_family(specs, target)
     return {
         "D": D,
         "G": G,
         "label_count": len(result.labels),
-        "dim": len(result.grid_values),
+        "dim": len(result.sigma),
         "union_ok": family["union_ok"],
         "disjoint_ok": family["disjoint_ok"],
         "witnesses": family["witnesses"],

@@ -189,12 +189,22 @@ def small_rot_bundle(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+MISSING = object()
+
+
 def _retyped(bundle, field, value):
-    """The bundle with one field replaced; "codeword.<key>" names a field of codeword 0."""
+    """The bundle with one field replaced, or dropped when value is MISSING.
+
+    "codeword.<key>" names a field of codeword 0.
+    """
+
+    def put(obj, key):
+        return {k: v for k, v in obj.items() if k != key} if value is MISSING else {**obj, key: value}
+
     if field.startswith("codeword."):
-        word = {**bundle["codewords"][0], field.removeprefix("codeword."): value}
+        word = put(bundle["codewords"][0], field.removeprefix("codeword."))
         return {**bundle, "codewords": [word, *bundle["codewords"][1:]]}
-    return {**bundle, field: value}
+    return put(bundle, field)
 
 
 @pytest.mark.parametrize("suite", ["logical", "detect"])
@@ -210,6 +220,10 @@ def _retyped(bundle, field, value):
         ("codeword.dim", None, "dim must be an integer"),
         ("codeword.dim", "16", "dim must be an integer"),
         ("codeword.entries", [1, 2], "entries must be a list"),
+        ("N", MISSING, "bundle lacks field 'N'"),
+        ("D", MISSING, "bundle lacks field 'D'"),
+        ("codewords", MISSING, "bundle lacks field 'codewords'"),
+        ("codeword.entries", MISSING, "bundle lacks field 'entries'"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(

@@ -78,6 +78,13 @@ def test_periodic_canonicalization_rotates_pattern():
     assert p.pattern == (F(1, 2), F(0))
 
 
+def test_periodic_comb_reduces_caller_phases():
+    # entries outside [0, 2), and ints, are reduced to Fractions in [0, 2); in-range ones are kept
+    state = periodic_comb(bridge_unit(1), 0, 2, [F(5, 2), -1, F(2), F(7, 4), 1])
+    assert state.periodic.pattern == (F(1, 2), F(1), F(0), F(7, 4), F(1))
+    assert all(type(p) is F for p in state.periodic.pattern)
+
+
 def test_periodic_minimal_cycle_reduction():
     state = periodic_comb(bridge_unit(1), 0, 2, [F(1, 2), F(1, 2), F(1, 2), F(1, 2)])
     assert state.periodic.pattern == (F(1, 2),)

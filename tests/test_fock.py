@@ -18,6 +18,7 @@ from cvqec.fock import (
     approx_ideal_rot_codeword,
     coherent_state,
     crot,
+    diagonal_phase_operator,
     fock_operator,
     inner,
     phases_equal,
@@ -26,6 +27,7 @@ from cvqec.fock import (
     rot_primitive_validity,
     u_invariant_projector,
 )
+from cvqec.phases import mod2, phase_to_complex
 
 from _helpers import random_state
 
@@ -80,6 +82,26 @@ def test_adjoint_negates_exact_phases():
     r_dag = adjoint(r)
     assert r_dag.phases == (Fraction(0), Fraction(5, 3), Fraction(4, 3))
     assert np.allclose(r.entries @ r_dag.entries, np.eye(3))
+
+
+def test_exact_data_is_kept_over_the_least_denominator():
+    # 16/8, 4/8, 24/8, 12/8 reduce mod 2 to 0, 1/2, 1, 3/2: numerators 0..3 over 2
+    op = FockOperator(4, [1, 1j, -1, -1j], "diagonal", phase_num=np.array([16, 4, 24, 12]), den=8)
+    assert op.den == 2 and op.phase_num.tolist() == [0, 1, 2, 3]
+    assert op.phases == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    assert phases_equal(op, fock_operator("rotation", 4, theta=Fraction(1, 2)))
+    n = FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0, 6]), den=6)
+    assert n.den == 1 and n.exact_diag == (Fraction(0), Fraction(1))
+    with pytest.raises(InvalidDimension):
+        FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0, 1]), den=0)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_phase_operator_entries_match_phase_to_complex(num, den):
+    got = diagonal_phase_operator(np.array([num]), den=den).data[0]
+    assert abs(got - phase_to_complex(mod2(Fraction(num, den)))) < 1e-15
 
 
 # --- invariant projector --------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 from cvqec.errors import NonRationalPhase
 from cvqec.phases import (
     as_fraction,
+    fraction_view,
     mod2,
+    mod_power,
+    numerators,
     phase_to_complex,
     rational_from_json,
     rational_to_json,
@@ -82,3 +86,29 @@ def test_rational_json_carries_unit_tag():
     obj = rational_to_json(Fraction(3, 4), unit="pi")
     assert obj == {"num": 3, "den": 4, "unit": "pi"}
     assert rational_from_json(obj) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("start", [2**20 - 64, 2**40 - 64])
+@pytest.mark.parametrize("N", [63, 64])
+def test_s_and_t_phase_numerators_stay_exact_in_int64(N, start):
+    # the T modulus 8 N^4 is about 1.3e8 here, while m**4 overflows int64 far below m = 2**20.
+    # At N = 64 both moduli are powers of two, which a wrapped int64 product still respects,
+    # so only the odd N = 63 shows an overflow.
+    m = np.arange(start, start + 128)
+    for power, den in ((2, 2 * N**2), (4, 4 * N**4)):
+        got = fraction_view(mod_power(m, power, 2 * den), den)
+        assert got == tuple(Fraction(int(x) ** power, den) % 2 for x in m)
+
+
+def test_mod_power_refuses_moduli_whose_square_overflows():
+    with pytest.raises(OverflowError):
+        mod_power(np.arange(4), 2, 2**32)
+
+
+def test_numerators_share_the_least_denominator():
+    num, den = numerators([Fraction(1, 2), 3, Fraction(-5, 6)])
+    assert den == 6 and num.dtype == np.int64 and num.tolist() == [3, 18, -5]
+    num, den = numerators(np.arange(3, dtype=np.int32))
+    assert den == 1 and num.dtype == np.int64 and num.tolist() == [0, 1, 2]
+    with pytest.raises(NonRationalPhase):
+        numerators([Fraction(1, 2), 0.5])
