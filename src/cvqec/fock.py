@@ -439,8 +439,9 @@ def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
     """Logical operators of the order-N rotation code on `dim` levels.
 
     Z, S, T are diagonal with exact phases m^k/(k N^k) for k = 1, 2, 4, that
-    is m/N, m^2/(2N^2), m^4/(4N^4) (units of pi).  X is the unit-amplitude
-    lowering shift by N.  H is the dense kernel
+    is m/N, m^2/(2N^2), m^4/(4N^4) (units of pi).  Their numerators are
+    reduced mod 2 k N^k in int64, which T allows up to N = 139.  X is the
+    unit-amplitude lowering shift by N.  H is the dense kernel
     (2 pi)^{-1/2} e^{-i pi m m' / N^2}.
     """
     if n_fold <= 0:
