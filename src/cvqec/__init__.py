@@ -65,7 +65,6 @@ from .isometries import (
     validate_spectrum_family,
 )
 from .bridge import (
-    BridgeMap,
     bridge_gate_table,
     derive_logical_set,
     map_error_generators,

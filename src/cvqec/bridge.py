@@ -7,8 +7,8 @@ rotation-side gates: a q-translation becomes a diagonal rotation, an integer
 p-translation becomes a number shift, and a fractional p-translation has no
 Fock-side support at all.
 
-Conventions (recorded on BridgeMap.convention): the comb regime for order N
-uses a positive lattice constant, and a p-translation by +N lowers the Fock
+Conventions: the comb regime for order N (`combs.bridge_unit`) uses a
+positive lattice constant, and a p-translation by +N lowers the Fock
 index by N, so that translation by one logical unit sends codeword 0 to
 codeword 1.
 """
@@ -16,13 +16,12 @@ codeword 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combs import CombState, bridge_unit, finite_comb, teeth_in_range
-from .errors import InvalidDimension, NonRationalPhase
+from .combs import CombState, finite_comb, teeth_in_range
+from .errors import InvalidDimension
 from .fock import (
     FockOperator,
     FockVector,
@@ -34,8 +33,6 @@ from .fock import (
     rot_logical_op,
 )
 from .phases import RationalLike, as_fraction, mod_power, phase_to_complex
-
-CONVENTION = "positive lattice constant; p-shift by +N lowers the number index by N"
 
 
 def _integer_teeth(state: CombState, D: int):
@@ -192,6 +189,10 @@ def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
     Diagonal gates compare as exact rational phases; X compares its band
     entrywise.  Values are {exact_match, max_phase_diff} with the phase diff
     measured on the circle in units of pi (0.0 on exact match).
+
+    Both sides build Z, S, T as m^k mod 2kN^k over kN^k, and X as the number
+    shift by N, so every row matches by construction for every N and D: the
+    table checks that the two derivations stay in step, not the physics.
     """
     derived = _bridged_gates(n_fold, dim)
     table: dict[str, dict] = {}
@@ -204,32 +205,3 @@ def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
     diff = float(np.max(np.abs(got_x.data - ref_x.data))) if same_band else math.inf
     table["X"] = {"exact_match": diff == 0.0, "max_phase_diff": diff}
     return table
-
-
-@dataclass(frozen=True)
-class BridgeMap:
-    """Bridge for one code order and truncation, with its convention on record."""
-
-    N: int
-    D: int
-    convention: str = CONVENTION
-
-    def __post_init__(self):
-        if self.N < 1 or self.D < 2 * self.N:
-            raise InvalidDimension("need N >= 1 and D >= 2N")
-
-    @property
-    def unit(self):
-        return bridge_unit(self.N)
-
-    def apply(self, state: CombState, normalize: bool = False):
-        return upsilon_apply(state, self.D, normalize=normalize)
-
-    def project(self, state: CombState) -> CombState:
-        return upsilon_project(state, self.D)
-
-    def logical_set(self) -> dict[str, FockOperator]:
-        return derive_logical_set(self.N, self.D)
-
-    def error_generators(self, rotation_samples: int = 8) -> dict[str, FockOperator]:
-        return map_error_generators(self.N, self.D, rotation_samples)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ MAX_D = 4096
 MAX_N = 64
 MAX_BRIDGE_N = 8
 MAX_ALG1_CELLS = 4096
+MAX_WINDOW = MAX_D // 2  # a windowed gkp codeword then has at most MAX_D + 1 teeth
 
 # exact rows (rational phases, disjoint supports) vs truncation-limited rows
 LOGICAL_TOL_EXACT = 1e-9
@@ -112,6 +114,12 @@ def _parse_primitive(text: str, dim: int) -> FockVector | None:
     raise ValueError(f"unrecognized primitive {text!r} (use ideal, fock:..., coherent:...)")
 
 
+def _gkp_codewords(N: int, window: int | None) -> list[dict]:
+    """The order-N gkp codewords in JSON form; gkp_codeword refuses a negative window."""
+    _require(window is None or window <= MAX_WINDOW, f"window must be at most {MAX_WINDOW}")
+    return [comb_to_json_dict(gkp_codeword(N, j, window=window)) for j in (0, 1)]
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -142,12 +150,10 @@ def cmd_build_code(config: argparse.Namespace) -> int:
             }
         )
     else:
-        _require(config.window is None or config.window >= 0, "window must be nonnegative")
-        words = [gkp_codeword(config.N, j, window=config.window) for j in (0, 1)]
         bundle.update(
             {
                 "primitive": "ideal" if config.window is None else f"window:{config.window}",
-                "codewords": [comb_to_json_dict(w) for w in words],
+                "codewords": _gkp_codewords(config.N, config.window),
             }
         )
     _emit(json.dumps(bundle, indent=2, sort_keys=True), config.out)
@@ -166,16 +172,14 @@ def _logical_row(gate: str, N: int, D: int, words: list[FockVector], tol: float)
 def _logical_suite_rot(
     N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
-    tol_exact = config.tol if config.tol is not None else LOGICAL_TOL_EXACT
-    results = [_logical_row(gate, N, D, words, tol_exact) for gate in ("Z", "S", "T")]
+    results = [_logical_row(gate, N, D, words, LOGICAL_TOL_EXACT) for gate in ("Z", "S", "T")]
     stab_ok = stabilizer_check(
-        fock_operator("rotation", D, theta=Fraction(2, N)), words, tol_exact
+        fock_operator("rotation", D, theta=Fraction(2, N)), words, LOGICAL_TOL_EXACT
     )
-    results.append(result_row("stabilizer_rotation", stab_ok, {"tol": tol_exact}))
+    results.append(result_row("stabilizer_rotation", stab_ok, {"tol": LOGICAL_TOL_EXACT}))
     if ideal:
         # truncation-limited rows: fidelity is capped by the envelope's edge teeth
-        tol_approx = config.tol if config.tol is not None else LOGICAL_TOL_APPROX
-        results += [_logical_row(gate, N, D, words, tol_approx) for gate in ("X", "H")]
+        results += [_logical_row(gate, N, D, words, LOGICAL_TOL_APPROX) for gate in ("X", "H")]
     return results
 
 
@@ -204,11 +208,9 @@ def _detect_suite_rot(
         )
     results = []
     if shifts:
-        tol_shift = config.tol if config.tol is not None else DETECT_TOL_SHIFT
-        results += _detect_rows(words, shifts, tol_shift)
+        results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)
     if ideal and rotations:
-        tol_rot = config.tol_rot if config.tol_rot is not None else DETECT_TOL_ROTATION
-        results += _detect_rows(words, rotations, tol_rot)
+        results += _detect_rows(words, rotations, DETECT_TOL_ROTATION)
     return results
 
 
@@ -226,6 +228,11 @@ def cmd_check(config: argparse.Namespace) -> int:
             config.suite == "logical",
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
+        primitive = _field(bundle, "primitive")
+        match = re.fullmatch(r"ideal|window:([0-9]+)", primitive if isinstance(primitive, str) else "")
+        _require(match is not None, f"gkp primitive must be ideal or window:W, got {primitive!r}")
+        words = _gkp_codewords(N, None if match[1] is None else int(match[1]))
+        _require(_field(bundle, "codewords") == words, "bundle codewords are not its N's gkp codewords")
         return _finish(config, gkp_exact_suite(N))
     D, words = _field(bundle, "D"), _field(bundle, "codewords")
     _require(type(D) is int, "bundle D must be an integer")
@@ -310,8 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a verification suite on a bundle")
     check.add_argument("--code", required=True)
     check.add_argument("--suite", required=True, choices=["logical", "detect"])
-    check.add_argument("--tol", type=float, default=None)
-    check.add_argument("--tol-rot", dest="tol_rot", type=float, default=None)
     check.add_argument("--inject-gamma", dest="inject_gamma", type=int, default=None)
     check.add_argument("--samples", type=int, default=None)
     check.add_argument("--format", dest="fmt", choices=["json", "md"], default="json")

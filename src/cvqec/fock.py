@@ -24,8 +24,6 @@ from .phases import (
     fraction_view,
     mod_power,
     numerators,
-    rational_from_json,
-    rational_to_json,
 )
 
 SUPPORT_TOL = 1e-12
@@ -196,54 +194,6 @@ class FockOperator:
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.data == 0))
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "dim": self.dim,
-            "structure": self.structure,
-            "entries": [[z.real, z.imag] for z in self.entries.ravel()],
-        }
-        if self.structure in ("upper_shift", "lower_shift"):
-            out["shift"] = self.shift
-        if self.phases is not None:
-            out["phases"] = [rational_to_json(p, unit="pi") for p in self.phases]
-        if self.exact_diag is not None:
-            out["exact_diag"] = [rational_to_json(x) for x in self.exact_diag]
-        return out
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "FockOperator":
-        """Read a dense matrix and its tag; a banded tag keeps only its band.
-
-        The matrix comes from outside the program, so every entry off the
-        tagged band must be zero.
-        """
-        dim = int(obj["dim"])
-        matrix = np.array([complex(re, im) for re, im in obj["entries"]]).reshape(dim, dim)
-        structure = obj.get("structure", "dense")
-        shift = int(obj.get("shift", 0))
-        data = matrix
-        if structure in _BAND_SIGN:
-            data = np.diagonal(matrix, _BAND_SIGN[structure] * shift)
-        exact = {
-            key: numerators([rational_from_json(x) for x in obj[key]])
-            for key in ("phases", "exact_diag")
-            if obj.get(key) is not None
-        }
-        den = math.lcm(*(d for _, d in exact.values()))
-        num = {key: n * (den // d) for key, (n, d) in exact.items()}
-        op = FockOperator(
-            dim,
-            data,
-            structure=structure,
-            shift=shift,
-            phase_num=num.get("phases"),
-            diag_num=num.get("exact_diag"),
-            den=den,
-        )
-        if np.count_nonzero(matrix) != np.count_nonzero(op.data):
-            raise ValueError(f"entries do not match structure tag {structure!r}")
-        return op
 
 
 def identity(dim: int) -> FockOperator:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -399,50 +399,45 @@ def cyclic_structure(semis: Sequence[np.ndarray]) -> tuple[np.ndarray, bool]:
 Label = tuple[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """Direct sum of equal-dimension diagonal operators indexed by (tau, nu)."""
+    """Direct sum of diagonal blocks indexed by (tau, nu), as one exact table.
+
+    Row i of the int64 table `num`, over the one denominator `den`, is the
+    exact diagonal of the block at labels[i].  A block per label and one
+    block dimension are built into the table's shape.
+    """
 
     labels: tuple[Label, ...]
-    blocks: Mapping[Label, FockOperator]
+    num: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be distinct")
-        dims = set()
         for tau, nu in self.labels:
             if tau not in (-1, 1):
                 raise ValueError("tau must be -1 or +1")
             if not (0 <= nu <= 1):
                 raise ValueError("nu must lie in [0, 1]")
-            block = self.blocks.get((tau, nu))
-            if block is None:
-                raise UnknownLabel(f"missing block for label ({tau}, {nu})")
-            dims.add(block.dim)
-        if len(dims) > 1:
-            raise InvalidDimension("blocks must share one dimension")
-
-    @property
-    def block_dim(self) -> int:
-        return self.blocks[self.labels[0]].dim
+        num = np.array(self.num)
+        if num.dtype.kind not in "iu" or num.ndim != 2 or len(num) != len(self.labels):
+            raise InvalidDimension("the table needs one integer row per label")
+        num = num.astype(np.int64)
+        num.setflags(write=False)
+        object.__setattr__(self, "num", num)
 
     def diagonal_values(self) -> tuple[Fraction, ...]:
         """Concatenated exact diagonal across blocks, in label order."""
-        out = []
-        for label in self.labels:
-            block = self.blocks[label]
-            if block.exact_diag is None:
-                raise ValueError("block lacks an exact diagonal")
-            out.extend(block.exact_diag)
-        return tuple(out)
+        return fraction_view(self.num.ravel(), self.den)
 
 
 def kappa_extract(block: BlockOperator, label: Label) -> FockOperator:
     """Pull one block out of a direct sum."""
     key = (label[0], as_fraction(label[1]))
-    if key not in block.blocks:
+    if key not in block.labels:
         raise UnknownLabel(f"no block at label {key}")
-    return block.blocks[key]
+    return diagonal_value_operator(block.num[block.labels.index(key)], den=block.den)
 
 
 def diagonal_function(op: FockOperator, fn: Callable[[Fraction], Fraction]) -> FockOperator:
@@ -464,13 +459,16 @@ def iota_embed(
     if A.exact_diag is None:
         raise ValueError("embedding needs an exact diagonal operator")
     keys = tuple((tau, as_fraction(nu)) for tau, nu in labels)
-    blocks = {}
+    blocks = []
     for tau, nu in keys:
         # tau (v + nu) with v = n / den and nu = p / q is tau (n q + p den) / (den q)
         num = tau * (A.diag_num * nu.denominator + nu.numerator * A.den)
-        shifted = diagonal_value_operator(num, den=A.den * nu.denominator)
-        blocks[(tau, nu)] = series_action(shifted)
-    return BlockOperator(keys, blocks)
+        block = series_action(diagonal_value_operator(num, den=A.den * nu.denominator))
+        if block.diag_num is None:
+            raise ValueError("series action must return an exact diagonal operator")
+        blocks.append(block)
+    den = math.lcm(*(b.den for b in blocks))
+    return BlockOperator(keys, [b.diag_num * (den // b.den) for b in blocks], den)
 
 
 def family_labels(G: int) -> tuple[Label, ...]:
@@ -536,11 +534,8 @@ def alg1_pipeline(D: int, G: int) -> Alg1Result:
     m = np.arange(D, dtype=np.int64)
     # label (tau, nu) with nu = g/G in lowest terms holds tau (G m + g) over G
     tau, g = np.array([(t, nu.numerator * (G // nu.denominator)) for t, nu in labels]).T
-    rows = tau[:, None] * (G * m + g[:, None])
-    blocks = {label: diagonal_value_operator(row, den=G) for label, row in zip(labels, rows)}
-    block_op = BlockOperator(labels, blocks)
-    # read the values back from the blocks, whose least denominators divide G
-    block_values = np.concatenate([b.diag_num * (G // b.den) for b in blocks.values()])
+    block_op = BlockOperator(labels, tau[:, None] * (G * m + g[:, None]), G)
+    block_values = block_op.num.ravel()
     size = 2 * D * G
     grid = np.arange(size) - D * G
     sigma = block_values + D * G
@@ -563,11 +558,8 @@ def alg1_pipeline(D: int, G: int) -> Alg1Result:
 def alg1_report(D: int, G: int) -> dict:
     """Pipeline run plus the spectrum-family certificate, ready to serialize."""
     result = alg1_pipeline(D, G)
-    # the pipeline builds its blocks in label order
-    specs = [
-        SpectrumSpec(points=block.diag_num, den=block.den)
-        for block in result.block_op.blocks.values()
-    ]
+    table = result.block_op
+    specs = [SpectrumSpec(points=row, den=table.den) for row in table.num]
     target = SpectrumSpec(points=np.arange(-D * G, D * G), den=G)
     family = validate_spectrum_family(specs, target)
     return {

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec.bridge import (
-    CONVENTION,
-    BridgeMap,
     bridge_gate_table,
     derive_logical_set,
     map_error_generators,
@@ -181,21 +179,3 @@ def test_order_one_code_has_no_shift_errors():
 def test_sampled_angles_avoid_stabilizer_multiples(N, samples):
     for a in rotation_sample_angles(N, samples):
         assert (a * N) % 2 != 0
-
-
-# --- facade ----------------------------------------------------------------------
-
-
-def test_bridge_map_round_trip():
-    bm = BridgeMap(2, 16)
-    assert bm.convention == CONVENTION
-    assert bm.unit == bridge_unit(2)
-    w = gkp_codeword(2, 0, window=1)
-    vec, dropped = bm.apply(w, normalize=True)
-    assert np.isclose(vec.norm, 1.0) and dropped == 1.0  # the -4 tooth falls outside
-    ops = bm.logical_set()
-    assert set(ops) == {"Z", "S", "T", "X", "H"}
-    errs = bm.error_generators(rotation_samples=1)
-    assert "gamma_1" in errs and "rotation_1" in errs
-    with pytest.raises(InvalidDimension):
-        BridgeMap(3, 4)

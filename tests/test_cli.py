@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import __version__
-from cvqec.cli import MAX_D, MAX_N, main
+from cvqec.cli import MAX_D, MAX_N, MAX_WINDOW, main
 from cvqec.combs import comb_to_json_dict, gkp_codeword
 from cvqec.fock import approx_ideal_rot_codeword
 
@@ -72,7 +72,8 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
     assert main(["build-code", "--family", "rot", "--N", "2", "--primitive", "quux:3"]) == 2
     # primitive living in a single sector cannot seed both codewords
     assert main(["build-code", "--family", "rot", "--N", "2", "--primitive", "fock:0,4"]) == 2
-    capsys.readouterr()
+    assert main(["build-code", "--family", "gkp", "--N", "1", "--window", str(MAX_WINDOW + 1)]) == 2
+    assert "window must be at most" in capsys.readouterr().err
 
 
 # --- check ----------------------------------------------------------------------
@@ -189,6 +190,17 @@ def small_rot_bundle(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+@pytest.fixture(scope="module")
+def small_gkp_bundles(tmp_path_factory):
+    """The N=2 gkp bundles of the ideal primitive and of window:2."""
+    out = {}
+    for primitive, extra in (("ideal", []), ("window:2", ["--window", "2"])):
+        path = tmp_path_factory.mktemp("small") / "gkp.json"
+        assert main(["build-code", "--family", "gkp", "--N", "2", *extra, "--out", str(path)]) == 0
+        out[primitive] = json.loads(path.read_text())
+    return out
+
+
 MISSING = object()
 
 
@@ -237,6 +249,31 @@ def test_check_rejects_wrongly_typed_bundles(
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "built, changes, message",
+    [
+        ("ideal", {"codewords": [{"garbage": 1}, 7], "primitive": "window:5"}, "not its N's gkp codewords"),
+        ("ideal", {"codewords": MISSING}, "bundle lacks field 'codewords'"),
+        ("ideal", {"codeword.offset": {"num": 1, "den": 1}}, "not its N's gkp codewords"),
+        ("window:2", {"primitive": "window:3"}, "not its N's gkp codewords"),
+        ("window:2", {"primitive": "ideal"}, "not its N's gkp codewords"),
+        ("ideal", {"primitive": MISSING}, "bundle lacks field 'primitive'"),
+        ("ideal", {"primitive": "fock:0,2"}, "gkp primitive must be ideal or window:W"),
+        ("ideal", {"primitive": "2"}, "gkp primitive must be ideal or window:W"),
+        ("ideal", {"primitive": f"window:{MAX_WINDOW + 1}"}, "window must be at most"),
+    ],
+)
+def test_check_rejects_foreign_gkp_codewords(small_gkp_bundles, tmp_path, built, changes, message):
+    bundle = small_gkp_bundles[built]
+    for field, value in changes.items():
+        bundle = _retyped(bundle, field, value)
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(bundle))
+    code, err = _check_exit(path, "logical")
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 json_scalars = (
     st.none()
     | st.booleans()
@@ -252,18 +289,23 @@ json_values = (
 )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=100)
 @given(
+    built=st.sampled_from(["rot", "ideal", "window:2"]),
     field=st.sampled_from(
         ["D", "N", "codewords", "eps", "family", "primitive", "tool_version",
-         "codeword.dim", "codeword.entries", "codeword.structure"]
+         "codeword.dim", "codeword.entries", "codeword.structure",
+         "codeword.kind", "codeword.unit", "codeword.offset", "codeword.pattern"]
     ),
     value=json_values,
     suite=st.sampled_from(["logical", "detect"]),
 )
-def test_check_survives_retyped_bundle_fields(small_rot_bundle, tmp_path_factory, field, value, suite):
+def test_check_survives_retyped_bundle_fields(
+    small_rot_bundle, small_gkp_bundles, tmp_path_factory, built, field, value, suite
+):
+    bundle = small_rot_bundle if built == "rot" else small_gkp_bundles[built]
     path = tmp_path_factory.getbasetemp() / "retyped.json"
-    path.write_text(json.dumps(_retyped(small_rot_bundle, field, value)))
+    path.write_text(json.dumps(_retyped(bundle, field, value)))
     code, err = _check_exit(path, suite)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from cvqec.cli import main
 from cvqec.fock import adjoint, fock_operator, rot_logical_op, u_invariant_projector
+from cvqec.phases import rational_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,7 +28,10 @@ def exact_fields() -> dict:
     for j in (0, 1):
         ops[f"u_invariant_j{j}"] = u_invariant_projector(spectrum, Fraction(2, 3), j)
     return {
-        name: {key: op.to_json_dict().get(key) for key in ("phases", "exact_diag")}
+        name: {
+            "phases": None if op.phases is None else [rational_to_json(p, unit="pi") for p in op.phases],
+            "exact_diag": None if op.exact_diag is None else [rational_to_json(x) for x in op.exact_diag],
+        }
         for name, op in ops.items()
     }
 

@@ -425,16 +425,18 @@ def test_square_embedding_acts_blockwise():
 
 
 def test_block_operator_validation():
-    good = diagonal_value_operator([F(0)])
-    with pytest.raises(UnknownLabel):
-        BlockOperator(((1, F(0)),), {})
-    with pytest.raises(ValueError):
-        BlockOperator(((2, F(0)),), {(2, F(0)): good})
-    with pytest.raises(InvalidDimension):
-        BlockOperator(
-            ((1, F(0)), (-1, F(1))),
-            {(1, F(0)): good, (-1, F(1)): diagonal_value_operator([F(0), F(1)])},
-        )
+    table = BlockOperator(((1, F(0)), (-1, F(1))), np.array([[0, 1], [-2, -3]]), 2)
+    assert table.diagonal_values() == (F(0), F(1, 2), F(-1), F(-3, 2))
+    with pytest.raises(ValueError, match="tau"):
+        BlockOperator(((2, F(0)),), np.array([[0]]))
+    with pytest.raises(ValueError, match="nu"):
+        BlockOperator(((1, F(3, 2)),), np.array([[0]]))
+    with pytest.raises(ValueError, match="distinct"):
+        BlockOperator(((1, F(0)), (1, F(0))), np.array([[0], [1]]))
+    # one integer row per label
+    for num in (np.array([[0]]), np.array([0, 1]), np.array([[0.0], [1.0]])):
+        with pytest.raises(InvalidDimension):
+            BlockOperator(((1, F(0)), (-1, F(1))), num)
 
 
 # --- discretization pipeline ------------------------------------------------------
@@ -443,8 +445,8 @@ def test_block_operator_validation():
 def test_pipeline_smallest_case_frozen():
     result = alg1_pipeline(1, 1)
     assert result.labels == ((1, F(0)), (-1, F(1)))
-    assert result.block_op.blocks[(1, F(0))].exact_diag == (F(0),)
-    assert result.block_op.blocks[(-1, F(1))].exact_diag == (F(-1),)
+    assert kappa_extract(result.block_op, (1, F(0))).exact_diag == (F(0),)
+    assert kappa_extract(result.block_op, (-1, F(1))).exact_diag == (F(-1),)
     assert result.grid_values == (F(-1), F(0))
     assert result.sigma == (1, 0)
     assert all(r == 0.0 for r in result.residuals.values())
