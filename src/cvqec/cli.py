@@ -197,8 +197,7 @@ def _detect_rows(words: list[FockVector], errors: dict, tol: float) -> list[dict
 def _detect_suite_rot(
     N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
-    samples = config.samples if config.samples is not None else 8
-    generators = map_error_generators(N, D, rotation_samples=samples)
+    generators = map_error_generators(N, D)
     shifts = {k: v for k, v in generators.items() if k.startswith("gamma")}
     rotations = {k: v for k, v in generators.items() if k.startswith("rotation")}
     if config.inject_gamma is not None:
@@ -254,7 +253,7 @@ def cmd_bridge(config: argparse.Namespace) -> int:
         for gate, row in bridge_gate_table(config.N, config.D).items()
     ]
     eps_series = config.eps_series or [1e-1, 1e-2, 1e-3]
-    dim = config.hadamard_dim or 256
+    dim = 256 if config.hadamard_dim is None else config.hadamard_dim
     _require(2 * config.N <= dim <= MAX_D, f"hadamard dim must be in [2N, {MAX_D}]")
     hadamard = rot_logical_op("H", config.N, dim)
 
@@ -318,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--code", required=True)
     check.add_argument("--suite", required=True, choices=["logical", "detect"])
     check.add_argument("--inject-gamma", dest="inject_gamma", type=int, default=None)
-    check.add_argument("--samples", type=int, default=None)
     check.add_argument("--format", dest="fmt", choices=["json", "md"], default="json")
     check.add_argument("--out", default=None)
 

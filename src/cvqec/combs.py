@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UnitMismatch, ZeroProjection
-from .phases import RationalLike, as_fraction, mod2, rational_from_json, rational_to_json
+from .phases import RationalLike, as_fraction, mod2, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -228,19 +228,27 @@ def _phase_cycle_period(row: Sequence[int], modulus: int) -> int:
     raise RuntimeError("B failed the period test, which the proof in this docstring rules out")
 
 
-def _apply_phase_fn(
-    state: CombState,
-    n_fold: int,
-    fn: Callable[[Fraction], Fraction],
-    degree: int,
-) -> CombState:
+# phase gates add coef * l**power (units of pi) at logical index l = v/N
+_PHASE_GATES = {
+    # comb Z adds -v/N per tooth; the rotation-side and bridged Z add +m/N at level m,
+    # so the two agree only on levels with N | m, the only ones a codeword occupies
+    "Z": (Fraction(-1), 1),
+    "stab_q": (Fraction(-2), 1),
+    "S": (Fraction(1, 2), 2),
+    "T": (Fraction(1, 4), 4),
+}
+# shift gates move every tooth by amount * N
+_SHIFT_GATES = {"X": Fraction(1), "stab_p": Fraction(2)}
+
+
+def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> CombState:
     _require_regime(state.unit, n_fold)
     N = n_fold
     if state.entries is not None:
-        teeth = [(t.index, t.magnitude, t.phase + fn(t.index / N)) for t in state.entries]
+        teeth = [(t.index, t.magnitude, t.phase + coef * (t.index / N) ** power) for t in state.entries]
         return finite_comb(state.unit, teeth)
     p = state.periodic
-    newton = _newton_coeffs([fn((p.offset + t * p.period) / N) for t in range(degree + 1)])
+    newton = _newton_coeffs([coef * ((p.offset + t * p.period) / N) ** power for t in range(power + 1)])
     # phases as integer numerators over one common denominator, mod 2 den
     den = math.lcm(*(c.denominator for c in (*newton, *p.pattern)))
     modulus = 2 * den
@@ -253,10 +261,6 @@ def _apply_phase_fn(
         # forward differences: row[i] becomes den (Delta^i delta)(t + 1)
         row = [(a + b) % modulus for a, b in zip(row, row[1:])] + row[-1:]
     return periodic_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
-
-
-def _translate_q(state: CombState, n_fold: int, r: Fraction) -> CombState:
-    return _apply_phase_fn(state, n_fold, lambda l: -r * l, degree=1)
 
 
 def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:
@@ -303,27 +307,33 @@ def gkp_apply(
         return _apply_cz(state, n_fold)
     if not isinstance(state, CombState):
         raise TypeError(f"{kind} needs a single-mode CombState")
-    if kind == "Z":
-        return _translate_q(state, n_fold, Fraction(1))
-    if kind == "stab_q":
-        return _translate_q(state, n_fold, Fraction(2))
-    if kind == "translate_q":
+    if kind in ("translate_q", "translate_p"):
         if amount is None:
-            raise ValueError("translate_q requires amount")
-        return _translate_q(state, n_fold, as_fraction(amount))
-    if kind == "X":
-        return _translate_p(state, n_fold, Fraction(1))
-    if kind == "stab_p":
-        return _translate_p(state, n_fold, Fraction(2))
-    if kind == "translate_p":
-        if amount is None:
-            raise ValueError("translate_p requires amount")
-        return _translate_p(state, n_fold, as_fraction(amount))
-    if kind == "S":
-        return _apply_phase_fn(state, n_fold, lambda l: l * l / 2, degree=2)
-    if kind == "T":
-        return _apply_phase_fn(state, n_fold, lambda l: l**4 / 4, degree=4)
+            raise ValueError(f"{kind} requires amount")
+        r = as_fraction(amount)
+        return _apply_phase(state, n_fold, -r, 1) if kind == "translate_q" else _translate_p(state, n_fold, r)
+    if kind in _PHASE_GATES:
+        return _apply_phase(state, n_fold, *_PHASE_GATES[kind])
+    if kind in _SHIFT_GATES:
+        return _translate_p(state, n_fold, _SHIFT_GATES[kind])
     raise ValueError(f"unknown comb gate {kind!r}")
+
+
+def _equal_up_to_phase(a: Sequence[tuple], b: Sequence[tuple]) -> tuple[bool, Fraction | None]:
+    """Aligned (place, phase) records: (True, d) when every place agrees and every pb - pa = d mod 2.
+
+    A place holds a tooth's position and magnitude; no records give (True, 0).
+    """
+    if len(a) != len(b):
+        return (False, None)
+    diffs = set()
+    for (place_a, pa), (place_b, pb) in zip(a, b):
+        if place_a != place_b:
+            return (False, None)
+        diffs.add(mod2(pb - pa))
+    if not diffs:
+        return (True, Fraction(0))
+    return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
 
 
 def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction | None]:
@@ -338,41 +348,23 @@ def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction |
     if a.support_kind != b.support_kind:
         raise ValueError("support kinds differ")
     if a.entries is not None:
-        if len(a.entries) != len(b.entries):
-            return (False, None)
-        if not a.entries:
-            return (True, Fraction(0))
-        diffs = set()
-        for ta, tb in zip(a.entries, b.entries):
-            if ta.index != tb.index or ta.magnitude != tb.magnitude:
-                return (False, None)
-            diffs.add(mod2(tb.phase - ta.phase))
-        return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
-    pa, pb = a.periodic, b.periodic
-    if pa.offset != pb.offset or pa.period != pb.period or pa.magnitude != pb.magnitude:
-        return (False, None)
-    span = math.lcm(len(pa.pattern), len(pb.pattern))
-    diffs = {
-        mod2(pb.pattern[t % len(pb.pattern)] - pa.pattern[t % len(pa.pattern)])
-        for t in range(span)
-    }
-    return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
+        records = lambda s: [((t.index, t.magnitude), t.phase) for t in s.entries]
+        return _equal_up_to_phase(records(a), records(b))
+    span = math.lcm(len(a.periodic.pattern), len(b.periodic.pattern))
+
+    def records(s: CombState) -> list[tuple]:
+        p = s.periodic
+        return [((p.offset, p.period, p.magnitude), p.pattern[t % len(p.pattern)]) for t in range(span)]
+
+    return _equal_up_to_phase(records(a), records(b))
 
 
 def twomode_equal_up_to_phase(a: TwoModeComb, b: TwoModeComb) -> tuple[bool, Fraction | None]:
     if a.units != b.units:
         raise UnitMismatch("two-mode combs live in different unit regimes")
-    if len(a.entries) != len(b.entries):
-        return (False, None)
-    if not a.entries:
-        return (True, Fraction(0))
     key = lambda t: (t.index1, t.index2)
-    diffs = set()
-    for ta, tb in zip(sorted(a.entries, key=key), sorted(b.entries, key=key)):
-        if key(ta) != key(tb) or ta.magnitude != tb.magnitude:
-            return (False, None)
-        diffs.add(mod2(tb.phase - ta.phase))
-    return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
+    records = lambda s: [((*key(t), t.magnitude), t.phase) for t in sorted(s.entries, key=key)]
+    return _equal_up_to_phase(records(a), records(b))
 
 
 def product_comb(a: CombState, b: CombState) -> TwoModeComb:
@@ -439,20 +431,12 @@ def trans_projector_apply(state: CombState, j: int, n_fold: int) -> CombState:
 
 def trans_primitive_validity(state: CombState, n_fold: int) -> bool:
     """True iff the comb meets both codeword sectors of order N."""
-    _require_regime(state.unit, n_fold)
-    N = n_fold
-    if state.entries is not None:
-        seen = {0: False, 1: False}
-        for t in state.entries:
-            q = t.index / N
-            if q.denominator == 1:
-                seen[q.numerator % 2] = True
-        return seen[0] and seen[1]
-    p = state.periodic
-    return all(
-        _solve_lattice_congruence(p.offset, p.period, Fraction(j * N), 2 * N) is not None
-        for j in (0, 1)
-    )
+    try:
+        for j in (0, 1):
+            trans_projector_apply(state, j, n_fold)
+    except ZeroProjection:
+        return False
+    return True
 
 
 def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:
@@ -460,15 +444,10 @@ def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:
     if state.entries is not None:
         return [t for t in state.entries if lo <= t.index < hi]
     p = state.periodic
-    t_min = math.ceil((lo - p.offset) / p.period)
-    t_max = math.floor((hi - p.offset) / p.period)
-    if Fraction(t_max) * p.period + p.offset >= hi:
-        t_max -= 1
-    out = []
+    # offset + t * period >= x exactly when t >= ceil((x - offset) / period)
+    first, stop = (math.ceil((x - p.offset) / p.period) for x in (lo, hi))
     L = len(p.pattern)
-    for t in range(t_min, t_max + 1):
-        out.append(CombTooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]))
-    return out
+    return [CombTooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]) for t in range(first, stop)]
 
 
 # --- serialization ---------------------------------------------------------
@@ -498,24 +477,3 @@ def comb_to_json_dict(state: CombState) -> dict:
         out["pattern"] = [rational_to_json(ph, unit="pi") for ph in p.pattern]
         out["magnitude"] = rational_to_json(p.magnitude)
     return out
-
-
-def comb_from_json_dict(obj: dict) -> CombState:
-    unit = CombUnit(int(obj["unit"]["sqrtPiExp"]), rational_from_json(obj["unit"]["rational"]))
-    if obj["kind"] == "finite":
-        teeth = [
-            (
-                rational_from_json(e["index"]),
-                rational_from_json(e["magnitude"]),
-                rational_from_json(e["phase"]),
-            )
-            for e in obj["entries"]
-        ]
-        return finite_comb(unit, teeth)
-    return periodic_comb(
-        unit,
-        rational_from_json(obj["offset"]),
-        int(obj["period"]),
-        [rational_from_json(p) for p in obj["pattern"]],
-        rational_from_json(obj.get("magnitude", {"num": 1, "den": 1})),
-    )

@@ -97,6 +97,8 @@ class FockVector:
         ):
             raise ValueError("codeword entries must be a list of [re, im] number pairs")
         amps = np.array([complex(re, im) for re, im in entries])
+        if not np.isfinite(amps).all():
+            raise ValueError("codeword entries must be finite numbers")
         v = FockVector(dim, amps)
         if abs(v.norm - 1.0) <= 1e-12:
             v = FockVector(v.dim, v.amplitudes, normalized=True)
@@ -304,10 +306,16 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     """Truncated coherent state, renormalized on the first `dim` levels."""
     if dim <= 0:
         raise InvalidDimension(f"dim must be positive, got {dim}")
-    amps = np.array(
-        [alpha**m / math.sqrt(math.factorial(m)) for m in range(dim)], dtype=complex
-    )
-    return FockVector(dim, amps).normalized_copy()
+    if not np.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha}")
+    try:
+        amps = np.array(
+            [alpha**m / math.sqrt(math.factorial(m)) for m in range(dim)], dtype=complex
+        )
+        with np.errstate(over="raise"):
+            return FockVector(dim, amps).normalized_copy()
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"coherent state of amplitude {alpha} on {dim} levels overflows a float") from None
 
 
 def u_invariant_projector(
@@ -431,6 +439,8 @@ def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> Fock
         raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     support = np.arange(j * n_fold, dim, 2 * n_fold)

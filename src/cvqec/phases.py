@@ -72,7 +72,3 @@ def rational_to_json(value: Fraction, unit: str | None = None) -> dict:
     if unit is not None:
         out["unit"] = unit
     return out
-
-
-def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))

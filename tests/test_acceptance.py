@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from _helpers import block_basis_semis, hermitian_pair_with_shared, random_state
-from cvqec.bridge import bridge_gate_table, derive_logical_set, map_error_generators
+from cvqec.bridge import bridge_gate_table, map_error_generators
 from cvqec.fock import (
     apply_operator,
     approx_ideal_rot_codeword,

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,16 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_quiet_exit_2(capsys, argv):
+    """main(argv) exits 2 with an `error:` message and raises no Python warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "error:" in err, (argv, code, err)
+    assert not caught, [str(w.message) for w in caught]
 
 
 # --- build-code ----------------------------------------------------------------
@@ -74,6 +86,12 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
     assert main(["build-code", "--family", "rot", "--N", "2", "--primitive", "fock:0,4"]) == 2
     assert main(["build-code", "--family", "gkp", "--N", "1", "--window", str(MAX_WINDOW + 1)]) == 2
     assert "window must be at most" in capsys.readouterr().err
+    # non-finite numbers and overflowing amplitudes never reach a bundle
+    rot = ["build-code", "--family", "rot", "--N", "2", "--D", "64"]
+    for extra in (["--eps", "nan"], ["--eps", "inf"], ["--eps=-inf"], ["--primitive", "coherent:nan"],
+                  ["--primitive", "coherent:infj"], ["--primitive", "coherent:1e200"]):
+        assert_quiet_exit_2(capsys, [*rot, *extra, "--out", str(tmp_path / "never.json")])
+    assert not (tmp_path / "never.json").exists()
 
 
 # --- check ----------------------------------------------------------------------
@@ -110,8 +128,7 @@ def test_logical_suite_passes_on_ideal_rot(rot_bundle, capsys):
 def test_detect_suite_flags_injected_undetectable(rot_bundle, capsys):
     code, report = run_json(
         capsys,
-        ["check", "--code", str(rot_bundle), "--suite", "detect", "--inject-gamma", "2",
-         "--samples", "2"],
+        ["check", "--code", str(rot_bundle), "--suite", "detect", "--inject-gamma", "2"],
     )
     assert code == 1
     by_name = {r["name"]: r for r in report["results"]}
@@ -236,6 +253,9 @@ def _retyped(bundle, field, value):
         ("D", MISSING, "bundle lacks field 'D'"),
         ("codewords", MISSING, "bundle lacks field 'codewords'"),
         ("codeword.entries", MISSING, "bundle lacks field 'entries'"),
+        # json writes these as the NaN and Infinity tokens, which json.load reads back
+        ("codeword.entries", [[math.nan, 0.0]] * 16, "entries must be finite"),
+        ("codeword.entries", [[0.25, -math.inf]] * 16, "entries must be finite"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
@@ -244,9 +264,12 @@ def test_check_rejects_wrongly_typed_bundles(
     bundle = [small_rot_bundle] if field is None else _retyped(small_rot_bundle, field, value)
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(bundle))
-    code, err = _check_exit(path, suite)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _check_exit(path, suite)
     assert code == 2
     assert err.startswith("error:") and message in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize(
@@ -349,12 +372,13 @@ def test_bridge_rejects_out_of_range(capsys):
     assert main(["bridge", "--N", "9"]) == 2
     assert main(["bridge", "--N", "4", "--D", "6"]) == 2
     capsys.readouterr()
+    # 0 is a given dim, not a request for the default 256
+    assert_quiet_exit_2(capsys, ["bridge", "--N", "2", "--hadamard-dim", "0"])
 
 
-@pytest.mark.parametrize("series", ["abc", "0.1,,0.2"])
+@pytest.mark.parametrize("series", ["abc", "0.1,,0.2", "nan", "inf", "0.1,-inf"])
 def test_bridge_rejects_malformed_eps_series(series, capsys):
-    assert main(["bridge", "--N", "2", "--eps-series", series]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert_quiet_exit_2(capsys, ["bridge", "--N", "2", "--eps-series", series])
 
 
 def test_alg1_command_reports_certificate(capsys):
@@ -378,16 +402,23 @@ def test_alg1_size_guard(capsys):
         for D, G in [(1, 1), (4, 3), (64, 64), (8, 512)]
     ]
     + [
-        (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt])
+        (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt, "--code", "2"])
         for fmt in ("json", "md")
+    ]
+    + [
+        (f"check-logical-gkp{N}.json", ["check", "--suite", "logical", "--code", str(N)])
+        for N in (1, 3, 8)
     ],
 )
-def test_reports_match_golden_bytes(gkp_bundle, capsys, name, argv):
-    # these reports carry no float from a numerical routine, so their bytes are portable
+def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
+    # these reports carry no float from a numerical routine, so their bytes are portable;
+    # a check job names the order N of the gkp bundle it reads in place of the bundle's path
+    code = tmp_path / "gkp.json"
     if argv[0] == "check":
-        argv = [*argv, "--code", str(gkp_bundle)]
+        assert main(["build-code", "--family", "gkp", "--N", argv[-1], "--out", str(code)]) == 0
+        argv = [*argv[:-1], str(code)]
     assert main(argv) == 0
-    out = capsys.readouterr().out.replace(json.dumps(str(gkp_bundle))[1:-1], "<code>")
+    out = capsys.readouterr().out.replace(json.dumps(str(code))[1:-1], "<code>")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 

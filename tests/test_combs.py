@@ -1,4 +1,4 @@
-"""Exact comb states: constructors, gates, projectors, serialization."""
+"""Exact comb states: constructors, gates, equality, projectors, ranges."""
 
 import math
 from fractions import Fraction
@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from cvqec import combs
 from cvqec.combs import (
     CombUnit,
+    TwoModeComb,
     bridge_unit,
     comb_equal_up_to_phase,
-    comb_from_json_dict,
-    comb_to_json_dict,
     finite_comb,
     gkp_apply,
     gkp_codeword,
@@ -388,21 +387,41 @@ def test_primitive_validity_cases():
     assert not trans_primitive_validity(periodic_comb(bridge_unit(2), 0, 4, [F(0)]), 2)
 
 
-# --- serialization -----------------------------------------------------------------
+# --- equality up to one global phase ------------------------------------------------
 
 
-def test_finite_json_round_trip():
-    state = finite_comb(bridge_unit(3), [(-3, F(1, 2), F(1, 4)), (0, 1, 0), (6, 2, F(3, 2))])
-    back = comb_from_json_dict(comb_to_json_dict(state))
-    same, phase = comb_equal_up_to_phase(state, back)
-    assert same and phase == 0 and back.unit == state.unit
+def test_empty_combs_are_equal_with_zero_phase():
+    unit = bridge_unit(2)
+    assert comb_equal_up_to_phase(finite_comb(unit, []), finite_comb(unit, [])) == (True, 0)
+    empty = TwoModeComb((unit, unit), ())
+    assert twomode_equal_up_to_phase(empty, empty) == (True, 0)
 
 
-def test_periodic_json_round_trip():
-    state = periodic_comb(bridge_unit(2), F(1, 3), 4, [F(0), F(1, 2), F(1)], F(2, 7))
-    back = comb_from_json_dict(comb_to_json_dict(state))
-    same, phase = comb_equal_up_to_phase(state, back)
-    assert same and phase == 0
+def test_one_changed_magnitude_breaks_equality():
+    unit = bridge_unit(2)
+    teeth = [(0, 1, 0), (2, 1, F(1, 2)), (4, 1, F(1, 4))]
+    changed = [(0, 1, 0), (2, 3, F(1, 2)), (4, 1, F(1, 4))]
+    a, b = finite_comb(unit, teeth), finite_comb(unit, changed)
+    assert comb_equal_up_to_phase(a, b) == (False, None)
+    assert twomode_equal_up_to_phase(product_comb(a, a), product_comb(a, b)) == (False, None)
+    pattern = [0, F(1, 2)]
+    assert comb_equal_up_to_phase(
+        periodic_comb(unit, 0, 4, pattern), periodic_comb(unit, 0, 4, pattern, magnitude=2)
+    ) == (False, None)
+
+
+@pytest.mark.parametrize("pattern", [[F(0), F(1, 2)], [F(1, 3), F(0), F(7, 4)]])
+@pytest.mark.parametrize("shift", [F(0), F(3, 4), F(5, 3)])
+def test_periodic_patterns_differing_by_a_constant(pattern, shift):
+    unit = bridge_unit(2)
+    a = periodic_comb(unit, 1, 4, pattern)
+    b = periodic_comb(unit, 1, 4, [p + shift for p in pattern])
+    assert comb_equal_up_to_phase(a, b) == (True, shift)
+    bent = periodic_comb(unit, 1, 4, [pattern[0] + shift, *pattern[1:]])
+    assert comb_equal_up_to_phase(a, bent) == ((True, 0) if shift == 0 else (False, None))
+
+
+# --- ranges -------------------------------------------------------------------------
 
 
 def test_teeth_in_range_boundaries():
