@@ -1,8 +1,9 @@
 """Truncated number-basis states, operators, and rotation-code constructions.
 
 Operators on the first D number states are stored by their structure: a
-diagonal or a number shift keeps one band vector, and only a "dense"
-operator keeps a D x D matrix.  Diagonal operators built from rational
+diagonal or a number shift keeps one band vector, a residue-class kernel
+such as logical H keeps its table of 2N^2 values, and only a caller-supplied
+"dense" operator keeps a D x D matrix.  Diagonal operators built from rational
 angles or eigenvalues also keep them exactly, as an int64 numerator array
 over one denominator (see `phases`).  That is what makes cross-checks
 between independently derived gate sets exact rather than approximate.
@@ -34,6 +35,9 @@ _BAND_SIGN = {"diagonal": 0, "upper_shift": 1, "lower_shift": -1}
 # logical Z, S, T carry the phase m^k / (k N^k) at level m
 _PHASE_POWERS = {"Z": 1, "S": 2, "T": 4}
 
+# rows of a kernel's residue table formed at once, so its workspace is O(_KERNEL_ROWS R)
+_KERNEL_ROWS = 256
+
 
 @dataclass(frozen=True)
 class FockVector:
@@ -58,7 +62,9 @@ class FockVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm; inf, without an overflow warning, when it exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.amplitudes))
 
     @property
     def is_zero(self) -> bool:
@@ -100,6 +106,8 @@ class FockVector:
         if not np.isfinite(amps).all():
             raise ValueError("codeword entries must be finite numbers")
         v = FockVector(dim, amps)
+        if not math.isfinite(v.norm):
+            raise ValueError("codeword norm must be finite")
         if abs(v.norm - 1.0) <= 1e-12:
             v = FockVector(v.dim, v.amplitudes, normalized=True)
         return v
@@ -112,7 +120,8 @@ class FockOperator:
     For "dense", `data` is the dim x dim matrix.  For "diagonal",
     "upper_shift" and "lower_shift" it is the one band that may be nonzero:
     the diagonal at `offset` 0, +shift or -shift, of length dim - shift.
-    `entries` builds the dense matrix on demand.
+    For "kernel" it is a table of P values, and entry (m, m') is
+    data[m m' mod P].  `entries` builds the dense matrix on demand.
 
     A diagonal operator may keep its values exactly, as int64 numerators
     over the one denominator `den`: `phase_num` for the phases of a
@@ -137,6 +146,8 @@ class FockOperator:
             raise InvalidDimension(f"dim must be positive, got {self.dim}")
         if self.structure == "dense":
             shape = (self.dim, self.dim)
+        elif self.structure == "kernel":
+            shape = (max(np.size(self.data), 1),)
         elif self.structure in _BAND_SIGN:
             if self.structure != "diagonal" and not 1 <= self.shift < self.dim:
                 raise InvalidDimension(f"shift {self.shift} out of range for dim {self.dim}")
@@ -189,7 +200,11 @@ class FockOperator:
         """The dense dim x dim matrix, read-only."""
         if self.structure == "dense":
             return self.data
-        matrix = np.diag(self.data, k=self.offset)
+        if self.structure == "kernel":
+            m = np.arange(self.dim) % self.data.size
+            matrix = self.data[np.outer(m, m) % self.data.size]
+        else:
+            matrix = np.diag(self.data, k=self.offset)
         matrix.setflags(write=False)
         return matrix
 
@@ -269,7 +284,7 @@ def fock_operator(
 
 
 def adjoint(op: FockOperator) -> FockOperator:
-    """Conjugate transpose; a shift's band moves to the opposite offset."""
+    """Conjugate transpose; a shift's band moves to the opposite offset, a symmetric kernel keeps its."""
     flipped = {"upper_shift": "lower_shift", "lower_shift": "upper_shift"}
     return FockOperator(
         op.dim,
@@ -283,11 +298,18 @@ def adjoint(op: FockOperator) -> FockOperator:
 
 
 def apply_operator(op: FockOperator, vec: FockVector) -> FockVector:
-    """op|vec>; O(dim) for banded operators."""
+    """op|vec>; O(dim) for banded operators, O(dim + R^2) for a kernel of R = min(dim, P) classes."""
     if op.dim != vec.dim:
         raise InvalidDimension(f"operator dim {op.dim} != vector dim {vec.dim}")
     if op.structure == "dense":
         return FockVector(vec.dim, op.data @ vec.amplitudes)
+    if op.structure == "kernel":
+        # out(m) depends on m mod P only, and sees vec only through its sums over residue classes
+        P, R = op.data.size, min(vec.dim, op.data.size)
+        sums = np.pad(vec.amplitudes, (0, -vec.dim % P)).reshape(-1, P).sum(axis=0)[:R]
+        s = np.arange(R)
+        rows = [op.data[np.outer(s[i : i + _KERNEL_ROWS], s) % P] @ sums for i in range(0, R, _KERNEL_ROWS)]
+        return FockVector(vec.dim, np.resize(np.concatenate(rows), vec.dim))
     # band entry i sits at (row + i, col + i)
     n = op.data.size
     row, col = max(-op.offset, 0), max(op.offset, 0)
@@ -399,8 +421,10 @@ def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
     Z, S, T are diagonal with exact phases m^k/(k N^k) for k = 1, 2, 4, that
     is m/N, m^2/(2N^2), m^4/(4N^4) (units of pi).  Their numerators are
     reduced mod 2 k N^k in int64, which T allows up to N = 139.  X is the
-    unit-amplitude lowering shift by N.  H is the dense kernel
-    (2 pi)^{-1/2} e^{-i pi m m' / N^2}.
+    unit-amplitude lowering shift by N.  H is the integral kernel
+    (2 pi)^{-1/2} e^{-i pi m m' / N^2}; its phase depends only on m m' mod
+    2N^2, so it is stored as a "kernel" of the 2N^2 values at k = m m' mod
+    2N^2, each computed from the reduced angle k / N^2.
     """
     if n_fold <= 0:
         raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
@@ -416,9 +440,9 @@ def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
             raise InvalidDimension(f"dim {dim} too small for shift {N}")
         return fock_operator("number_shift", dim, shift=N)
     if kind == "H":
-        m = np.arange(dim)
-        kernel = np.exp(-1j * np.pi * np.outer(m, m) / N**2) / math.sqrt(2 * math.pi)
-        return FockOperator(dim, kernel, structure="dense")
+        angle = -np.pi * (np.arange(2 * N**2) / N**2)
+        table = (np.cos(angle) + 1j * np.sin(angle)) / math.sqrt(2 * math.pi)
+        return FockOperator(dim, table, structure="kernel")
     raise ValueError(f"unknown logical operator kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import combs
 from .errors import NonOrthonormalCodewords
-from .fock import FockOperator, FockVector, adjoint, apply_operator, inner
+from .fock import FockOperator, FockVector, apply_operator, inner
 from .phases import mod2
 
 ORTHONORMAL_TOL = 1e-10
@@ -29,20 +29,20 @@ def _check_codewords(codewords: Sequence[FockVector]) -> None:
     for i, a in enumerate(codewords):
         for j, b in enumerate(codewords):
             target = 1.0 if i == j else 0.0
-            if abs(inner(a, b) - target) > ORTHONORMAL_TOL:
+            if not abs(inner(a, b) - target) <= ORTHONORMAL_TOL:  # NaN fails too
                 raise NonOrthonormalCodewords(
                     f"<{i}|{j}> deviates from {target} beyond {ORTHONORMAL_TOL}"
                 )
 
 
+def _gram(bras: Sequence[FockVector], kets: Sequence[FockVector]) -> np.ndarray:
+    """The 2x2 matrix of inner products <bras[i]|kets[j]>."""
+    return np.array([[inner(bra, ket) for ket in kets] for bra in bras], dtype=complex)
+
+
 def restricted_matrix(op: FockOperator, codewords: Sequence[FockVector]) -> np.ndarray:
     """The 2x2 matrix of op in the codeword basis, <i|op|j>."""
-    M = np.zeros((2, 2), dtype=complex)
-    for j, ket in enumerate(codewords):
-        image = apply_operator(op, ket)
-        for i, bra in enumerate(codewords):
-            M[i, j] = inner(bra, image)
-    return M
+    return _gram(codewords, [apply_operator(op, ket) for ket in codewords])
 
 
 # --- detectability ----------------------------------------------------------
@@ -65,12 +65,12 @@ class DetectabilityReport:
     pair_rows: tuple[ErrorRow, ...] = ()
 
 
-def _error_row(name: str, op: FockOperator, codewords, tol: float) -> ErrorRow:
-    M = restricted_matrix(op, codewords)
+def _error_row(name: str, M: np.ndarray, tol: float) -> ErrorRow:
+    """The verdict on one restricted 2x2 matrix M; a NaN entry fails it."""
     c = (M[0, 0] + M[1, 1]) / 2
-    off = float(max(abs(M[0, 1]), abs(M[1, 0])))
+    off = float(np.max(np.abs([M[0, 1], M[1, 0]])))
     spread = float(abs(M[0, 0] - M[1, 1]))
-    return ErrorRow(name, complex(c), off, spread, max(off, spread) <= tol)
+    return ErrorRow(name, complex(c), off, spread, off <= tol and spread <= tol)
 
 
 def detectability_check(
@@ -84,23 +84,23 @@ def detectability_check(
     Each error's restricted matrix must be a multiple of the identity within
     tol (off-diagonals and diagonal spread).  With pairwise=True the products
     E_a^dag E_b are checked too, upgrading detection to the correctability
-    condition for the given set.
+    condition for the given set; their restricted matrix <E_a i|E_b j> is
+    taken from the images of the codewords, so no product is formed.
     """
     _check_codewords(codewords)
     if isinstance(errors, Mapping):
         named = list(errors.items())
     else:
         named = [(f"E{i}", op) for i, op in enumerate(errors)]
-    rows = tuple(_error_row(name, op, codewords, tol) for name, op in named)
+    rows = tuple(_error_row(name, restricted_matrix(op, codewords), tol) for name, op in named)
     pair_rows = ()
     if pairwise:
-        acc = []
-        for i, (name_a, a) in enumerate(named):
-            a_dag = adjoint(a)
-            for name_b, b in named[i:]:
-                prod = FockOperator(a.dim, a_dag.entries @ b.entries, "dense")
-                acc.append(_error_row(f"{name_a}^dag {name_b}", prod, codewords, tol))
-        pair_rows = tuple(acc)
+        images = [[apply_operator(op, w) for w in codewords] for _, op in named]
+        pair_rows = tuple(
+            _error_row(f"{named[a][0]}^dag {named[b][0]}", _gram(images[a], images[b]), tol)
+            for a in range(len(named))
+            for b in range(a, len(named))
+        )
     all_pass = all(r.passed for r in rows) and all(r.passed for r in pair_rows)
     return DetectabilityReport(rows, tol, all_pass, pair_rows)
 

@@ -256,6 +256,8 @@ def _retyped(bundle, field, value):
         # json writes these as the NaN and Infinity tokens, which json.load reads back
         ("codeword.entries", [[math.nan, 0.0]] * 16, "entries must be finite"),
         ("codeword.entries", [[0.25, -math.inf]] * 16, "entries must be finite"),
+        # finite entries whose norm overflows a float: NaN overlaps would pass every row
+        ("codeword.entries", [[1e308, 1e308]] + [[0.0, 0.0]] * 15, "norm must be finite"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
@@ -402,20 +404,28 @@ def test_alg1_size_guard(capsys):
         for D, G in [(1, 1), (4, 3), (64, 64), (8, 512)]
     ]
     + [
-        (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt, "--code", "2"])
+        (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt, "--code", "gkp 2"])
         for fmt in ("json", "md")
     ]
     + [
-        (f"check-logical-gkp{N}.json", ["check", "--suite", "logical", "--code", str(N)])
+        (f"check-logical-gkp{N}.json", ["check", "--suite", "logical", "--code", f"gkp {N}"])
         for N in (1, 3, 8)
+    ]
+    + [
+        ("check-logical-rot3-D256.json", ["check", "--suite", "logical", "--code", "rot 3 --D 256"]),
+        ("bridge-N3-D64-H256.json", ["bridge", "--N", "3", "--D", "64", "--hadamard-dim", "256"]),
     ],
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
-    # these reports carry no float from a numerical routine, so their bytes are portable;
-    # a check job names the order N of the gkp bundle it reads in place of the bundle's path
-    code = tmp_path / "gkp.json"
+    # The gkp and alg1 reports carry no float from a numerical routine, so their bytes are
+    # portable.  The rot and bridge reports pin the logical H floats, which lie within 5e-16
+    # of an exact oracle (phases reduced in integers, sums in 40 digits); their last digits
+    # depend on numpy's floating-point routines.  A check job names the family and order
+    # (plus any build-code options) of the bundle it reads in place of the bundle's path.
+    code = tmp_path / "bundle.json"
     if argv[0] == "check":
-        assert main(["build-code", "--family", "gkp", "--N", argv[-1], "--out", str(code)]) == 0
+        family, N, *options = argv[-1].split()
+        assert main(["build-code", "--family", family, "--N", N, *options, "--out", str(code)]) == 0
         argv = [*argv[:-1], str(code)]
     assert main(argv) == 0
     out = capsys.readouterr().out.replace(json.dumps(str(code))[1:-1], "<code>")

@@ -202,6 +202,17 @@ def test_logical_h_kernel_entries():
             assert abs(h.entries[m, mp] - expected) < 1e-14
 
 
+@pytest.mark.parametrize("N, dim", [(1, 8), (3, 64), (64, 300)])
+def test_logical_h_entries_match_integer_reduced_phases(N, dim):
+    # P = 2N^2 is below dim for the first two sizes and above it for the third
+    h = rot_logical_op("H", N, dim)
+    assert h.structure == "kernel" and h.data.size == 2 * N**2
+    m = np.arange(dim)
+    k = np.outer(m, m) % (2 * N**2)  # exact in int64
+    want = np.exp(-1j * np.pi * k / N**2) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(h.entries - want)) < 1e-15
+
+
 def test_s_squared_matches_z_on_code_support():
     # phases of S^2 and Z agree exactly on every multiple of N
     N, dim = 3, 30
@@ -290,12 +301,34 @@ def test_banded_operators_store_no_dense_matrix():
     assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("structure, shift", [("diagonal", 0), ("upper_shift", 3), ("lower_shift", 3)])
-def test_band_action_matches_dense_matrix(structure, shift):
+def test_logical_h_stores_no_dense_matrix():
+    N = 3
+    assert rot_logical_op("H", N, 4096).data.nbytes <= 16 * 2 * N**2
+    # dense storage at this size would take 2**32 complex entries, 64 GiB
+    dim, m = 2**16, 5
+    tracemalloc.start()
+    try:
+        out = apply_operator(rot_logical_op("H", N, dim), basis(dim, m)).amplitudes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
+    # column m of the kernel: phase r m mod 2N^2 over N^2 at row r
+    r = np.array([0, 1, 17, dim - 1])
+    want = np.exp(-1j * np.pi * (r * m % (2 * N**2)) / N**2) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(out[r] - want)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "structure, n", [("diagonal", 0), ("upper_shift", 3), ("lower_shift", 3), ("kernel", 5), ("kernel", 30)]
+)
+def test_band_action_matches_dense_matrix(structure, n):
+    # n is a band's shift, or a kernel's table size P, below and above dim
     rng = np.random.default_rng(11)
     dim = 12
-    band = rng.normal(size=dim - shift) + 1j * rng.normal(size=dim - shift)
-    op = FockOperator(dim, band, structure, shift)
+    size = n if structure == "kernel" else dim - n
+    band = rng.normal(size=size) + 1j * rng.normal(size=size)
+    op = FockOperator(dim, band, structure, 0 if structure == "kernel" else n)
     vec = random_state(rng, dim)
     dense = op.entries @ vec.amplitudes
     assert np.max(np.abs(apply_operator(op, vec).amplitudes - dense)) < 1e-14

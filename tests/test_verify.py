@@ -19,6 +19,7 @@ from cvqec.fock import (
     rot_logical_op,
 )
 from cvqec.verify import (
+    _error_row,
     convergence_scan,
     detectability_check,
     gkp_exact_suite,
@@ -96,6 +97,45 @@ def test_pairwise_can_fail_where_singles_pass():
     paired = detectability_check(words, {"g": shift}, tol=1e-9, pairwise=True)
     assert single.passed and not paired.passed
     assert paired.pair_rows[0].diag_spread == pytest.approx(1.0)
+
+
+def test_pairwise_rows_match_dense_products():
+    dim = 16
+    words = envelope_code(2, 0.05, dim)
+    rng = np.random.default_rng(4)
+    junk = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    errors = {
+        "g": fock_operator("number_shift", dim, shift=1),
+        "a": fock_operator("annihilation", dim),
+        "r": fock_operator("rotation", dim, theta=0.3),
+        "H": rot_logical_op("H", 2, dim),
+        "junk": FockOperator(dim, junk, "dense"),
+    }
+    report = detectability_check(words, errors, tol=1e-6, pairwise=True)
+    names = list(errors)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    assert [r.name for r in report.pair_rows] == [f"{a}^dag {b}" for a, b in pairs]
+    for row, (a, b) in zip(report.pair_rows, pairs):
+        prod = FockOperator(dim, errors[a].entries.conj().T @ errors[b].entries, "dense")
+        want = detectability_check(words, {row.name: prod}, tol=1e-6).rows[0]
+        assert abs(row.c_E - want.c_E) < 1e-12
+        assert abs(row.off_diag_max - want.off_diag_max) < 1e-12
+        assert abs(row.diag_spread - want.diag_spread) < 1e-12
+        assert row.passed == want.passed
+
+
+def test_nan_overlap_fails_orthonormality():
+    nan_word = FockVector(8, np.where(np.arange(8) == 0, np.nan, 0.0))
+    with pytest.raises(NonOrthonormalCodewords):
+        detectability_check([nan_word, FockVector.basis(8, 2)], {"id": identity(8)}, tol=1e-6)
+
+
+@pytest.mark.parametrize("nan_at", [(0, 0), (1, 0)])
+def test_nan_entry_fails_the_verdict(nan_at):
+    # one NaN beside zeros: max(0.0, nan) is 0.0, so a max-based verdict would pass
+    M = np.eye(2, dtype=complex)
+    M[nan_at] = np.nan
+    assert not _error_row("nan", M, tol=1e-6).passed
 
 
 def test_unnamed_errors_get_indexed_names():
