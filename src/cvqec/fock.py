@@ -284,7 +284,7 @@ def fock_operator(
 
 
 def adjoint(op: FockOperator) -> FockOperator:
-    """Conjugate transpose; a shift's band moves to the opposite offset, a symmetric kernel keeps its."""
+    """Conjugate transpose; a shift's band moves to the opposite offset (a kernel is symmetric)."""
     flipped = {"upper_shift": "lower_shift", "lower_shift": "upper_shift"}
     return FockOperator(
         op.dim,

@@ -92,10 +92,10 @@ def detectability_check(
         named = list(errors.items())
     else:
         named = [(f"E{i}", op) for i, op in enumerate(errors)]
-    rows = tuple(_error_row(name, restricted_matrix(op, codewords), tol) for name, op in named)
+    images = [[apply_operator(op, w) for w in codewords] for _, op in named]
+    rows = tuple(_error_row(name, _gram(codewords, image), tol) for (name, _), image in zip(named, images))
     pair_rows = ()
     if pairwise:
-        images = [[apply_operator(op, w) for w in codewords] for _, op in named]
         pair_rows = tuple(
             _error_row(f"{named[a][0]}^dag {named[b][0]}", _gram(images[a], images[b]), tol)
             for a in range(len(named))

@@ -258,6 +258,7 @@ def _retyped(bundle, field, value):
         ("codeword.entries", [[0.25, -math.inf]] * 16, "entries must be finite"),
         # finite entries whose norm overflows a float: NaN overlaps would pass every row
         ("codeword.entries", [[1e308, 1e308]] + [[0.0, 0.0]] * 15, "norm must be finite"),
+        ("codeword.entries", [[10**400, 0]] * 16, "too large to convert to float"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
@@ -418,10 +419,10 @@ def test_alg1_size_guard(capsys):
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
     # The gkp and alg1 reports carry no float from a numerical routine, so their bytes are
-    # portable.  The rot and bridge reports pin the logical H floats, which lie within 5e-16
-    # of an exact oracle (phases reduced in integers, sums in 40 digits); their last digits
-    # depend on numpy's floating-point routines.  A check job names the family and order
-    # (plus any build-code options) of the bundle it reads in place of the bundle's path.
+    # portable.  The rot and bridge reports pin rotation-side floats, whose last digits depend
+    # on numpy's floating-point routines; their logical H values lie within 5e-16 of an exact
+    # oracle (phases reduced in integers, sums in 40 digits).  A check job names the family,
+    # order and any build-code options of the bundle it reads in place of the bundle's path.
     code = tmp_path / "bundle.json"
     if argv[0] == "check":
         family, N, *options = argv[-1].split()
