@@ -69,6 +69,30 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _bundle_text(bundle: dict) -> str:
+    """Exactly json.dumps(bundle, indent=2, sort_keys=True), at C-encoder speed.
+
+    Each Fock codeword's entries table is encoded compactly and then laid out
+    at its nesting depth, which is sound because a float's repr holds no ", ",
+    "[" or "]".  A table stands in as the string "\\0" until then; "codewords"
+    sorts before every string-valued field, so the k-th stand-in is codeword k's.
+    """
+    tables, words = [], []
+    for w in bundle["codewords"]:
+        if w.get("structure") == "vector":
+            tables.append(
+                json.dumps(w["entries"]).replace("], [", "\n        ],\n        [\n          ")
+                .replace(", ", ",\n          ").replace("[[", "[\n        [\n          ")
+                .replace("]]", "\n        ]\n      ]")
+            )
+            w = {**w, "entries": "\0"}
+        words.append(w)
+    text = json.dumps({**bundle, "codewords": words}, indent=2, sort_keys=True)
+    for table in tables:
+        text = text.replace('"\\u0000"', table, 1)
+    return text
+
+
 def _report_text(config: argparse.Namespace, results: list[dict]) -> str:
     if config.fmt == "md":
         return suite_markdown(results)
@@ -156,7 +180,7 @@ def cmd_build_code(config: argparse.Namespace) -> int:
                 "codewords": _gkp_codewords(config.N, config.window),
             }
         )
-    _emit(json.dumps(bundle, indent=2, sort_keys=True), config.out)
+    _emit(_bundle_text(bundle), config.out)
     return 0
 
 
@@ -345,10 +369,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

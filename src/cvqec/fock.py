@@ -11,6 +11,7 @@ between independently derived gate sets exact rather than approximate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +89,7 @@ class FockVector:
         return {
             "dim": self.dim,
             "structure": "vector",
-            "entries": [[z.real, z.imag] for z in self.amplitudes],
+            "entries": np.column_stack((self.amplitudes.real, self.amplitudes.imag)).tolist(),
         }
 
     @staticmethod
@@ -96,13 +97,13 @@ class FockVector:
         dim, entries = obj["dim"], obj["entries"]
         if type(dim) is not int:
             raise ValueError("codeword dim must be an integer")
-        if not isinstance(entries, list) or not all(
-            isinstance(z, list) and len(z) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in z)
-            for z in entries
-        ):
+        pairs = isinstance(entries, list) and set(map(type, entries)) <= {list}
+        pairs = pairs and set(map(len, entries)) <= {2}
+        flat = list(itertools.chain.from_iterable(entries)) if pairs else []
+        # exact types, checked once over all pairs: numpy would read True as 1.0
+        if not pairs or not set(map(type, flat)) <= {int, float}:
             raise ValueError("codeword entries must be a list of [re, im] number pairs")
-        amps = np.array([complex(re, im) for re, im in entries])
+        amps = np.array(flat, dtype=float).view(complex)
         if not np.isfinite(amps).all():
             raise ValueError("codeword entries must be finite numbers")
         v = FockVector(dim, amps)
@@ -331,12 +332,15 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     if not np.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha}")
     try:
-        amps = np.array(
-            [alpha**m / math.sqrt(math.factorial(m)) for m in range(dim)], dtype=complex
-        )
-        with np.errstate(over="raise"):
-            return FockVector(dim, amps).normalized_copy()
-    except (OverflowError, FloatingPointError):
+        # m! overflows a float from m = 171; beyond, each level is the last times alpha / sqrt(m)
+        amps = [alpha**m / math.sqrt(math.factorial(m)) for m in range(min(dim, 171))]
+        for m in range(171, dim):
+            amps.append(amps[-1] * (alpha / math.sqrt(m)))
+        v = FockVector(dim, amps)
+        if not math.isfinite(v.norm):  # inf or nan: some level or the sum of squares overflowed
+            raise OverflowError
+        return v.normalized_copy()
+    except OverflowError:
         raise ValueError(f"coherent state of amplitude {alpha} on {dim} levels overflows a float") from None
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import __version__
-from cvqec.cli import MAX_D, MAX_N, MAX_WINDOW, main
+from cvqec.cli import MAX_D, MAX_N, MAX_WINDOW, _bundle_text, main
 from cvqec.combs import comb_to_json_dict, gkp_codeword
 from cvqec.fock import approx_ideal_rot_codeword
 
@@ -89,9 +89,19 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
     # non-finite numbers and overflowing amplitudes never reach a bundle
     rot = ["build-code", "--family", "rot", "--N", "2", "--D", "64"]
     for extra in (["--eps", "nan"], ["--eps", "inf"], ["--eps=-inf"], ["--primitive", "coherent:nan"],
-                  ["--primitive", "coherent:infj"], ["--primitive", "coherent:1e200"]):
+                  ["--primitive", "coherent:infj"], ["--primitive", "coherent:1e200"],
+                  ["--D", "4096", "--primitive", "coherent:30"]):
         assert_quiet_exit_2(capsys, [*rot, *extra, "--out", str(tmp_path / "never.json")])
     assert not (tmp_path / "never.json").exists()
+
+
+def test_build_coherent_primitive_beyond_171_levels(tmp_path):
+    # (D - 1)! overflows a float from D = 172; the amplitudes themselves fit
+    out = tmp_path / "code.json"
+    argv = ["build-code", "--family", "rot", "--N", "2", "--D", "256", "--primitive", "coherent:1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    words = json.loads(out.read_text())["codewords"]
+    assert all(len(w["entries"]) == 256 for w in words)
 
 
 # --- check ----------------------------------------------------------------------
@@ -259,6 +269,13 @@ def _retyped(bundle, field, value):
         # finite entries whose norm overflows a float: NaN overlaps would pass every row
         ("codeword.entries", [[1e308, 1e308]] + [[0.0, 0.0]] * 15, "norm must be finite"),
         ("codeword.entries", [[10**400, 0]] * 16, "too large to convert to float"),
+        # entries a numpy conversion would take without complaint
+        ("codeword.entries", [[True, 0.0]] * 16, "number pairs"),
+        ("codeword.entries", [[0.1, 0.0, 0.0]] * 16, "number pairs"),
+        ("codeword.entries", [[0.1]] * 16, "number pairs"),
+        ("codeword.entries", [["0.1", 0.0]] * 16, "number pairs"),
+        ("codeword.entries", [[0.1, [0.2]]] * 16, "number pairs"),
+        ("codeword.entries", [[None, 0.0]] * 16, "number pairs"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
@@ -413,6 +430,16 @@ def test_alg1_size_guard(capsys):
         for N in (1, 3, 8)
     ]
     + [
+        (f"build-{name}.json", ["build-code", "--family", *options.split()])
+        for name, options in [
+            ("rot3-D64", "rot --N 3 --D 64"),
+            ("rot2-D16-fock024", "rot --N 2 --D 16 --primitive fock:0,2,4"),
+            ("rot2-D16-coherent", "rot --N 2 --D 16 --primitive coherent:0.3+1j"),
+            ("gkp2", "gkp --N 2"),
+            ("gkp2-window3", "gkp --N 2 --window 3"),
+        ]
+    ]
+    + [
         ("check-logical-rot3-D256.json", ["check", "--suite", "logical", "--code", "rot 3 --D 256"]),
         ("bridge-N3-D64-H256.json", ["bridge", "--N", "3", "--D", "64", "--hadamard-dim", "256"]),
     ],
@@ -423,6 +450,7 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
     # on numpy's floating-point routines; their logical H values lie within 5e-16 of an exact
     # oracle (phases reduced in integers, sums in 40 digits).  A check job names the family,
     # order and any build-code options of the bundle it reads in place of the bundle's path.
+    # The build-code goldens pin bundle bytes: negative zeros, complex entries, comb codewords.
     code = tmp_path / "bundle.json"
     if argv[0] == "check":
         family, N, *options = argv[-1].split()
@@ -431,6 +459,47 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out.replace(json.dumps(str(code))[1:-1], "<code>")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+table_floats = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    tables=st.lists(
+        st.lists(st.lists(table_floats, min_size=2, max_size=2), min_size=1, max_size=6),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_bundle_text_matches_indented_dumps(tables):
+    bundle = {
+        "tool_version": __version__, "family": "rot", "N": 2, "D": 16, "primitive": "ideal", "eps": 1e-3,
+        "codewords": [{"dim": len(t), "entries": t, "structure": "vector"} for t in tables],
+    }
+    assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
+
+
+def test_parser_reuse_keeps_reports(tmp_path, capsys):
+    # main keeps one parser for the process: a call's options and an argparse error
+    # leave nothing behind for the next call
+    code = tmp_path / "rot.json"
+    assert main(["build-code", "--family", "rot", "--N", "2", "--D", "16", "--out", str(code)]) == 0
+    calls = [
+        ["check", "--code", str(code), "--suite", "detect", "--format", "md", "--inject-gamma", "3"],
+        ["check", "--code", str(code), "--suite", "bogus"],
+        ["check", "--code", str(code), "--suite", "detect"],
+    ]
+    outputs = []
+    for argv in calls:
+        rc = main(argv)
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[1] == (2, "")
+    for argv, (rc, out) in zip(calls[::2], outputs[::2]):
+        fresh = subprocess.run([sys.executable, "-m", "cvqec.cli", *argv], capture_output=True, text=True)
+        assert (rc, out) == (fresh.returncode, fresh.stdout)
+    config = json.loads(outputs[2][1])["config"]
+    assert config == {"code": str(code), "command": "check", "fmt": "json", "suite": "detect"}
 
 
 def test_unknown_command_exits_nonzero(capsys):

@@ -1,5 +1,6 @@
 """Truncated Fock-space operators, codeword construction, exact phase channels."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -255,6 +256,10 @@ def test_vector_json_round_trip():
     back = FockVector.from_json_dict(v.to_json_dict())
     assert back.dim == 6
     assert np.allclose(back.amplitudes, v.amplitudes)
+    # through JSON text the round trip is bit-exact, negative zeros included
+    v = FockVector(3, [complex(-0.0, 0.5), complex(0.1, -0.0), 5e-324])
+    back = FockVector.from_json_dict(json.loads(json.dumps(v.to_json_dict())))
+    assert back.amplitudes.tobytes() == v.amplitudes.tobytes()
 
 
 def test_coherent_state_recursion():
@@ -262,6 +267,11 @@ def test_coherent_state_recursion():
     v = coherent_state(alpha, 20)
     assert abs(v.norm - 1) < 1e-12
     for m in range(10):
+        ratio = v.amplitudes[m + 1] / v.amplitudes[m]
+        assert abs(ratio - alpha / math.sqrt(m + 1)) < 1e-12
+    # past m = 170, where m! overflows a float, the same ratio carries on
+    v = coherent_state(alpha, 200)
+    for m in range(165, 185):
         ratio = v.amplitudes[m + 1] / v.amplitudes[m]
         assert abs(ratio - alpha / math.sqrt(m + 1)) < 1e-12
 
