@@ -66,7 +66,6 @@ from .isometries import (
 )
 from .bridge import (
     bridge_gate_table,
-    derive_logical_set,
     map_error_generators,
     omega_map_translation,
     upsilon_apply,

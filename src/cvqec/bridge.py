@@ -1,16 +1,24 @@
 """Semi-unitary bridge between momentum combs and truncated Fock states.
 
-The bridge keeps exactly the comb teeth sitting on integer indices in
-[0, D) and sends index v to the Fock state |v>.  Everything else is dropped
-and accounted for.  Conjugating translations through the bridge gives the
-rotation-side gates: a q-translation becomes a diagonal rotation, an integer
-p-translation becomes a number shift, and a fractional p-translation has no
-Fock-side support at all.
+The bridge Upsilon keeps exactly the comb teeth sitting on integers v in
+(-D, 0] and sends tooth v to the Fock state |-v>.  Everything else is
+dropped and accounted for.  Conjugating translations through the bridge
+gives the rotation-side gates, and this one convention makes every comb
+gate intertwine exactly, Upsilon(g c) = g_rot Upsilon(c), on any comb in
+the integer-spacing regime of order N (`combs.bridge_unit`):
 
-Conventions: the comb regime for order N (`combs.bridge_unit`) uses a
-positive lattice constant, and a p-translation by +N lowers the Fock
-index by N, so that translation by one logical unit sends codeword 0 to
-codeword 1.
+- `translate_q` by r adds the phase -r v/N = r m/N at level m = -v, the
+  rotation e^{i pi r m/N}; so comb Z is rotation Z, and S and T, even in v,
+  are the rotation S and T.
+- `translate_p` by an integer k moves tooth v to v + kN, which lowers the
+  level by kN; so comb X is rotation X, the lowering shift by N.  A
+  fractional p-translation has no Fock-side support at all.
+- CZ adds l1 l2 at logical indices l = v/N, which is m m'/N^2 on |m, m'>:
+  the two-mode rotation CROT (`fock.crot`).
+
+A lowering shift by s brings teeth from levels [D, D + s) into the window,
+and a raising one teeth from v in [1, s]; they are the only teeth for which
+the two sides differ.
 """
 
 from __future__ import annotations
@@ -20,62 +28,50 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combs import CombState, finite_comb, teeth_in_range
+from .combs import CombState, bridge_unit, finite_comb, gkp_apply, teeth_in_range
 from .errors import InvalidDimension
-from .fock import (
-    FockOperator,
-    FockVector,
-    adjoint,
-    diagonal_phase_operator,
-    fock_operator,
-    identity,
-    max_phase_gap,
-    rot_logical_op,
-)
-from .phases import RationalLike, as_fraction, mod_power, phase_to_complex
+from .fock import FockOperator, FockVector, adjoint, fock_operator, identity, rot_logical_op
+from .phases import RationalLike, as_fraction, mod2, phase_to_complex
 
 
 def _integer_teeth(state: CombState, D: int):
-    """Teeth on integer indices in [0, D), plus the squared mass elsewhere."""
+    """Teeth on integers v with -v in [0, D), plus the squared mass elsewhere."""
     if state.entries is not None:
         kept, dropped = [], Fraction(0)
         for t in state.entries:
-            if t.index.denominator == 1 and 0 <= t.index < D:
+            if t.index.denominator == 1 and -D < t.index <= 0:
                 kept.append(t)
             else:
                 dropped += t.magnitude * t.magnitude
         return kept, float(dropped)
     kept = [
         t
-        for t in teeth_in_range(state, 0, D)
+        for t in teeth_in_range(state, 1 - D, 1)
         if t.index.denominator == 1
     ]
     # a periodic comb always has infinitely many teeth outside the window
     return kept, math.inf
 
 
-def upsilon_apply(state: CombState, D: int, normalize: bool = False) -> tuple[FockVector, float]:
+def upsilon_apply(state: CombState, D: int) -> tuple[FockVector, float]:
     """Map a comb to the truncated Fock space.
 
-    Integer-index teeth in [0, D) become Fock amplitudes with magnitude and
-    phase preserved; the squared magnitude of everything else is returned as
-    dropped mass (infinite for periodic combs).  A comb with no surviving
-    teeth maps to the zero vector.
+    The tooth on integer v with -v in [0, D) becomes the amplitude of |-v>,
+    magnitude and phase preserved; the squared magnitude of everything else
+    is returned as dropped mass (infinite for periodic combs).  A comb with
+    no surviving teeth maps to the zero vector.
     """
     if D < 1:
         raise InvalidDimension("D must be >= 1")
     kept, dropped = _integer_teeth(state, D)
     amps = np.zeros(D, dtype=complex)
     for t in kept:
-        amps[int(t.index)] = float(t.magnitude) * phase_to_complex(t.phase)
-    vec = FockVector(D, amps)
-    if normalize and not vec.is_zero:
-        vec = vec.normalized_copy()
-    return vec, dropped
+        amps[-int(t.index)] = float(t.magnitude) * phase_to_complex(t.phase)
+    return FockVector(D, amps), dropped
 
 
 def upsilon_project(state: CombState, D: int) -> CombState:
-    """The comb-side projector picking out integer support in [0, D)."""
+    """The comb-side projector picking out the integer teeth v with -v in [0, D)."""
     if D < 1:
         raise InvalidDimension("D must be >= 1")
     kept, _ = _integer_teeth(state, D)
@@ -85,15 +81,15 @@ def upsilon_project(state: CombState, D: int) -> CombState:
 def upsilon_matrix(state: CombState, D: int) -> np.ndarray:
     """0/1 selection matrix from the comb's finite tooth list into Fock space.
 
-    Column order follows the tooth list; row v is hit when tooth t sits on
-    integer index v in [0, D).
+    Column order follows the tooth list; row -v is hit when tooth t sits on
+    an integer v with -v in [0, D).
     """
     if state.entries is None:
         raise ValueError("matrix form needs a finite comb")
     M = np.zeros((D, len(state.entries)), dtype=np.int64)
     for col, t in enumerate(state.entries):
-        if t.index.denominator == 1 and 0 <= t.index < D:
-            M[int(t.index), col] = 1
+        if t.index.denominator == 1 and -D < t.index <= 0:
+            M[-int(t.index), col] = 1
     return M
 
 
@@ -124,40 +120,6 @@ def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int
     raise ValueError(f"unknown translation kind {kind!r}")
 
 
-def _bridged_gates(n_fold: int, dim: int) -> dict[str, FockOperator]:
-    """Z, S, T from the momentum phase polynomials at m/N; X from the one-unit p-translation."""
-    if n_fold < 1:
-        raise InvalidDimension("n_fold must be >= 1")
-    if dim < 2 * n_fold:
-        raise InvalidDimension("dim must be at least 2*n_fold")
-    N = n_fold
-    m = np.arange(dim)
-
-    def diag_from(coef: Fraction, power: int) -> FockOperator:
-        # the phase coef * l**power at l = m / N is coef.numerator * m**power / den
-        den = coef.denominator * N**power
-        return diagonal_phase_operator(coef.numerator * mod_power(m, power, 2 * den), den=den)
-
-    return {
-        "Z": diag_from(Fraction(1), 1),
-        "S": diag_from(Fraction(1, 2), 2),
-        "T": diag_from(Fraction(1, 4), 4),
-        "X": omega_map_translation("p", N, N, dim),
-    }
-
-
-def derive_logical_set(n_fold: int, dim: int) -> dict[str, FockOperator]:
-    """Fock-side logical gates obtained by conjugating comb gates through the bridge.
-
-    Z, S, T come from the polynomial momentum phases evaluated at logical
-    index m/N; X is the mapped one-unit p-translation; H is the integral-kernel
-    form with entries (2 pi)^{-1/2} e^{-i pi m m' / N^2}.
-    """
-    ops = _bridged_gates(n_fold, dim)
-    ops["H"] = rot_logical_op("H", n_fold, dim)
-    return ops
-
-
 def rotation_sample_angles(n_fold: int, samples: int = 8) -> list[Fraction]:
     """Evenly spaced angles strictly inside (0, pi/N), as rationals of pi."""
     if samples < 1:
@@ -183,25 +145,53 @@ def map_error_generators(n_fold: int, dim: int, rotation_samples: int = 8) -> di
     return out
 
 
+def _levels(state: CombState, D: int) -> dict[int, tuple[Fraction, Fraction]]:
+    """Upsilon(state) exactly: level -> (magnitude, phase) of the kept teeth."""
+    return {-int(t.index): (t.magnitude, t.phase) for t in _integer_teeth(state, D)[0]}
+
+
+def _rot_image(op: FockOperator, levels: dict) -> dict | None:
+    """op applied exactly to `levels`, from its exact phases or unit band; None for any other op."""
+    banded = op.structure in ("diagonal", "upper_shift", "lower_shift")
+    if op.phase_num is None and not (banded and np.all(op.data == 1)):
+        return None
+    out = {}
+    for m, (magnitude, phase) in levels.items():
+        if 0 <= m - op.offset < op.dim:
+            turn = 0 if op.phase_num is None else Fraction(int(op.phase_num[m]), op.den)
+            out[m - op.offset] = (magnitude, mod2(phase + turn))
+    return out
+
+
+def _phase_gap(got: dict, want: dict | None) -> float:
+    """Largest phase distance on the circle, in units of pi; inf when the levels or magnitudes differ."""
+    if want is None or {m: a for m, (a, _) in got.items()} != {m: a for m, (a, _) in want.items()}:
+        return math.inf
+    gaps = [mod2(got[m][1] - want[m][1]) for m in got]
+    return float(max(min(g, 2 - g) for g in gaps))
+
+
 def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
-    """Per-gate comparison of bridged operators against the rotation-side ones.
+    """Per-gate check that the comb gate and the rotation-side gate intertwine through Upsilon.
 
-    Diagonal gates compare as exact rational phases; X compares its band
-    entrywise.  Values are {exact_match, max_phase_diff} with the phase diff
-    measured on the circle in units of pi (0.0 on exact match).
-
-    Both sides build Z, S, T as m^k mod 2kN^k over kN^k, and X as the number
-    shift by N, so every row matches by construction for every N and D: the
-    table checks that the two derivations stay in step, not the physics.
+    On a fixed comb with one tooth on each of levels N and N+1 below `dim`
+    (v = -m, phase m/4), Upsilon(g_comb c) is compared with
+    g_rot Upsilon(c) exactly.  Values are {exact_match, max_phase_diff}:
+    the largest phase difference on the circle in units of pi (0.0 on
+    exact match), or inf when the levels or magnitudes differ or the
+    rotation-side X is not a unit band.
     """
-    derived = _bridged_gates(n_fold, dim)
+    if n_fold < 1:
+        raise InvalidDimension("n_fold must be >= 1")
+    if dim < 2 * n_fold:
+        raise InvalidDimension("dim must be at least 2*n_fold")
+    N = n_fold
+    comb = finite_comb(bridge_unit(N), [(-m, 1, Fraction(m, 4)) for m in (N, N + 1) if m < dim])
+    before = _levels(comb, dim)
     table: dict[str, dict] = {}
-    for gate in ("Z", "S", "T"):
-        worst = max_phase_gap(derived[gate], rot_logical_op(gate, n_fold, dim))
-        table[gate] = {"exact_match": worst == 0, "max_phase_diff": float(worst)}
-    ref_x = rot_logical_op("X", n_fold, dim)
-    got_x = derived["X"]
-    same_band = (got_x.structure, got_x.shift) == (ref_x.structure, ref_x.shift)
-    diff = float(np.max(np.abs(got_x.data - ref_x.data))) if same_band else math.inf
-    table["X"] = {"exact_match": diff == 0.0, "max_phase_diff": diff}
+    for gate in ("Z", "S", "T", "X"):
+        got = _levels(gkp_apply(gate, comb, N), dim)
+        want = _rot_image(rot_logical_op(gate, N, dim), before)
+        diff = 0.0 if got == want else _phase_gap(got, want)
+        table[gate] = {"exact_match": diff == 0.0, "max_phase_diff": diff}
     return table

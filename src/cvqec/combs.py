@@ -230,8 +230,7 @@ def _phase_cycle_period(row: Sequence[int], modulus: int) -> int:
 
 # phase gates add coef * l**power (units of pi) at logical index l = v/N
 _PHASE_GATES = {
-    # comb Z adds -v/N per tooth; the rotation-side and bridged Z add +m/N at level m,
-    # so the two agree only on levels with N | m, the only ones a codeword occupies
+    # comb Z adds -v/N at tooth v, which is +m/N at the level m = -v the bridge sends it to
     "Z": (Fraction(-1), 1),
     "stab_q": (Fraction(-2), 1),
     "S": (Fraction(1, 2), 2),
@@ -282,7 +281,7 @@ def _apply_cz(state: TwoModeComb, n_fold: int) -> TwoModeComb:
             t.index1,
             t.index2,
             t.magnitude,
-            mod2(t.phase - (t.index1 / N) * (t.index2 / N)),
+            mod2(t.phase + (t.index1 / N) * (t.index2 / N)),
         )
         for t in state.entries
     )
@@ -298,7 +297,8 @@ def gkp_apply(
     """Apply a comb gate exactly.
 
     Single-mode kinds: Z, S, T, X, stab_q, stab_p, translate_q, translate_p
-    (the last two take `amount` in logical units).  CZ acts on a TwoModeComb.
+    (the last two take `amount` in logical units).  CZ acts on a TwoModeComb,
+    adding l1 l2 (units of pi) at logical indices l = v/N.
     Amounts must be exact rationals; floats raise NonRationalPhase.
     """
     if kind == "CZ":

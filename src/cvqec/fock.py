@@ -5,8 +5,8 @@ diagonal or a number shift keeps one band vector, a residue-class kernel
 such as logical H keeps its table of 2N^2 values, and only a caller-supplied
 "dense" operator keeps a D x D matrix.  Diagonal operators built from rational
 angles or eigenvalues also keep them exactly, as an int64 numerator array
-over one denominator (see `phases`).  That is what makes cross-checks
-between independently derived gate sets exact rather than approximate.
+over one denominator (see `phases`).  That is what lets the bridge check
+the comb gates against the rotation-side ones exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class FockVector:
 
     dim: int
     amplitudes: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -58,8 +57,6 @@ class FockVector:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and abs(self.norm - 1.0) > 1e-12:
-            raise ValueError("vector tagged normalized but norm deviates from 1")
 
     @property
     def norm(self) -> float:
@@ -75,7 +72,7 @@ class FockVector:
         n = self.norm
         if n < SUPPORT_TOL:
             raise ZeroProjection("cannot normalize a (near-)zero vector")
-        return FockVector(self.dim, self.amplitudes / n, normalized=True)
+        return FockVector(self.dim, self.amplitudes / n)
 
     @staticmethod
     def basis(dim: int, m: int) -> "FockVector":
@@ -83,7 +80,7 @@ class FockVector:
             raise InvalidDimension(f"basis index {m} outside [0, {dim})")
         amps = np.zeros(dim, dtype=complex)
         amps[m] = 1.0
-        return FockVector(dim, amps, normalized=True)
+        return FockVector(dim, amps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,8 +106,6 @@ class FockVector:
         v = FockVector(dim, amps)
         if not math.isfinite(v.norm):
             raise ValueError("codeword norm must be finite")
-        if abs(v.norm - 1.0) <= 1e-12:
-            v = FockVector(v.dim, v.amplitudes, normalized=True)
         return v
 
 
@@ -416,7 +411,7 @@ def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> F
         raise ZeroProjection(
             f"primitive has no weight on the j={j} sector of order {n_fold}"
         )
-    return FockVector(dim, selected / norm, normalized=True)
+    return FockVector(dim, selected / norm)
 
 
 def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
@@ -478,19 +473,3 @@ def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> Fock
     amps[support] = np.exp(-eps * support.astype(float))
     return FockVector(dim, amps).normalized_copy()
 
-
-def max_phase_gap(a: FockOperator, b: FockOperator) -> Fraction:
-    """The largest distance on the circle between the exact phases of a and b, in units of pi.
-
-    Both operators must carry phases; they are compared as integers over a common denominator.
-    """
-    if a.phase_num is None or b.phase_num is None:
-        raise ValueError("both operators must carry exact phases")
-    den = math.lcm(a.den, b.den)
-    diff = (a.phase_num * (den // a.den) - b.phase_num * (den // b.den)) % (2 * den)
-    return Fraction(int(np.max(np.minimum(diff, 2 * den - diff))), den)
-
-
-def phases_equal(a: FockOperator, b: FockOperator) -> bool:
-    """Exact diagonal-phase comparison; both operators must carry phases."""
-    return max_phase_gap(a, b) == 0

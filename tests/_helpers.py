@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from cvqec.fock import FockVector
+from cvqec.combs import bridge_unit, finite_comb, gkp_apply, product_comb
+from cvqec.fock import FockVector, crot
+from cvqec.phases import mod2
 
 
 def random_state(rng: np.random.Generator, dim: int) -> FockVector:
@@ -54,3 +58,24 @@ def block_basis_semis(k: int, d: int) -> list[np.ndarray]:
             S[i * d + r, r] = 1
         out.append(S)
     return out
+
+
+def cz_crot_mismatches(N: int, D: int) -> int:
+    """Teeth where comb CZ, mapped through Upsilon x Upsilon, differs from crot(N, N, D, D).
+
+    The comb is the product of two finite combs with one tooth on each level
+    0..2N (tooth v on level -v), with phases m/4 and m/3.  Level pair (m, m')
+    is index m D + m' of the two-mode Fock space, and every value is compared
+    exactly: the CZ output's tooth phase against the input's plus the CROT
+    phase m m'/N^2.
+    """
+    unit = bridge_unit(N)
+    a = finite_comb(unit, [(-m, 1, Fraction(m, 4)) for m in range(2 * N + 1)])
+    b = finite_comb(unit, [(-m, 1, Fraction(m, 3)) for m in range(2 * N + 1)])
+    prod = product_comb(a, b)
+    rot = crot(N, N, D, D)
+    index = lambda t: -int(t.index1) * D - int(t.index2)
+    turn = lambda t: Fraction(int(rot.phase_num[index(t)]), rot.den)
+    want = {index(t): (t.magnitude, mod2(t.phase + turn(t))) for t in prod.entries}
+    got = {index(t): (t.magnitude, t.phase) for t in gkp_apply("CZ", prod, N).entries}
+    return sum(got.get(i) != w for i, w in want.items()) + len(got.keys() - want.keys())

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from _helpers import block_basis_semis, hermitian_pair_with_shared, random_state
+from _helpers import block_basis_semis, cz_crot_mismatches, hermitian_pair_with_shared, random_state
 from cvqec.bridge import bridge_gate_table, map_error_generators
 from cvqec.fock import (
     apply_operator,
@@ -81,15 +81,23 @@ def test_criterion_2_comb_gate_actions_are_exact():
 
 def test_criterion_3_bridged_gates_match_rotation_forms():
     t0 = time.monotonic()
-    mismatches = []
+    mismatches, cz_mismatches = [], []
     for N in range(1, 9):
         for gate, row in bridge_gate_table(N, 64).items():
             if not row["exact_match"]:
                 mismatches.append((N, gate, row["max_phase_diff"]))
+        if cz_crot_mismatches(N, 64):
+            cz_mismatches.append(N)
     elapsed = time.monotonic() - t0
-    ok = not mismatches and elapsed < 2.0
-    report(3, ok, f"{len(mismatches)} mismatched gates for N<=8 at D=64, {elapsed:.2f}s (< 2s)")
+    ok = not mismatches and not cz_mismatches and elapsed < 2.0
+    report(
+        3,
+        ok,
+        f"{len(mismatches)} mismatched gates, CZ equals CROT at {8 - len(cz_mismatches)} of 8 orders, "
+        f"for N<=8 at D=64, {elapsed:.2f}s (< 2s)",
+    )
     assert mismatches == []
+    assert cz_mismatches == []
     assert elapsed < 2.0
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import cz_crot_mismatches
+from cvqec import bridge, combs
 from cvqec.bridge import (
     bridge_gate_table,
-    derive_logical_set,
     map_error_generators,
     omega_map_translation,
     rotation_sample_angles,
@@ -18,9 +19,10 @@ from cvqec.bridge import (
     upsilon_matrix,
     upsilon_project,
 )
-from cvqec.combs import bridge_unit, comb_equal_up_to_phase, finite_comb, gkp_codeword
+from cvqec.combs import bridge_unit, comb_equal_up_to_phase, finite_comb, gkp_apply, gkp_codeword
 from cvqec.errors import InvalidDimension, NonRationalPhase
-from cvqec.fock import fock_operator, phases_equal, rot_logical_op
+from cvqec.fock import adjoint, fock_operator, rot_logical_op
+from cvqec.phases import mod2
 
 F = Fraction
 
@@ -29,7 +31,8 @@ F = Fraction
 
 
 def test_integer_teeth_become_amplitudes():
-    state = finite_comb(bridge_unit(1), [(0, 1, 0), (2, 1, F(1, 2)), (5, 2, 0)])
+    # tooth v goes to level -v
+    state = finite_comb(bridge_unit(1), [(0, 1, 0), (-2, 1, F(1, 2)), (-5, 2, 0)])
     vec, dropped = upsilon_apply(state, 8)
     assert dropped == 0.0
     want = np.zeros(8, dtype=complex)
@@ -38,11 +41,11 @@ def test_integer_teeth_become_amplitudes():
 
 
 def test_nonfock_teeth_report_dropped_mass():
-    state = finite_comb(bridge_unit(1), [(-1, 1, 0), (F(1, 2), 1, 0), (2, 3, 0)])
+    state = finite_comb(bridge_unit(1), [(1, 1, 0), (F(-1, 2), 1, 0), (-2, 3, 0), (-8, 1, 0)])
     vec, dropped = upsilon_apply(state, 8)
-    assert dropped == 2.0
+    assert dropped == 3.0
     assert np.allclose(vec.amplitudes[2], 3.0)
-    empty, dropped_all = upsilon_apply(finite_comb(bridge_unit(1), [(-1, 1, 0)]), 4)
+    empty, dropped_all = upsilon_apply(finite_comb(bridge_unit(1), [(1, 1, 0)]), 4)
     assert empty.is_zero and dropped_all == 1.0
 
 
@@ -53,18 +56,12 @@ def test_periodic_comb_keeps_window_and_drops_infinity():
     assert sorted(np.flatnonzero(np.abs(vec.amplitudes) > 0)) == [2, 6, 10]
 
 
-def test_normalize_flag():
-    state = finite_comb(bridge_unit(1), [(0, 2, 0), (1, 2, 0)])
-    vec, _ = upsilon_apply(state, 4, normalize=True)
-    assert np.isclose(vec.norm, 1.0)
-
-
 def test_projector_is_idempotent_and_consistent():
-    state = finite_comb(bridge_unit(2), [(-2, 1, 0), (0, 1, F(1, 4)), (F(3, 2), 1, 0), (4, 1, 0)])
+    state = finite_comb(bridge_unit(2), [(2, 1, 0), (0, 1, F(1, 4)), (F(-3, 2), 1, 0), (-4, 1, 0)])
     once = upsilon_project(state, 6)
     same, phase = comb_equal_up_to_phase(once, upsilon_project(once, 6))
     assert same and phase == 0
-    assert [t.index for t in once.entries] == [0, 4]
+    assert [t.index for t in once.entries] == [-4, 0]
     vec_direct, _ = upsilon_apply(state, 6)
     vec_projected, dropped = upsilon_apply(once, 6)
     assert dropped == 0.0
@@ -72,10 +69,11 @@ def test_projector_is_idempotent_and_consistent():
 
 
 def test_selection_matrix_marks_surviving_columns():
-    state = finite_comb(bridge_unit(1), [(-1, 1, 0), (1, 1, 0), (3, 1, 0)])
+    # columns follow the sorted tooth list -3, -1, 1
+    state = finite_comb(bridge_unit(1), [(1, 1, 0), (-1, 1, 0), (-3, 1, 0)])
     M = upsilon_matrix(state, 4)
     assert M.shape == (4, 3) and M.dtype == np.int64
-    assert M.sum() == 2 and M[1, 1] == 1 and M[3, 2] == 1
+    assert M.sum() == 2 and M[3, 0] == 1 and M[1, 1] == 1
     with pytest.raises(ValueError):
         upsilon_matrix(gkp_codeword(1, 0), 4)
     with pytest.raises(InvalidDimension):
@@ -88,7 +86,7 @@ def test_selection_matrix_marks_surviving_columns():
 def test_q_translation_becomes_rotation_phase():
     got = omega_map_translation("q", F(2, 3), 3, 9)
     ref = fock_operator("rotation", 9, theta=F(2, 3))
-    assert phases_equal(got, ref)
+    assert got.phases == ref.phases
 
 
 def test_q_translation_order():
@@ -127,15 +125,64 @@ def test_translation_input_validation():
 # --- gate transport ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_derived_diagonal_gates_match_rotation_forms(N):
-    dim = 8 * N
-    derived = derive_logical_set(N, dim)
-    for gate in ("Z", "S", "T"):
-        ref = rot_logical_op(gate, N, dim)
-        assert phases_equal(derived[gate], ref), gate
-    assert np.array_equal(derived["X"].entries, rot_logical_op("X", N, dim).entries)
-    assert np.allclose(derived["H"].entries, rot_logical_op("H", N, dim).entries)
+def upsilon_exact(state, D):
+    """Upsilon(state) as {level: (magnitude, phase)}: tooth v on an integer in (-D, 0] goes to |-v>."""
+    kept = [t for t in state.entries if t.index.denominator == 1 and -D < t.index <= 0]
+    return {-int(t.index): (t.magnitude, t.phase) for t in kept}
+
+
+def rot_exact(op, levels):
+    """op applied exactly to {level: (magnitude, phase)}: a diagonal by its phases, a shift by its unit band."""
+    if op.phase_num is not None:
+        return {m: (a, mod2(p + op.phases[m])) for m, (a, p) in levels.items()}
+    assert op.structure in ("diagonal", "upper_shift", "lower_shift") and np.all(op.data == 1)
+    return {m - op.offset: v for m, v in levels.items() if 0 <= m - op.offset < op.dim}
+
+
+phase_values = st.integers(0, 7).map(lambda k: F(k, 4)) | st.fractions(-3, 3, max_denominator=12)
+
+
+@st.composite
+def order_n_combs(draw):
+    """An order-N finite comb, its D, and the largest p-translation to try.
+
+    Integer teeth sit on levels anywhere in [0, D); those a gate moves out of
+    the window are dropped on both sides.  The edge rule: integer teeth on
+    levels [D, D + s) would enter the window under a lowering shift by s, and
+    positive teeth v in [1, s] under a raising one, so no tooth is drawn
+    there.  Non-integer teeth (never moved onto an integer) and positive
+    teeth beyond any shift tried are dropped by Upsilon before and after.
+    """
+    N = draw(st.integers(1, 5))
+    D = draw(st.integers(2 * N, 8 * N + 4))
+    k_max = (D - 1) // N
+    levels = draw(st.lists(st.integers(0, D - 1), unique=True, max_size=10))
+    teeth = [(-m, draw(st.integers(1, 3)), draw(phase_values)) for m in levels]
+    fractional = draw(st.lists(st.fractions(-D - 3, D + 3).filter(lambda x: x.denominator > 1), max_size=4))
+    positive = draw(st.lists(st.integers(k_max * N + 1, 2 * D + 4), max_size=3))
+    teeth += [(v, 1, draw(phase_values)) for v in dict.fromkeys([*fractional, *positive])]
+    return N, D, k_max, finite_comb(bridge_unit(N), teeth)
+
+
+@settings(deadline=None, max_examples=150)
+@given(order_n_combs(), st.fractions(-4, 4, max_denominator=9), st.data())
+def test_comb_gates_intertwine_with_rotation_gates(case, r, data):
+    N, D, k_max, comb = case
+    k = data.draw(st.integers(-k_max, k_max))
+    pairs = [(gkp_apply(g, comb, N), rot_logical_op(g, N, D)) for g in ("Z", "S", "T", "X")]
+    pairs.append((gkp_apply("translate_q", comb, N, amount=r), omega_map_translation("q", r / N, N, D)))
+    pairs.append((gkp_apply("translate_p", comb, N, amount=k), omega_map_translation("p", k * N, N, D)))
+    before = upsilon_exact(comb, D)
+    for out, op in pairs:
+        assert upsilon_exact(out, D) == rot_exact(op, before)
+    # the exact levels are the Fock vector's amplitudes
+    vec, _ = upsilon_apply(comb, D)
+    assert np.flatnonzero(vec.amplitudes).tolist() == sorted(before)
+
+
+@pytest.mark.parametrize("N, D", [(1, 3), (2, 5), (3, 7), (5, 11), (8, 17), (8, 64)])
+def test_comb_cz_is_crot_through_upsilon(N, D):
+    assert cz_crot_mismatches(N, D) == 0
 
 
 def test_gate_table_is_exact_for_small_orders():
@@ -146,9 +193,50 @@ def test_gate_table_is_exact_for_small_orders():
             assert row["max_phase_diff"] == 0.0
 
 
-def test_derive_logical_set_needs_room():
+def flip_comb_phase(gate):
+    def apply(monkeypatch):
+        coef, power = combs._PHASE_GATES[gate]
+        monkeypatch.setitem(combs._PHASE_GATES, gate, (-coef, power))
+
+    return apply
+
+
+def flip_comb_x(monkeypatch):
+    monkeypatch.setitem(combs._SHIFT_GATES, "X", -combs._SHIFT_GATES["X"])
+
+
+def flip_rotation(gate):
+    # the adjoint negates a diagonal's phases and turns the lowering X into the raising one
+    def apply(monkeypatch):
+        original = bridge.rot_logical_op
+        flipped = lambda kind, *args: adjoint(original(kind, *args)) if kind == gate else original(kind, *args)
+        monkeypatch.setattr(bridge, "rot_logical_op", flipped)
+
+    return apply
+
+
+MUTATIONS = [(f"comb {g}", g, flip_comb_phase(g)) for g in "ZST"]
+MUTATIONS += [("comb X", "X", flip_comb_x)]
+MUTATIONS += [(f"rotation {g}", g, flip_rotation(g)) for g in "ZSTX"]
+
+
+@pytest.mark.parametrize("label, gate, mutate", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_gate_rows_can_fail(monkeypatch, label, gate, mutate):
+    # At N=1 a Z sign flip cannot be seen: e^{i pi m} = e^{-i pi m}.
+    mutate(monkeypatch)
+    for N in (2, 3, 8):
+        for D in (2 * N, 64):
+            table = bridge_gate_table(N, D)
+            red = [g for g, row in table.items() if not row["exact_match"]]
+            assert red == [gate], (label, N, D, table)
+            assert table[gate]["max_phase_diff"] > 0
+
+
+def test_gate_table_needs_room():
     with pytest.raises(InvalidDimension):
-        derive_logical_set(4, 7)
+        bridge_gate_table(4, 7)
+    with pytest.raises(InvalidDimension):
+        bridge_gate_table(0, 4)
 
 
 # --- error transport -------------------------------------------------------------

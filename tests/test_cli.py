@@ -442,6 +442,11 @@ def test_alg1_size_guard(capsys):
     + [
         ("check-logical-rot3-D256.json", ["check", "--suite", "logical", "--code", "rot 3 --D 256"]),
         ("bridge-N3-D64-H256.json", ["bridge", "--N", "3", "--D", "64", "--hadamard-dim", "256"]),
+    ]
+    + [
+        # D = 2N, the smallest legal D, puts the bridge's check comb at the window edge
+        (f"bridge-N{N}-D{D}.{fmt}", ["bridge", "--N", str(N), "--D", str(D), "--format", fmt])
+        for N, D, fmt in [(1, 2, "json"), (2, 4, "json"), (8, 16, "json"), (8, 64, "md")]
     ],
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
