@@ -52,7 +52,6 @@ from .combs import (
 from .isometries import (
     Alg1Result,
     BlockOperator,
-    Interval,
     PartialIsometryRep,
     SpectrumSpec,
     alg1_pipeline,

@@ -155,7 +155,7 @@ def periodic_comb(
 
 
 def _require_regime(state_unit: CombUnit, n_fold: int) -> None:
-    if state_unit != bridge_unit(n_fold):
+    if not (state_unit.sqrt_pi_exp == 0 and state_unit.scale == n_fold):
         raise UnitMismatch(
             f"state unit {state_unit} is not the integer-spacing regime of order {n_fold}"
         )
@@ -244,8 +244,12 @@ def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> C
     _require_regime(state.unit, n_fold)
     N = n_fold
     if state.entries is not None:
-        teeth = [(t.index, t.magnitude, t.phase + coef * (t.index / N) ** power) for t in state.entries]
-        return finite_comb(state.unit, teeth)
+        # a phase gate keeps every index and magnitude, so the teeth stay sorted and nonzero
+        teeth = tuple(
+            CombTooth(t.index, t.magnitude, mod2(t.phase + coef * (t.index / N) ** power))
+            for t in state.entries
+        )
+        return CombState(state.unit, entries=teeth)
     p = state.periodic
     newton = _newton_coeffs([coef * ((p.offset + t * p.period) / N) ** power for t in range(power + 1)])
     # phases as integer numerators over one common denominator, mod 2 den
@@ -266,8 +270,9 @@ def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:
     _require_regime(state.unit, n_fold)
     shift = r * n_fold
     if state.entries is not None:
-        teeth = [(t.index + shift, t.magnitude, t.phase) for t in state.entries]
-        return finite_comb(state.unit, teeth)
+        # one shift for every tooth keeps their order
+        teeth = tuple(CombTooth(t.index + shift, t.magnitude, t.phase) for t in state.entries)
+        return CombState(state.unit, entries=teeth)
     p = state.periodic
     return periodic_comb(state.unit, p.offset + shift, p.period, p.pattern, p.magnitude)
 

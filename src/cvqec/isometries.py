@@ -2,8 +2,8 @@
 
 Three layers live here:
 
-* exact set arithmetic on spectra (points plus open/closed intervals), used to
-  certify that a family of operators tiles a target spectrum disjointly;
+* exact bookkeeping of point spectra, used to certify that a family of
+  operators tiles a target spectrum disjointly;
 * numerical canonical partial isometries between Hermitian matrices with
   eigenvalue matching, plus assembly of unitaries and cyclic-shift generators
   from isometry families;
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,184 +42,63 @@ GAP_TOL = 1e-8
 # --- spectra as exact sets --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interval:
-    """One interval of a continuous spectrum; None bounds mean +-infinity."""
-
-    lo: Fraction | None
-    hi: Fraction | None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __post_init__(self):
-        lo = None if self.lo is None else as_fraction(self.lo)
-        hi = None if self.hi is None else as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo is None:
-            object.__setattr__(self, "lo_open", True)
-        if hi is None:
-            object.__setattr__(self, "hi_open", True)
-        if lo is not None and hi is not None and lo >= hi:
-            raise ValueError("interval needs lo < hi; single values belong in points")
-
-    def contains(self, x: Fraction) -> bool:
-        if self.lo is not None and (x < self.lo or (x == self.lo and self.lo_open)):
-            return False
-        if self.hi is not None and (x > self.hi or (x == self.hi and self.hi_open)):
-            return False
-        return True
-
-    def __str__(self):
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "inf" if self.hi is None else str(self.hi)
-        return f"{left}{lo}, {hi}{right}"
-
-
-def _scale(specs: Sequence[SpectrumSpec]) -> int:
-    """The least common denominator of every finite end in specs."""
-    ends = [v for s in specs for iv in s.intervals for v in (iv.lo, iv.hi) if v is not None]
-    return math.lcm(*(s.den for s in specs), *(v.denominator for v in ends))
-
-
-def _atom(value: Fraction, scale: int) -> int:
-    return 2 * value.numerator * (scale // value.denominator)
-
-
-def _pieces(specs: Sequence[SpectrumSpec], scale: int) -> list[tuple]:
-    """Every point and interval of specs as (lo, hi, spec index, item), sorted by lo.
-
-    Scaling every end to an integer n = value * scale splits the line into
-    atoms: atom 2n is the point n / scale, atom 2n + 1 the open gap after it.
-    Each piece is then a whole run of atoms, the closed range [lo, hi] (a
-    point is [2n, 2n]; rays run to -inf or inf).  So two pieces share a point
-    iff their ranges meet, and two unions are equal iff their merged runs are.
-    The item is the Interval, or None for a point.
-    """
-    out = []
-    for i, s in enumerate(specs):
-        step = 2 * (scale // s.den)  # numerator to atom; Python ints, as scale may exceed int64
-        out += [(n * step, n * step, i, None) for n in s.point_num.tolist()]
-        for iv in s.intervals:
-            lo = -math.inf if iv.lo is None else _atom(iv.lo, scale) + iv.lo_open
-            hi = math.inf if iv.hi is None else _atom(iv.hi, scale) - iv.hi_open
-            out.append((lo, hi, i, iv))
-    out.sort(key=itemgetter(0))
-    return out
-
-
-def _shared(pieces: list[tuple]) -> Iterator[tuple[tuple, tuple, int]]:
-    """Every pair (a, b) of sorted pieces, a first, that meets, with one shared atom."""
-    active: list[tuple] = []
-    reach = -math.inf  # the highest hi among the active pieces
-    for b in pieces:
-        lo, hi = b[0], b[1]
-        if lo > reach:  # every active piece ends before b
-            active, reach = [b], hi
-            continue
-        active = [a for a in active if a[1] >= lo]
-        for a in active:
-            # they share the atoms from b's lo to the lower hi; name the one nearest 0
-            yield a, b, max(lo, min(a[1], hi, 0))
-        active.append(b)
-        reach = max(reach, hi)
-
-
-def _runs(pieces: list[tuple]) -> list:
-    """The union of sorted pieces as maximal runs of atoms, flat: [lo, hi, lo, hi, ...]."""
-    runs: list = []
-    for lo, hi, _, _ in pieces:
-        if runs and lo <= runs[-1] + 1:
-            runs[-1] = max(runs[-1], hi)
-        else:
-            runs += (lo, hi)
-    return runs
-
-
-def _piece_text(piece: tuple, scale: int) -> str:
-    return str(Fraction(piece[0], 2 * scale) if piece[3] is None else piece[3])
-
-
-def _runs_text(runs: list, scale: int) -> str:
-    points, intervals = [], []
-    for lo, hi in zip(runs[::2], runs[1::2]):
-        if lo == hi and lo % 2 == 0:
-            points.append(str(Fraction(lo, 2 * scale)))
-        else:
-            # an odd end is open: the gap after the point lo // 2, or before -(-hi // 2)
-            left = None if lo == -math.inf else Fraction(lo // 2, scale)
-            right = None if hi == math.inf else Fraction(-(-hi // 2), scale)
-            intervals.append(str(Interval(left, right, lo % 2 == 1, hi % 2 == 1)))
-    return f"points {points} intervals {intervals}"
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SpectrumSpec:
-    """A spectrum as a pure-point part plus disjoint continuous intervals.
+    """A pure-point spectrum: distinct points as sorted int64 numerators over one denominator.
 
-    The points are kept sorted as int64 numerators `point_num` over one
-    denominator `den`; `points` is their Fraction view.  Pass `points` as
-    rationals, or as an integer numerator array over `den`.
+    The points are kept as `point_num` over `den`; `points` is their
+    Fraction view.  Pass `points` as rationals, or as an integer numerator
+    array over `den`.  A point given twice is refused.
     """
 
     point_num: np.ndarray
     den: int
-    intervals: tuple[Interval, ...]
 
-    def __init__(self, points=(), intervals: Sequence[Interval] = (), *, den: int = 1):
+    def __init__(self, points=(), *, den: int = 1):
         num, scale = numerators(points)
-        num = np.sort(num)
+        num.sort()  # a copy: numerators never returns its input
+        repeated = np.flatnonzero(num[1:] == num[:-1])
+        if repeated.size:
+            raise ValueError(f"spectrum point {Fraction(int(num[repeated[0]]), den * scale)} is given twice")
         num.setflags(write=False)
         object.__setattr__(self, "point_num", num)
         object.__setattr__(self, "den", den * scale)
-        object.__setattr__(self, "intervals", tuple(intervals))
-        scale = _scale([self])
-        pieces = _pieces([self], scale)
-        for a, b, _ in _shared(pieces):
-            raise ValueError(
-                f"spectrum pieces {_piece_text(a, scale)} and {_piece_text(b, scale)} share a point"
-            )
-        object.__setattr__(self, "intervals", tuple(p[3] for p in pieces if p[3] is not None))
 
     @property
     def points(self) -> tuple[Fraction, ...]:
         return fraction_view(self.point_num, self.den)
 
 
-def _witness(a: tuple, b: tuple, atom: int, scale: int) -> str:
-    """The report line for pieces of two specs that share `atom`."""
-    # intervals first: a is an interval whenever either piece is
-    a, b = sorted((a, b), key=lambda p: p[3] is None)
-    i, x, k, y = a[2], _piece_text(a, scale), b[2], _piece_text(b, scale)
-    if b[3] is not None:
-        return f"specs {i} and {k} intervals {x} and {y} meet at {Fraction(atom, 2 * scale)}"
-    if a[3] is not None:
-        return f"spec {k} point {y} lies in spec {i} interval {x}"
-    return f"specs {[i, k]} share point {y}"
-
-
 def validate_spectrum_family(specs: Sequence[SpectrumSpec], target: SpectrumSpec) -> dict:
     """Check that specs are pairwise disjoint and their union equals target.
 
-    All comparisons are exact.  One sweep over the family's pieces names
-    every pair of specs that share a point, and one merge of the same pieces
-    gives the union's canonical runs, which must equal the target's.
+    All comparisons are exact.  Every point is scaled to an integer over the
+    least common denominator, and one sort of the (value, spec index) pairs
+    puts the owners of each point side by side: each run of equal values is
+    one point of the union, and every pair of owners in a run is a witness.
     """
-    scale = _scale([*specs, target])
-    pieces = _pieces(specs, scale)
-    witnesses = [_witness(a, b, atom, scale) for a, b, atom in _shared(pieces)]
+    scale = math.lcm(*(s.den for s in specs), target.den)
+    owned = []
+    for i, s in enumerate(specs):
+        step = scale // s.den  # Python ints, as scale may exceed int64
+        owned += [(n * step, i) for n in s.point_num.tolist()]
+    owned.sort(key=itemgetter(0))  # stable: each point's owners stay in spec order
+    union, witnesses = [], []
+    for value, i in owned:
+        if union and union[-1] == value:
+            # by the later owner, then the earlier one
+            witnesses += [f"specs {[k, i]} share point {Fraction(value, scale)}" for k in owners]
+            owners.append(i)
+        else:
+            union.append(value)
+            owners = [i]
     disjoint_ok = not witnesses
-    union = _runs(pieces)
-    del pieces  # free the family's pieces before building the target's: it lowers peak memory
-    want = _runs(_pieces([target], scale))
+    step = scale // target.den
+    want = [n * step for n in target.point_num.tolist()]
     union_ok = union == want
     if not union_ok:
-        witnesses.append(
-            f"union mismatch: family gives {_runs_text(union, scale)}, "
-            f"target has {_runs_text(want, scale)}"
-        )
+        text = lambda values: [str(Fraction(v, scale)) for v in values]
+        witnesses.append(f"union mismatch: family gives points {text(union)}, target has points {text(want)}")
     return {"union_ok": union_ok, "disjoint_ok": disjoint_ok, "witnesses": witnesses}
 
 
@@ -438,13 +317,6 @@ def kappa_extract(block: BlockOperator, label: Label) -> FockOperator:
     if key not in block.labels:
         raise UnknownLabel(f"no block at label {key}")
     return diagonal_value_operator(block.num[block.labels.index(key)], den=block.den)
-
-
-def diagonal_function(op: FockOperator, fn: Callable[[Fraction], Fraction]) -> FockOperator:
-    """Apply a scalar function to an exact diagonal operator, exactly."""
-    if op.exact_diag is None:
-        raise ValueError("operator lacks an exact diagonal")
-    return diagonal_value_operator([fn(v) for v in op.exact_diag])
 
 
 def iota_embed(

@@ -387,6 +387,18 @@ def test_bridge_reports_exact_gates_and_series(capsys):
     assert all(f >= 0.99 for f in series["metrics"]["fidelities"])
 
 
+@pytest.mark.parametrize("dim, red", [(288, set()), (256, {6, 7})])
+def test_readme_bridge_loop_exit_codes(capsys, dim, red):
+    # hadamard_series is red exactly when dim mod 2N lies in [1, N], where the j = 0 sector
+    # keeps one more tooth than j = 1; the README loop runs at 288, where every order passes
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "--eps-series 0.001 --hadamard-dim 288 --format md" in readme
+    argv = ["bridge", "--D", "64", "--eps-series", "0.001", "--hadamard-dim", str(dim), "--format", "md"]
+    codes = {N: main([*argv, "--N", str(N)]) for N in range(1, 9)}
+    capsys.readouterr()
+    assert codes == {N: int(N in red) for N in range(1, 9)}
+
+
 def test_bridge_rejects_out_of_range(capsys):
     assert main(["bridge", "--N", "0"]) == 2
     assert main(["bridge", "--N", "9"]) == 2
@@ -419,7 +431,7 @@ def test_alg1_size_guard(capsys):
     "name, argv",
     [
         (f"alg1-D{D}-G{G}.json", ["alg1", "--D", str(D), "--G", str(G)])
-        for D, G in [(1, 1), (4, 3), (64, 64), (8, 512)]
+        for D, G in [(1, 1), (4, 3), (64, 64), (8, 512), (2048, 2), (1, 4096)]
     ]
     + [
         (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt, "--code", "gkp 2"])

@@ -176,6 +176,11 @@ def test_unit_regime_enforced():
     state = finite_comb(CombUnit(0, F(3)), [(0, 1, 0), (3, 1, 0)])
     with pytest.raises(UnitMismatch):
         gkp_apply("Z", state, 2)
+    # the right scale in units of sqrt(pi) is still not the integer-spacing regime
+    for exp in (-1, 1):
+        state = finite_comb(CombUnit(exp, F(2)), [(0, 1, 0), (2, 1, 0)])
+        with pytest.raises(UnitMismatch):
+            gkp_apply("X", state, 2)
 
 
 # --- gate algebra properties -----------------------------------------------------
@@ -229,6 +234,27 @@ def test_translate_p_inverts(state, r):
     back = gkp_apply("translate_p", gkp_apply("translate_p", state, 2, amount=r), 2, amount=-r)
     same, phase = comb_equal_up_to_phase(state, back)
     assert same and phase == 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 4),
+    st.dictionaries(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.tuples(
+            st.fractions(min_value=0, max_value=3, max_denominator=3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=8),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(["Z", "S", "T", "X", "stab_q", "stab_p", "translate_q", "translate_p"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+def test_finite_gate_outputs_are_canonical(N, teeth, gate, r):
+    # gates build their teeth directly: they must come out sorted, nonzero and reduced mod 2
+    state = finite_comb(bridge_unit(N), [(i, m, p) for i, (m, p) in teeth.items()])
+    out = gkp_apply(gate, state, N, amount=r if gate.startswith("translate") else None)
+    assert out == finite_comb(out.unit, [(t.index, t.magnitude, t.phase) for t in out.entries])
 
 
 @settings(deadline=None, max_examples=40)

@@ -19,14 +19,12 @@ from cvqec.fock import diagonal_value_operator
 from cvqec.isometries import (
     Alg1Result,
     BlockOperator,
-    Interval,
     PartialIsometryRep,
     SpectrumSpec,
     alg1_pipeline,
     alg1_report,
     canonical_partial_isometry,
     cyclic_structure,
-    diagonal_function,
     family_labels,
     iota_embed,
     kappa_extract,
@@ -38,17 +36,6 @@ F = Fraction
 
 
 # --- spectrum sets ---------------------------------------------------------
-
-
-def test_interval_validation_and_membership():
-    with pytest.raises(ValueError):
-        Interval(F(2), F(1))
-    with pytest.raises(ValueError):
-        Interval(F(1), F(1))
-    iv = Interval(F(0), F(1), lo_open=False, hi_open=True)
-    assert iv.contains(F(0)) and iv.contains(F(1, 2)) and not iv.contains(F(1))
-    ray = Interval(None, F(0), hi_open=True)
-    assert ray.contains(F(-100)) and not ray.contains(F(0))
 
 
 def test_point_family_tiles_grid():
@@ -64,188 +51,117 @@ def test_shared_point_is_witnessed():
     target = SpectrumSpec(points=(F(0), F(1), F(2)))
     out = validate_spectrum_family(specs, target)
     assert not out["disjoint_ok"]
-    assert any("share point 1" in w for w in out["witnesses"])
-
-
-def test_half_open_intervals_fuse_exactly():
-    specs = [
-        SpectrumSpec(intervals=(Interval(F(0), F(1), hi_open=True),)),
-        SpectrumSpec(intervals=(Interval(F(1), F(2)),)),
-    ]
-    target = SpectrumSpec(intervals=(Interval(F(0), F(2)),))
-    out = validate_spectrum_family(specs, target)
-    assert out["union_ok"] and out["disjoint_ok"]
-
-
-def test_pinhole_gap_is_not_an_interval():
-    # [0,1) and (1,2] miss the single point 1
-    specs = [
-        SpectrumSpec(intervals=(Interval(F(0), F(1), hi_open=True),)),
-        SpectrumSpec(intervals=(Interval(F(1), F(2), lo_open=True),)),
-    ]
-    target = SpectrumSpec(intervals=(Interval(F(0), F(2)),))
-    out = validate_spectrum_family(specs, target)
-    assert not out["union_ok"] and out["disjoint_ok"]
-    # adding the pinhole as an explicit point repairs the union
-    repaired = validate_spectrum_family(
-        specs + [SpectrumSpec(points=(F(1),))], target
-    )
-    assert repaired["union_ok"] and repaired["disjoint_ok"]
-
-
-def test_point_inside_interval_is_witnessed():
-    specs = [
-        SpectrumSpec(intervals=(Interval(F(0), F(2)),)),
-        SpectrumSpec(points=(F(1),)),
-    ]
-    out = validate_spectrum_family(specs, SpectrumSpec(intervals=(Interval(F(0), F(2)),)))
-    assert not out["disjoint_ok"]
-    assert any("lies in" in w for w in out["witnesses"])
-
-
-def test_overlapping_intervals_are_witnessed():
-    specs = [
-        SpectrumSpec(intervals=(Interval(F(0), F(2)),)),
-        SpectrumSpec(intervals=(Interval(F(1), F(3)),)),
-    ]
-    out = validate_spectrum_family(specs, SpectrumSpec(intervals=(Interval(F(0), F(3)),)))
-    assert not out["disjoint_ok"]
-    assert any("meet at" in w for w in out["witnesses"])
+    assert out["witnesses"] == ["specs [0, 1] share point 1"]
+    # four owners of one point: by the later owner, then the earlier one
+    out = validate_spectrum_family([SpectrumSpec(points=(F(1, 2),))] * 4, SpectrumSpec(points=(F(1, 2),)))
+    assert out["union_ok"] and not out["disjoint_ok"]
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert out["witnesses"] == [f"specs {[i, k]} share point 1/2" for i, k in pairs]
 
 
 def test_single_spec_must_equal_target():
-    spec = SpectrumSpec(points=(F(0),), intervals=(Interval(F(1), F(2)),))
+    spec = SpectrumSpec(points=(F(0), F(1), F(3, 2)))
     assert validate_spectrum_family([spec], spec)["union_ok"]
-    other = SpectrumSpec(points=(F(0),), intervals=(Interval(F(1), F(3)),))
+    other = SpectrumSpec(points=(F(0), F(1), F(5, 2)))
     out = validate_spectrum_family([spec], other)
-    assert not out["union_ok"]
-    assert any("union mismatch" in w for w in out["witnesses"])
+    assert not out["union_ok"] and out["disjoint_ok"]
+    assert out["witnesses"] == [
+        "union mismatch: family gives points ['0', '1', '3/2'], target has points ['0', '1', '5/2']"
+    ]
+    # no specs tile only the empty spectrum
+    assert validate_spectrum_family([], SpectrumSpec())["union_ok"]
+    assert validate_spectrum_family([], spec)["witnesses"] == [
+        "union mismatch: family gives points [], target has points ['0', '1', '3/2']"
+    ]
+
+
+def test_spec_keeps_sorted_read_only_numerators():
+    spec = SpectrumSpec(points=(F(1, 2), F(-1, 3), F(2)))
+    assert spec.den == 6 and spec.point_num.tolist() == [-2, 3, 12]
+    assert spec.point_num.dtype == np.int64 and not spec.point_num.flags.writeable
+    assert spec.points == (F(-1, 3), F(1, 2), F(2))
+    table = np.array([5, -1, 3])
+    over = SpectrumSpec(points=table, den=4)
+    assert over.den == 4 and over.point_num.tolist() == [-1, 3, 5]
+    # the caller's array is neither sorted nor frozen
+    assert table.tolist() == [5, -1, 3] and table.flags.writeable
+
+
+def test_common_denominator_may_exceed_int64():
+    # each spec fits int64, but the family's common denominator 6 (2**59 - 1) 2**57 does not
+    a, b = F(1, 2**59 - 1), F(-1, 2**58)
+    specs = [SpectrumSpec(points=(F(0), a)), SpectrumSpec(points=(b, F(1, 6))), SpectrumSpec(points=(a,))]
+    out = validate_spectrum_family(specs, SpectrumSpec(points=(F(0), a, F(1, 6))))
+    assert not out["union_ok"] and not out["disjoint_ok"]
+    assert out["witnesses"] == [
+        "specs [0, 2] share point 1/576460752303423487",
+        "union mismatch: family gives points ['-1/288230376151711744', '0', '1/576460752303423487', '1/6'], "
+        "target has points ['0', '1/576460752303423487', '1/6']",
+    ]
 
 
 @pytest.mark.parametrize(
-    "points, intervals",
+    "points, den",
     [
-        ((F(1), F(1)), ()),
-        ((), (Interval(F(0), F(2)), Interval(F(1), F(3)))),
-        ((), (Interval(F(0), F(1)), Interval(F(1), F(2)))),
-        ((F(1),), (Interval(F(0), F(2)),)),
-        ((F(2),), (Interval(F(0), F(2)),)),
-        ((F(-5),), (Interval(None, F(0), hi_open=True),)),
+        ((F(1), F(1)), 1),
+        ((F(1, 2), F(0), F(1, 2)), 1),
+        ((F(1, 2), F(3, 6)), 1),  # one point written over two denominators
+        ((1, F(2, 2)), 1),
+        (np.array([3, 1, 3]), 4),
     ],
-    ids=["duplicate points", "overlapping intervals", "closed ends meet", "point inside",
-         "point on closed end", "point under a ray"],
+    ids=["duplicate points", "duplicate among others", "two denominators", "int and fraction",
+         "duplicate numerators"],
 )
-def test_spec_rejects_its_own_overlaps(points, intervals):
-    with pytest.raises(ValueError):
-        SpectrumSpec(points=points, intervals=intervals)
+def test_spec_rejects_its_own_overlaps(points, den):
+    with pytest.raises(ValueError, match="given twice"):
+        SpectrumSpec(points=points, den=den)
 
 
-def test_spec_accepts_point_on_open_end():
-    spec = SpectrumSpec(points=(F(2),), intervals=(Interval(F(0), F(2), hi_open=True),))
-    assert spec.points == (F(2),)
-    closed = SpectrumSpec(intervals=(Interval(F(0), F(2)),))
-    assert validate_spectrum_family([spec], closed)["union_ok"]
-    touching = SpectrumSpec(intervals=(Interval(F(0), F(1), hi_open=True), Interval(F(1), F(2))))
-    assert validate_spectrum_family([touching], closed)["union_ok"]
+# points on a sixths grid, where specs collide, plus two whose denominators are coprime and
+# near 2**59: a family holding both needs a common denominator beyond int64
+BIG = (F(1, 2**59 - 1), F(-1, 2**58))
+POOL = [F(n, 6) for n in range(-6, 7)] + list(BIG)
+spec_points = st.sets(st.sampled_from(POOL), max_size=6).filter(lambda s: not set(BIG) <= s)
 
 
-def _member(piece, x):
-    if not isinstance(piece, Interval):
-        return x == piece
-    above = piece.lo is None or piece.lo < x or (piece.lo == x and not piece.lo_open)
-    below = piece.hi is None or x < piece.hi or (x == piece.hi and not piece.hi_open)
-    return above and below
+def _spec(points, as_sixths):
+    """A spec from rationals, or from numerators over 6 when every point is a sixth."""
+    if as_sixths and all((6 * p).denominator == 1 for p in points):
+        return SpectrumSpec(points=np.array([int(6 * p) for p in points], dtype=np.int64), den=6)
+    return SpectrumSpec(points=points)
 
 
-def _samples(pieces):
-    """Every end, the midpoints between consecutive ends, and a point beyond each extreme."""
-    ends = sorted(
-        {e for p in pieces for e in ((p.lo, p.hi) if isinstance(p, Interval) else (p,)) if e is not None}
-    )
-    if not ends:
-        return [F(0)]
-    return [ends[0] - 1, *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])), ends[-1] + 1]
-
-
-def _meets(a, b):
-    return any(_member(a, x) and _member(b, x) for x in _samples([a, b]))
-
-
-def _spec(pieces):
-    return SpectrumSpec(
-        points=[p for p in pieces if not isinstance(p, Interval)],
-        intervals=[p for p in pieces if isinstance(p, Interval)],
-    )
-
-
-half_grid_points = st.integers(-6, 6).map(lambda n: F(n, 2))
-integer_ends = st.none() | st.integers(-3, 3).map(F)
-integer_intervals = st.tuples(integer_ends, integer_ends, st.booleans(), st.booleans()).filter(
-    lambda t: t[0] is None or t[1] is None or t[0] < t[1]
-).map(lambda t: Interval(*t))
-
-
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=200)
 @given(st.data())
-def test_family_verdicts_match_membership_oracle(data):
-    # the line cut at integer values, as alternating gap and point atoms
-    cuts = sorted(data.draw(st.sets(st.integers(-3, 3).map(F), max_size=4)))
-    bounds = [None, *cuts, None]
-    atoms = []
-    for i in range(len(cuts) + 1):
-        atoms.append((bounds[i], bounds[i + 1]))
-        if i < len(cuts):
-            atoms.append((cuts[i], cuts[i]))
-    cover = data.draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+def test_family_verdicts_match_point_oracle(data):
+    family = data.draw(st.lists(spec_points, min_size=1, max_size=4))
+    union = sorted(set().union(*family))
+    # the target is the union, perhaps with a point dropped and a pool point added
+    target = set(union)
+    if target and data.draw(st.booleans()):
+        target.discard(data.draw(st.sampled_from(union)))
+    if data.draw(st.booleans()):
+        target.add(data.draw(st.sampled_from(POOL)))
+    if set(BIG) <= target:
+        target.discard(data.draw(st.sampled_from(BIG)))
+    specs = [_spec(g, data.draw(st.booleans())) for g in family]
+    out = validate_spectrum_family(specs, _spec(target, data.draw(st.booleans())))
 
-    def is_point(atom):
-        return atom[0] is not None and atom[0] == atom[1]
-
-    def chunked():
-        """The covered atoms cut into pieces at random places."""
-        cut_after = data.draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
-        pieces, start = [], None
-        for i, atom in enumerate(atoms):
-            if not cover[i]:
-                continue
-            start = atom if start is None else start
-            if i + 1 == len(atoms) or not cover[i + 1] or cut_after[i]:
-                if start == atom and is_point(atom):
-                    pieces.append(atom[0])
-                else:  # an end that is a gap atom is open
-                    pieces.append(Interval(start[0], atom[1], not is_point(start), not is_point(atom)))
-                start = None
-        return pieces
-
-    # a family and a target that tile the same set in different pieces ...
-    k = data.draw(st.integers(1, 3))
-    groups = [[] for _ in range(k + 1)]
-    for piece in chunked():
-        groups[data.draw(st.integers(0, k - 1))].append(piece)
-    groups[k] = chunked()
-    # ... then perhaps one family piece dropped and a few random pieces added
-    family_pieces = [p for g in groups[:k] for p in g]
-    if family_pieces and data.draw(st.booleans()):
-        dropped = data.draw(st.sampled_from(family_pieces))
-        groups = [[p for p in g if p is not dropped] for g in groups[:k]] + [groups[k]]
-    for _ in range(data.draw(st.integers(0, 2))):
-        owner = data.draw(st.integers(0, k))
-        piece = data.draw(half_grid_points | integer_intervals)
-        if any(_meets(piece, other) for other in groups[owner]):
-            with pytest.raises(ValueError):
-                _spec(groups[owner] + [piece])
-        else:
-            groups[owner].append(piece)
-
-    *family, target = groups
-    samples = _samples([p for g in groups for p in g])
-    owners = [[i for i, g in enumerate(family) if any(_member(p, x) for p in g)] for x in samples]
-    union = [bool(o) for o in owners]
-    want = [any(_member(p, x) for p in target) for x in samples]
-    out = validate_spectrum_family([_spec(g) for g in family], _spec(target))
-    assert out["disjoint_ok"] == all(len(o) <= 1 for o in owners)
-    assert out["union_ok"] == (union == want)
-    assert (out["witnesses"] == []) == (out["disjoint_ok"] and out["union_ok"])
+    shared = []
+    for x in union:
+        owners = [i for i, g in enumerate(family) if x in g]
+        for b in range(len(owners)):
+            for a in range(b):
+                shared.append(f"specs {[owners[a], owners[b]]} share point {x}")
+    want = shared
+    if set(union) != target:
+        text = lambda points: [str(x) for x in sorted(points)]
+        want = shared + [
+            f"union mismatch: family gives points {text(union)}, target has points {text(target)}"
+        ]
+    assert out["disjoint_ok"] == (not shared)
+    assert out["union_ok"] == (set(union) == target)
+    assert out["witnesses"] == want
 
 
 # --- canonical partial isometries --------------------------------------------
@@ -419,7 +335,7 @@ def test_kappa_round_trips_iota():
 def test_square_embedding_acts_blockwise():
     labels = family_labels(1)
     A = diagonal_value_operator([F(0), F(1), F(2)])
-    emb = iota_embed(lambda op: diagonal_function(op, lambda v: v * v), A, labels)
+    emb = iota_embed(lambda op: diagonal_value_operator([v * v for v in op.exact_diag]), A, labels)
     assert kappa_extract(emb, (1, F(0))).exact_diag == (F(0), F(1), F(4))
     assert kappa_extract(emb, (-1, F(1))).exact_diag == (F(1), F(4), F(9))
 
