@@ -30,7 +30,7 @@ import numpy as np
 
 from .combs import CombState, bridge_unit, finite_comb, gkp_apply, teeth_in_range
 from .errors import InvalidDimension
-from .fock import FockOperator, FockVector, adjoint, fock_operator, identity, rot_logical_op
+from .fock import FockOperator, FockVector, adjoint, fock_operator, rot_logical_op
 from .phases import RationalLike, as_fraction, mod2, phase_to_complex
 
 
@@ -97,10 +97,10 @@ def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int
     """Image of a translation under the bridge.
 
     kind="q": amount a (as a rational multiple of pi per unit index) gives
-    the diagonal phase operator e^{i pi a m}.  kind="p": integer amounts give
-    the number shift by |amount| (lowering for positive amounts); fractional
-    amounts give the exact zero operator, since no integer tooth maps onto
-    another.
+    the diagonal phase operator e^{i pi a m}.  kind="p": an integer amount k
+    gives the unit band at offset k, the number shift by |k| (lowering for
+    k > 0); fractional amounts give the exact zero operator, since no
+    integer tooth maps onto another.
     """
     if n_fold < 1 or dim < 1:
         raise InvalidDimension("n_fold and dim must be >= 1")
@@ -109,14 +109,11 @@ def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int
         return fock_operator("rotation", dim, theta=a)
     if kind == "p":
         if a.denominator != 1:
-            return FockOperator(dim, np.zeros(dim), "diagonal")
-        steps = a.numerator
-        if steps == 0:
-            return identity(dim)
-        if abs(steps) >= dim:
-            raise InvalidDimension(f"shift {steps} does not fit in dimension {dim}")
-        op = fock_operator("number_shift", dim, shift=abs(steps))
-        return op if steps > 0 else adjoint(op)
+            return FockOperator(dim, np.zeros(dim), "band")
+        k = a.numerator
+        if abs(k) >= dim:
+            raise InvalidDimension(f"shift {k} does not fit in dimension {dim}")
+        return FockOperator(dim, np.ones(dim - abs(k)), "band", offset=k)
     raise ValueError(f"unknown translation kind {kind!r}")
 
 
@@ -152,8 +149,7 @@ def _levels(state: CombState, D: int) -> dict[int, tuple[Fraction, Fraction]]:
 
 def _rot_image(op: FockOperator, levels: dict) -> dict | None:
     """op applied exactly to `levels`, from its exact phases or unit band; None for any other op."""
-    banded = op.structure in ("diagonal", "upper_shift", "lower_shift")
-    if op.phase_num is None and not (banded and np.all(op.data == 1)):
+    if op.phase_num is None and not (op.structure == "band" and np.all(op.data == 1)):
         return None
     out = {}
     for m, (magnitude, phase) in levels.items():

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, isometries
 from .bridge import bridge_gate_table, map_error_generators
 from .combs import comb_to_json_dict, gkp_codeword
 from .errors import CVCodeError
@@ -238,6 +238,7 @@ def _detect_suite_rot(
 
 
 def cmd_check(config: argparse.Namespace) -> int:
+    _require(config.inject_gamma is None or config.suite == "detect", "--inject-gamma needs --suite detect")
     with open(config.code, encoding="utf-8") as fh:
         bundle = json.load(fh)
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
@@ -265,8 +266,12 @@ def cmd_check(config: argparse.Namespace) -> int:
         "bundle codewords must be a list of objects",
     )
     words = [FockVector.from_json_dict({k: _field(w, k) for k in ("dim", "entries")}) for w in words]
+    # the primitive decides which rows run, so it must be one build-code accepts
+    primitive = _field(bundle, "primitive")
+    _require(isinstance(primitive, str), f"rot primitive must be a string, got {primitive!r}")
+    ideal = _parse_primitive(primitive, D) is None
     suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
-    return _finish(config, suite(N, D, words, bundle.get("primitive") == "ideal", config))
+    return _finish(config, suite(N, D, words, ideal, config))
 
 
 def cmd_bridge(config: argparse.Namespace) -> int:
@@ -305,7 +310,8 @@ def cmd_bridge(config: argparse.Namespace) -> int:
 def cmd_alg1(config: argparse.Namespace) -> int:
     _require(config.D >= 1 and config.G >= 1, "D and G must be >= 1")
     _require(config.D * config.G <= MAX_ALG1_CELLS, f"D*G must stay <= {MAX_ALG1_CELLS}")
-    report = alg1_report(config.D, config.G)
+    # through the module attribute, which bench/spans.py patches to time the pipeline
+    report = alg1_report(isometries.alg1_pipeline(config.D, config.G))
     ok = (
         report["union_ok"]
         and report["disjoint_ok"]

@@ -1,12 +1,13 @@
 """Truncated number-basis states, operators, and rotation-code constructions.
 
 Operators on the first D number states are stored by their structure: a
-diagonal or a number shift keeps one band vector, a residue-class kernel
-such as logical H keeps its table of 2N^2 values, and only a caller-supplied
-"dense" operator keeps a D x D matrix.  Diagonal operators built from rational
-angles or eigenvalues also keep them exactly, as an int64 numerator array
-over one denominator (see `phases`).  That is what lets the bridge check
-the comb gates against the rotation-side ones exactly.
+diagonal or a number shift is one band at a signed offset from the main
+diagonal, a residue-class kernel such as logical H keeps its table of 2N^2
+values, and only a caller-supplied "dense" operator keeps a D x D matrix.
+Diagonal operators built from rational angles or eigenvalues also keep them
+exactly, as an int64 numerator array over one denominator (see `phases`).
+That is what lets the bridge check the comb gates against the rotation-side
+ones exactly.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from .phases import (
 )
 
 SUPPORT_TOL = 1e-12
-
-# sign of the band's offset from the main diagonal, per banded structure
-_BAND_SIGN = {"diagonal": 0, "upper_shift": 1, "lower_shift": -1}
 
 # logical Z, S, T carry the phase m^k / (k N^k) at level m
 _PHASE_POWERS = {"Z": 1, "S": 2, "T": 4}
@@ -113,13 +111,14 @@ class FockVector:
 class FockOperator:
     """Operator on the truncated number basis, stored by its structure.
 
-    For "dense", `data` is the dim x dim matrix.  For "diagonal",
-    "upper_shift" and "lower_shift" it is the one band that may be nonzero:
-    the diagonal at `offset` 0, +shift or -shift, of length dim - shift.
+    For "dense", `data` is the dim x dim matrix.  For "band" it is the one
+    band that may be nonzero, of length dim - |offset|, with entry i at
+    (i, i + offset), or at (i - offset, i) for a negative offset: offset +s
+    is a lowering shift by s, -s a raising one, and 0 the main diagonal.
     For "kernel" it is a table of P values, and entry (m, m') is
     data[m m' mod P].  `entries` builds the dense matrix on demand.
 
-    A diagonal operator may keep its values exactly, as int64 numerators
+    The band at offset 0 may keep its values exactly, as int64 numerators
     over the one denominator `den`: `phase_num` for the phases of a
     unit-modulus operator (units of pi, reduced into [0, 2 den)), and
     `diag_num` for the eigenvalues of a Hermitian generator.  Either implies
@@ -132,7 +131,7 @@ class FockOperator:
     dim: int
     data: np.ndarray
     structure: str = "dense"
-    shift: int = 0
+    offset: int = 0
     phase_num: np.ndarray | None = None
     diag_num: np.ndarray | None = None
     den: int = 1
@@ -144,9 +143,9 @@ class FockOperator:
             shape = (self.dim, self.dim)
         elif self.structure == "kernel":
             shape = (max(np.size(self.data), 1),)
-        elif self.structure in _BAND_SIGN:
-            if self.structure != "diagonal" and not 1 <= self.shift < self.dim:
-                raise InvalidDimension(f"shift {self.shift} out of range for dim {self.dim}")
+        elif self.structure == "band":
+            if not abs(self.offset) < self.dim:
+                raise InvalidDimension(f"offset {self.offset} out of range for dim {self.dim}")
             shape = (self.dim - abs(self.offset),)
         else:
             raise ValueError(f"unknown structure tag {self.structure!r}")
@@ -163,7 +162,7 @@ class FockOperator:
             num = getattr(self, name)
             if num is None:
                 continue
-            if self.structure != "diagonal":
+            if self.structure != "band" or self.offset:
                 raise ValueError(f"{name} only makes sense for diagonal operators")
             num = np.asarray(num)
             if num.dtype.kind not in "iu" or num.shape != (self.dim,):
@@ -187,11 +186,6 @@ class FockOperator:
         return None if self.diag_num is None else fraction_view(self.diag_num, self.den)
 
     @property
-    def offset(self) -> int:
-        """Offset of the stored band from the main diagonal (0 for dense)."""
-        return _BAND_SIGN.get(self.structure, 0) * self.shift
-
-    @property
     def entries(self) -> np.ndarray:
         """The dense dim x dim matrix, read-only."""
         if self.structure == "dense":
@@ -210,7 +204,7 @@ class FockOperator:
 
 
 def identity(dim: int) -> FockOperator:
-    return FockOperator(dim, np.ones(dim), structure="diagonal")
+    return FockOperator(dim, np.ones(dim), structure="band")
 
 
 def diagonal_phase_operator(phases: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
@@ -225,7 +219,7 @@ def diagonal_phase_operator(phases: Sequence[RationalLike] | np.ndarray, *, den:
     num %= 2 * den
     angle = np.pi * (num / den)
     data = np.cos(angle) + 1j * np.sin(angle)
-    return FockOperator(len(num), data, structure="diagonal", phase_num=num, den=den)
+    return FockOperator(len(num), data, structure="band", phase_num=num, den=den)
 
 
 def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
@@ -235,7 +229,7 @@ def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray, *, den:
     """
     num, scale = numerators(values)
     den *= scale
-    return FockOperator(len(num), num / den, structure="diagonal", diag_num=num, den=den)
+    return FockOperator(len(num), num / den, structure="band", diag_num=num, den=den)
 
 
 def fock_operator(
@@ -260,7 +254,7 @@ def fock_operator(
     if kind == "number":
         return diagonal_value_operator(np.arange(dim))
     if kind == "annihilation":
-        return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="upper_shift", shift=1)
+        return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="band", offset=1)
     if kind == "rotation":
         if theta is None:
             raise ValueError("rotation requires theta")
@@ -269,24 +263,23 @@ def fock_operator(
             den = frac.denominator
             return diagonal_phase_operator(frac.numerator % (2 * den) * np.arange(dim), den=den)
         angles = float(theta) * np.arange(dim)
-        return FockOperator(dim, np.exp(1j * angles), structure="diagonal")
+        return FockOperator(dim, np.exp(1j * angles), structure="band")
     if kind == "number_shift":
         if shift is None:
             raise ValueError("number_shift requires shift")
         if not 1 <= shift < dim:
             raise InvalidDimension(f"shift {shift} outside [1, {dim})")
-        return FockOperator(dim, np.ones(dim - shift), structure="upper_shift", shift=shift)
+        return FockOperator(dim, np.ones(dim - shift), structure="band", offset=shift)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def adjoint(op: FockOperator) -> FockOperator:
-    """Conjugate transpose; a shift's band moves to the opposite offset (a kernel is symmetric)."""
-    flipped = {"upper_shift": "lower_shift", "lower_shift": "upper_shift"}
+    """Conjugate transpose; a band moves to the opposite offset (a kernel is symmetric)."""
     return FockOperator(
         op.dim,
         op.data.conj().T,
-        structure=flipped.get(op.structure, op.structure),
-        shift=op.shift,
+        structure=op.structure,
+        offset=-op.offset,
         phase_num=None if op.phase_num is None else -op.phase_num,
         diag_num=op.diag_num,
         den=op.den,

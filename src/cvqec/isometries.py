@@ -37,6 +37,7 @@ HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
 UNITARY_TOL = 1e-8
 GAP_TOL = 1e-8
+MATCH_TOL = 1e-8
 
 
 # --- spectra as exact sets --------------------------------------------------
@@ -151,12 +152,13 @@ def _checked_eigh(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def canonical_partial_isometry(X: np.ndarray, Y: np.ndarray, match_tol: float = 1e-8) -> PartialIsometryRep:
+def canonical_partial_isometry(X: np.ndarray, Y: np.ndarray) -> PartialIsometryRep:
     """Eigenvalue-matched partial isometry from the Y eigenbasis to the X one.
 
     V maps each Y eigenvector onto the X eigenvector of the (unique) matching
-    eigenvalue; K and L are the spectral projectors onto the matched subspaces.
-    An empty match returns the zero map (is_zero set) rather than raising.
+    eigenvalue, within MATCH_TOL; K and L are the spectral projectors onto
+    the matched subspaces.  An empty match returns the zero map (is_zero set)
+    rather than raising.
     """
     wx, ux = _checked_eigh(X, "X")
     wy, uy = _checked_eigh(Y, "Y")
@@ -164,7 +166,7 @@ def canonical_partial_isometry(X: np.ndarray, Y: np.ndarray, match_tol: float = 
     matches = []
     i = j = 0
     while i < len(wx) and j < len(wy):
-        if abs(wx[i] - wy[j]) <= match_tol:
+        if abs(wx[i] - wy[j]) <= MATCH_TOL:
             pairs.append((float(wx[i]), float(wy[j])))
             matches.append((i, j))
             i += 1
@@ -427,10 +429,9 @@ def alg1_pipeline(D: int, G: int) -> Alg1Result:
     return Alg1Result(D, G, labels, block_op, tuple(sigma.tolist()), residuals)
 
 
-def alg1_report(D: int, G: int) -> dict:
-    """Pipeline run plus the spectrum-family certificate, ready to serialize."""
-    result = alg1_pipeline(D, G)
-    table = result.block_op
+def alg1_report(result: Alg1Result) -> dict:
+    """A pipeline run's figures plus its spectrum-family certificate, ready to serialize."""
+    D, G, table = result.D, result.G, result.block_op
     specs = [SpectrumSpec(points=row, den=table.den) for row in table.num]
     target = SpectrumSpec(points=np.arange(-D * G, D * G), den=G)
     family = validate_spectrum_family(specs, target)

@@ -75,7 +75,7 @@ def _error_row(name: str, M: np.ndarray, tol: float) -> ErrorRow:
 
 def detectability_check(
     codewords: Sequence[FockVector],
-    errors: Mapping[str, FockOperator] | Sequence[FockOperator],
+    errors: Mapping[str, FockOperator],
     tol: float,
     pairwise: bool = False,
 ) -> DetectabilityReport:
@@ -88,10 +88,7 @@ def detectability_check(
     taken from the images of the codewords, so no product is formed.
     """
     _check_codewords(codewords)
-    if isinstance(errors, Mapping):
-        named = list(errors.items())
-    else:
-        named = [(f"E{i}", op) for i, op in enumerate(errors)]
+    named = list(errors.items())
     images = [[apply_operator(op, w) for w in codewords] for _, op in named]
     rows = tuple(_error_row(name, _gram(codewords, image), tol) for (name, _), image in zip(named, images))
     pair_rows = ()

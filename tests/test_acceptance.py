@@ -148,7 +148,7 @@ def test_criterion_5_discretization_identities_hold_exactly():
     for D, G in ((2, 2), (4, 3), (8, 4)):
         t0 = time.monotonic()
         result = alg1_pipeline(D, G)
-        cert = alg1_report(D, G)
+        cert = alg1_report(result)
         t1 = time.monotonic()
         assert cert["union_ok"] and cert["disjoint_ok"] and cert["witnesses"] == []
         U = result.u_matrix()

@@ -99,13 +99,12 @@ def test_q_translation_order():
     assert all(p == 0 for p in total)
 
 
-def test_p_translation_becomes_number_shift():
-    got = omega_map_translation("p", 2, 2, 6)
-    assert got.structure == "upper_shift" and got.shift == 2
-    assert np.allclose(got.entries, np.eye(6, k=2))
-    raised = omega_map_translation("p", -2, 2, 6)
-    assert raised.structure == "lower_shift"
-    assert np.allclose(raised.entries, np.eye(6, k=-2))
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_p_translation_becomes_number_shift(k):
+    # k > 0 lowers the level by k, k < 0 raises it, k = 0 is the identity
+    got = omega_map_translation("p", k, 2, 6)
+    assert got.structure == "band" and got.offset == k
+    assert np.array_equal(got.entries, np.eye(6, k=k))
 
 
 def test_fractional_p_translation_is_zero():
@@ -135,7 +134,7 @@ def rot_exact(op, levels):
     """op applied exactly to {level: (magnitude, phase)}: a diagonal by its phases, a shift by its unit band."""
     if op.phase_num is not None:
         return {m: (a, mod2(p + op.phases[m])) for m, (a, p) in levels.items()}
-    assert op.structure in ("diagonal", "upper_shift", "lower_shift") and np.all(op.data == 1)
+    assert op.structure == "band" and np.all(op.data == 1)
     return {m - op.offset: v for m, v in levels.items() if 0 <= m - op.offset < op.dim}
 
 
@@ -252,7 +251,7 @@ def test_sample_angles_sit_strictly_inside_sector():
 def test_error_set_contents():
     errs = map_error_generators(3, 12, rotation_samples=2)
     assert set(errs) == {"gamma_1", "gamma_1_dag", "gamma_2", "gamma_2_dag", "rotation_1", "rotation_2"}
-    assert errs["gamma_2"].structure == "upper_shift"
+    assert errs["gamma_2"].structure == "band" and errs["gamma_2"].offset == 2
     assert np.allclose(errs["gamma_1_dag"].entries, np.eye(12, k=-1))
     assert errs["rotation_1"].phases is not None
 

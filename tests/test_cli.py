@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqec import __version__
+from cvqec import __version__, cli, combs, fock, isometries
 from cvqec.cli import MAX_D, MAX_N, MAX_WINDOW, _bundle_text, main
 from cvqec.combs import comb_to_json_dict, gkp_codeword
 from cvqec.fock import approx_ideal_rot_codeword
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def run_json(capsys, argv):
@@ -144,6 +145,13 @@ def test_detect_suite_flags_injected_undetectable(rot_bundle, capsys):
     by_name = {r["name"]: r for r in report["results"]}
     assert not by_name["detect_gamma_2_injected"]["pass"]
     assert by_name["detect_gamma_1"]["pass"]
+
+
+@pytest.mark.parametrize("bundle", ["rot_bundle", "gkp_bundle"])
+def test_inject_gamma_needs_detect_suite(bundle, request, capsys):
+    # a logical report would echo the option in its config without an injected row
+    path = request.getfixturevalue(bundle)
+    assert_quiet_exit_2(capsys, ["check", "--code", str(path), "--suite", "logical", "--inject-gamma", "5"])
 
 
 def test_detect_suite_on_sparse_primitive_code(tmp_path, capsys):
@@ -276,6 +284,13 @@ def _retyped(bundle, field, value):
         ("codeword.entries", [["0.1", 0.0]] * 16, "number pairs"),
         ("codeword.entries", [[0.1, [0.2]]] * 16, "number pairs"),
         ("codeword.entries", [[None, 0.0]] * 16, "number pairs"),
+        # the primitive decides whether the truncation-limited rows run
+        ("primitive", MISSING, "bundle lacks field 'primitive'"),
+        ("primitive", 7, "primitive must be a string"),
+        ("primitive", None, "primitive must be a string"),
+        ("primitive", ["ideal"], "primitive must be a string"),
+        ("primitive", "banana", "unrecognized primitive"),
+        ("primitive", "fock:", "at least one level"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
@@ -522,6 +537,32 @@ def test_parser_reuse_keeps_reports(tmp_path, capsys):
 def test_unknown_command_exits_nonzero(capsys):
     assert main(["frobnicate"]) != 0
     capsys.readouterr()
+
+
+def test_trace_spans_cover_every_layer(tmp_path, monkeypatch):
+    # the benchmark's --trace 1 patches these modules; a renamed or by-name import breaks it
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    rot, gkp, out = (str(tmp_path / name) for name in ("rot.json", "gkp.json", "out.json"))
+    jobs = [
+        ["build-code", "--family", "rot", "--N", "2", "--D", "16", "--out", rot],
+        ["check", "--code", rot, "--suite", "logical", "--out", out],
+        ["check", "--code", rot, "--suite", "detect", "--out", out],
+        ["build-code", "--family", "gkp", "--N", "2", "--out", gkp],
+        ["check", "--code", gkp, "--suite", "logical", "--out", out],
+        ["bridge", "--N", "2", "--D", "16", "--hadamard-dim", "16", "--out", out],
+        ["alg1", "--D", "2", "--G", "2", "--out", out],
+    ]
+    tracer = spans.Tracer()
+    modules = {"cli": cli, "combs": combs, "fock": fock, "isometries": isometries}
+    comb = combs.periodic_comb(combs.bridge_unit(2), 0, 4, [0])
+    with spans.instrument(tracer, modules):
+        codes = [tracer.call("cli", cli.main, argv) for argv in jobs]
+        tracer.call("combs.gate", combs.gkp_apply, "S", comb, 2)
+    assert 2 not in codes
+    assert {span[0] for span in tracer.spans} == set(spans.SPAN_METRICS)
+    assert tracer.counts["fock.operators"] > 0
 
 
 # --- reproducibility -----------------------------------------------------------------

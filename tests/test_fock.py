@@ -73,7 +73,7 @@ def test_number_shift_matrix_and_adjoint():
     # lowering: |4> -> |2>
     assert np.allclose(apply_operator(g, basis(5, 4)).amplitudes, basis(5, 2).amplitudes)
     g_dag = adjoint(g)
-    assert g_dag.structure == "lower_shift"
+    assert g_dag.structure == "band" and g_dag.offset == -2
     assert np.allclose(apply_operator(g_dag, basis(5, 2)).amplitudes, basis(5, 4).amplitudes)
 
 
@@ -86,17 +86,23 @@ def test_adjoint_negates_exact_phases():
 
 def test_exact_data_is_kept_over_the_least_denominator():
     # 16/8, 4/8, 24/8, 12/8 reduce mod 2 to 0, 1/2, 1, 3/2: numerators 0..3 over 2
-    op = FockOperator(4, [1, 1j, -1, -1j], "diagonal", phase_num=np.array([16, 4, 24, 12]), den=8)
+    op = FockOperator(4, [1, 1j, -1, -1j], "band", phase_num=np.array([16, 4, 24, 12]), den=8)
     assert op.den == 2 and op.phase_num.tolist() == [0, 1, 2, 3]
     assert op.phases == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
     ref = fock_operator("rotation", 4, theta=Fraction(1, 2))
     assert op.den == ref.den and np.array_equal(op.phase_num, ref.phase_num)
-    n = FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0, 6]), den=6)
+    n = FockOperator(2, [0, 1], "band", diag_num=np.array([0, 6]), den=6)
     assert n.den == 1 and n.exact_diag == (Fraction(0), Fraction(1))
     with pytest.raises(InvalidDimension):
-        FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0.0, 1.0]))
+        FockOperator(2, [0, 1], "band", diag_num=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        FockOperator(2, [0, 1], "diagonal", diag_num=np.array([0, 1]), den=0)
+        FockOperator(2, [0, 1], "band", diag_num=np.array([0, 1]), den=0)
+    # exact data lives on the main diagonal only, and a band lies inside the matrix
+    with pytest.raises(ValueError, match="diagonal operators"):
+        FockOperator(2, [1], "band", offset=-1, phase_num=np.array([0, 1]))
+    for offset in (2, -2):
+        with pytest.raises(InvalidDimension, match="out of range"):
+            FockOperator(2, [], "band", offset=offset)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
@@ -329,14 +335,12 @@ def test_logical_h_stores_no_dense_matrix():
     assert np.max(np.abs(out[r] - want)) < 1e-15
 
 
-@pytest.mark.parametrize(
-    "structure, n", [("diagonal", 0), ("upper_shift", 3), ("lower_shift", 3), ("kernel", 5), ("kernel", 30)]
-)
+@pytest.mark.parametrize("structure, n", [("band", -3), ("band", 0), ("band", 3), ("kernel", 5), ("kernel", 30)])
 def test_band_action_matches_dense_matrix(structure, n):
-    # n is a band's shift, or a kernel's table size P, below and above dim
+    # n is a band's offset, or a kernel's table size P, below and above dim
     rng = np.random.default_rng(11)
     dim = 12
-    size = n if structure == "kernel" else dim - n
+    size = n if structure == "kernel" else dim - abs(n)
     band = rng.normal(size=size) + 1j * rng.normal(size=size)
     op = FockOperator(dim, band, structure, 0 if structure == "kernel" else n)
     vec = random_state(rng, dim)

@@ -399,7 +399,7 @@ def test_sigma_is_a_bijection(D, G):
 
 
 def test_report_certifies_family():
-    out = alg1_report(4, 3)
+    out = alg1_report(alg1_pipeline(4, 3))
     assert out["union_ok"] and out["disjoint_ok"] and out["witnesses"] == []
     assert out["dim"] == 24
     assert all(r == 0.0 for r in out["residuals"].values())

@@ -138,11 +138,6 @@ def test_nan_entry_fails_the_verdict(nan_at):
     assert not _error_row("nan", M, tol=1e-6).passed
 
 
-def test_unnamed_errors_get_indexed_names():
-    report = detectability_check(trivial_code(), [identity(8)], tol=1e-9)
-    assert report.rows[0].name == "E0"
-
-
 @settings(deadline=None, max_examples=30)
 @given(
     st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
@@ -157,7 +152,7 @@ def test_scalar_plus_offspace_noise_passes(c, seed):
     rows = [1, 3, 4, 5, 6, 7]
     junk[np.ix_(rows, rows)] = rng.normal(size=(6, 6))
     op = FockOperator(dim, c * np.eye(dim) + junk, "dense")
-    report = detectability_check(words, [op], tol=1e-9)
+    report = detectability_check(words, {"op": op}, tol=1e-9)
     assert report.passed
     assert report.rows[0].c_E == pytest.approx(c)
 
