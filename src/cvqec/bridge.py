@@ -33,6 +33,8 @@ from .errors import InvalidDimension
 from .fock import FockOperator, FockVector, adjoint, fock_operator, rot_logical_op
 from .phases import RationalLike, as_fraction, mod2, phase_to_complex
 
+ROTATION_SAMPLES = 8  # sampled rotation errors in the mapped error set
+
 
 def _integer_teeth(state: CombState, D: int):
     """Teeth on integers v with -v in [0, D), plus the squared mass elsewhere."""
@@ -117,29 +119,28 @@ def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int
     raise ValueError(f"unknown translation kind {kind!r}")
 
 
-def rotation_sample_angles(n_fold: int, samples: int = 8) -> list[Fraction]:
-    """Evenly spaced angles strictly inside (0, pi/N), as rationals of pi."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    return [Fraction(s, n_fold * (samples + 1)) for s in range(1, samples + 1)]
+def rotation_sample_angles(n_fold: int) -> list[Fraction]:
+    """ROTATION_SAMPLES evenly spaced angles strictly inside (0, pi/N), as rationals of pi."""
+    return [Fraction(s, n_fold * (ROTATION_SAMPLES + 1)) for s in range(1, ROTATION_SAMPLES + 1)]
 
 
-def map_error_generators(n_fold: int, dim: int, rotation_samples: int = 8) -> dict[str, FockOperator]:
-    """Mapped error set: number shifts below the code order plus sampled rotations.
+def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, FockOperator], dict[str, FockOperator]]:
+    """Mapped error set: the number shifts below the code order, and the sampled rotations.
 
-    Keys are "gamma_l" / "gamma_l_dag" for l = 1..N-1 and "rotation_s" for
-    the s-th sampled angle; rotation operators carry their exact angle.
+    The shifts are keyed "gamma_l" / "gamma_l_dag" for l = 1..N-1, the
+    rotations "rotation_s" for the s-th sampled angle; rotation operators
+    carry their exact angle.
     """
     if dim <= n_fold:
         raise InvalidDimension("dim must exceed n_fold")
-    out: dict[str, FockOperator] = {}
+    shifts: dict[str, FockOperator] = {}
     for l in range(1, n_fold):
         shift = fock_operator("number_shift", dim, shift=l)
-        out[f"gamma_{l}"] = shift
-        out[f"gamma_{l}_dag"] = adjoint(shift)
-    for s, theta in enumerate(rotation_sample_angles(n_fold, rotation_samples), start=1):
-        out[f"rotation_{s}"] = fock_operator("rotation", dim, theta=theta)
-    return out
+        shifts[f"gamma_{l}"] = shift
+        shifts[f"gamma_{l}_dag"] = adjoint(shift)
+    angles = enumerate(rotation_sample_angles(n_fold), start=1)
+    rotations = {f"rotation_{s}": fock_operator("rotation", dim, theta=theta) for s, theta in angles}
+    return shifts, rotations
 
 
 def _levels(state: CombState, D: int) -> dict[int, tuple[Fraction, Fraction]]:

@@ -221,9 +221,7 @@ def _detect_rows(words: list[FockVector], errors: dict, tol: float) -> list[dict
 def _detect_suite_rot(
     N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
-    generators = map_error_generators(N, D)
-    shifts = {k: v for k, v in generators.items() if k.startswith("gamma")}
-    rotations = {k: v for k, v in generators.items() if k.startswith("rotation")}
+    shifts, rotations = map_error_generators(N, D)
     if config.inject_gamma is not None:
         _require(1 <= config.inject_gamma < D, "injected shift outside [1, D)")
         shifts[f"gamma_{config.inject_gamma}_injected"] = fock_operator(
@@ -232,8 +230,10 @@ def _detect_suite_rot(
     results = []
     if shifts:
         results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)
-    if ideal and rotations:
+    if ideal:
         results += _detect_rows(words, rotations, DETECT_TOL_ROTATION)
+    # N = 1 has no shift below its order, so without ideal rotation rows nothing could fail
+    _require(bool(results), f"detect suite has no rows for N={N} and a non-ideal primitive")
     return results
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     UnknownLabel,
 )
 from .fock import FockOperator, diagonal_value_operator
-from .phases import as_fraction, fraction_view, numerators
+from .phases import as_fraction, fraction_view
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
@@ -43,64 +42,40 @@ MATCH_TOL = 1e-8
 # --- spectra as exact sets --------------------------------------------------
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class SpectrumSpec:
-    """A pure-point spectrum: distinct points as sorted int64 numerators over one denominator.
+def validate_spectrum_family(rows, target, den: int = 1) -> dict:
+    """Check that the rows' point spectra are pairwise disjoint and their union equals target.
 
-    The points are kept as `point_num` over `den`; `points` is their
-    Fraction view.  Pass `points` as rationals, or as an integer numerator
-    array over `den`.  A point given twice is refused.
+    Each row is an integer array of numerators over one denominator `den`
+    (a 2-D table counts as its rows); target holds distinct ones over `den`.
+    All comparisons are exact: one stable sort of the (value, row) pairs
+    puts the owners of each point side by side in row order.  Each run of
+    equal values is one point of the union, and each pair of occurrences in
+    a run is a witness, so a point repeated inside one row is witnessed by
+    that row twice.
     """
-
-    point_num: np.ndarray
-    den: int
-
-    def __init__(self, points=(), *, den: int = 1):
-        num, scale = numerators(points)
-        num.sort()  # a copy: numerators never returns its input
-        repeated = np.flatnonzero(num[1:] == num[:-1])
-        if repeated.size:
-            raise ValueError(f"spectrum point {Fraction(int(num[repeated[0]]), den * scale)} is given twice")
-        num.setflags(write=False)
-        object.__setattr__(self, "point_num", num)
-        object.__setattr__(self, "den", den * scale)
-
-    @property
-    def points(self) -> tuple[Fraction, ...]:
-        return fraction_view(self.point_num, self.den)
-
-
-def validate_spectrum_family(specs: Sequence[SpectrumSpec], target: SpectrumSpec) -> dict:
-    """Check that specs are pairwise disjoint and their union equals target.
-
-    All comparisons are exact.  Every point is scaled to an integer over the
-    least common denominator, and one sort of the (value, spec index) pairs
-    puts the owners of each point side by side: each run of equal values is
-    one point of the union, and every pair of owners in a run is a witness.
-    """
-    scale = math.lcm(*(s.den for s in specs), target.den)
-    owned = []
-    for i, s in enumerate(specs):
-        step = scale // s.den  # Python ints, as scale may exceed int64
-        owned += [(n * step, i) for n in s.point_num.tolist()]
-    owned.sort(key=itemgetter(0))  # stable: each point's owners stay in spec order
-    union, witnesses = [], []
-    for value, i in owned:
-        if union and union[-1] == value:
-            # by the later owner, then the earlier one
-            witnesses += [f"specs {[k, i]} share point {Fraction(value, scale)}" for k in owners]
-            owners.append(i)
-        else:
-            union.append(value)
-            owners = [i]
-    disjoint_ok = not witnesses
-    step = scale // target.den
-    want = [n * step for n in target.point_num.tolist()]
-    union_ok = union == want
+    if isinstance(rows, np.ndarray):
+        values, owner = rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1])
+    else:
+        rows = [np.asarray(r) for r in rows]
+        values = np.concatenate([np.zeros(0, np.int64), *rows])
+        owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    want = np.sort(target)
+    if values.dtype.kind not in "iu" or want.dtype.kind not in "iu":
+        raise TypeError("spectrum rows and target must be integer numerator arrays")
+    order = np.argsort(values, kind="stable")
+    values, owner = values[order], owner[order].tolist()
+    new = np.r_[True, values[1:] != values[:-1]][: values.size]  # where each run of equal values starts
+    start = np.maximum.accumulate(np.where(new, np.arange(values.size), 0))
+    witnesses = []
+    for p in np.flatnonzero(~new).tolist():  # repeats only: by the later owner, then the earlier ones
+        point = Fraction(int(values[p]), den)
+        witnesses += [f"specs {[k, owner[p]]} share point {point}" for k in owner[start[p] : p]]
+    union = values[new]
+    union_ok = bool(np.array_equal(union, want))
     if not union_ok:
-        text = lambda values: [str(Fraction(v, scale)) for v in values]
+        text = lambda num: [str(Fraction(v, den)) for v in num.tolist()]
         witnesses.append(f"union mismatch: family gives points {text(union)}, target has points {text(want)}")
-    return {"union_ok": union_ok, "disjoint_ok": disjoint_ok, "witnesses": witnesses}
+    return {"union_ok": union_ok, "disjoint_ok": bool(new.all()), "witnesses": witnesses}
 
 
 # --- canonical partial isometries -------------------------------------------
@@ -284,29 +259,36 @@ Label = tuple[int, Fraction]
 class BlockOperator:
     """Direct sum of diagonal blocks indexed by (tau, nu), as one exact table.
 
-    Row i of the int64 table `num`, over the one denominator `den`, is the
-    exact diagonal of the block at labels[i].  A block per label and one
-    block dimension are built into the table's shape.
+    Block i has the label (tau[i], nu[i]/den), and row i of the int64 table
+    `num`, over the same denominator `den`, is its exact diagonal.  A block
+    per label and one block dimension are built into the table's shape.
     """
 
-    labels: tuple[Label, ...]
+    tau: np.ndarray
+    nu: np.ndarray
     num: np.ndarray
     den: int = 1
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        tau, nu, num = (np.array(a) for a in (self.tau, self.nu, self.num))
+        shaped = tau.ndim == 1 and nu.shape == tau.shape and num.ndim == 2 and len(num) == len(tau)
+        if not shaped or any(a.dtype.kind not in "iu" for a in (tau, nu, num)):
+            raise InvalidDimension("the table needs one integer row per integer label")
+        if not np.all((tau == 1) | (tau == -1)):
+            raise ValueError("tau must be -1 or +1")
+        if not np.all((0 <= nu) & (nu <= self.den)):
+            raise ValueError("nu must lie in [0, 1]")
+        key = np.sort(nu + (tau > 0) * (self.den + 1))  # one key per label, now that both are in range
+        if np.any(key[1:] == key[:-1]):
             raise ValueError("labels must be distinct")
-        for tau, nu in self.labels:
-            if tau not in (-1, 1):
-                raise ValueError("tau must be -1 or +1")
-            if not (0 <= nu <= 1):
-                raise ValueError("nu must lie in [0, 1]")
-        num = np.array(self.num)
-        if num.dtype.kind not in "iu" or num.ndim != 2 or len(num) != len(self.labels):
-            raise InvalidDimension("the table needs one integer row per label")
-        num = num.astype(np.int64)
-        num.setflags(write=False)
-        object.__setattr__(self, "num", num)
+        for name, a in (("tau", tau), ("nu", nu), ("num", num)):
+            a = a.astype(np.int64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        return tuple(zip(self.tau.tolist(), fraction_view(self.nu, self.den)))
 
     def diagonal_values(self) -> tuple[Fraction, ...]:
         """Concatenated exact diagonal across blocks, in label order."""
@@ -315,10 +297,12 @@ class BlockOperator:
 
 def kappa_extract(block: BlockOperator, label: Label) -> FockOperator:
     """Pull one block out of a direct sum."""
-    key = (label[0], as_fraction(label[1]))
-    if key not in block.labels:
-        raise UnknownLabel(f"no block at label {key}")
-    return diagonal_value_operator(block.num[block.labels.index(key)], den=block.den)
+    tau, nu = label[0], as_fraction(label[1])
+    scaled = nu * block.den  # block i has this nu when nu[i] equals it, so only when it is an integer
+    row = np.flatnonzero((block.tau == tau) & (block.nu == scaled.numerator) & (scaled.denominator == 1))
+    if not row.size:
+        raise UnknownLabel(f"no block at label {(tau, nu)}")
+    return diagonal_value_operator(block.num[row[0]], den=block.den)
 
 
 def iota_embed(
@@ -341,21 +325,10 @@ def iota_embed(
         if block.diag_num is None:
             raise ValueError("series action must return an exact diagonal operator")
         blocks.append(block)
-    den = math.lcm(*(b.den for b in blocks))
-    return BlockOperator(keys, [b.diag_num * (den // b.den) for b in blocks], den)
-
-
-def family_labels(G: int) -> tuple[Label, ...]:
-    """The 2G labels (+1, g/G) for g=0..G-1 and (-1, g/G) for g=1..G.
-
-    The endpoint asymmetry keeps the block spectra pairwise disjoint at
-    every resolution.
-    """
-    if G < 1:
-        raise InvalidDimension("G must be >= 1")
-    plus = tuple((1, Fraction(g, G)) for g in range(G))
-    minus = tuple((-1, Fraction(g, G)) for g in range(1, G + 1))
-    return plus + minus
+    den = math.lcm(*(b.den for b in blocks), *(nu.denominator for _, nu in keys))
+    tau = np.array([t for t, _ in keys], dtype=np.int64)
+    nu = np.array([nu.numerator * (den // nu.denominator) for _, nu in keys], dtype=np.int64)
+    return BlockOperator(tau, nu, [b.diag_num * (den // b.den) for b in blocks], den)
 
 
 @dataclass(frozen=True)
@@ -370,7 +343,6 @@ class Alg1Result:
 
     D: int
     G: int
-    labels: tuple[Label, ...]
     block_op: BlockOperator
     sigma: tuple[int, ...]
     residuals: dict[str, float]
@@ -404,11 +376,12 @@ def alg1_pipeline(D: int, G: int) -> Alg1Result:
     """
     if D < 1 or G < 1:
         raise InvalidDimension("D and G must be >= 1")
-    labels = family_labels(G)
     m = np.arange(D, dtype=np.int64)
-    # label (tau, nu) with nu = g/G in lowest terms holds tau (G m + g) over G
-    tau, g = np.array([(t, nu.numerator * (G // nu.denominator)) for t, nu in labels]).T
-    block_op = BlockOperator(labels, tau[:, None] * (G * m + g[:, None]), G)
+    # labels (+1, g/G) for g = 0..G-1, then (-1, g/G) for g = 1..G: the endpoint
+    # asymmetry keeps the block spectra pairwise disjoint at every resolution
+    tau = np.repeat(np.array([1, -1]), G)
+    g = np.r_[np.arange(G), np.arange(1, G + 1)]
+    block_op = BlockOperator(tau, g, tau[:, None] * (G * m + g[:, None]), G)
     block_values = block_op.num.ravel()
     size = 2 * D * G
     grid = np.arange(size) - D * G
@@ -426,19 +399,17 @@ def alg1_pipeline(D: int, G: int) -> Alg1Result:
     }
     if any(r != 0.0 for r in residuals.values()):
         raise RuntimeError(f"pipeline identities violated: {residuals}")
-    return Alg1Result(D, G, labels, block_op, tuple(sigma.tolist()), residuals)
+    return Alg1Result(D, G, block_op, tuple(sigma.tolist()), residuals)
 
 
 def alg1_report(result: Alg1Result) -> dict:
     """A pipeline run's figures plus its spectrum-family certificate, ready to serialize."""
     D, G, table = result.D, result.G, result.block_op
-    specs = [SpectrumSpec(points=row, den=table.den) for row in table.num]
-    target = SpectrumSpec(points=np.arange(-D * G, D * G), den=G)
-    family = validate_spectrum_family(specs, target)
+    family = validate_spectrum_family(table.num, np.arange(-D * G, D * G), G)
     return {
         "D": D,
         "G": G,
-        "label_count": len(result.labels),
+        "label_count": len(table.tau),
         "dim": len(result.sigma),
         "union_ok": family["union_ok"],
         "disjoint_ok": family["disjoint_ok"],

@@ -197,9 +197,7 @@ def test_criterion_7_order_three_error_set():
     # Known red: the achieved numbers are printed before the pinned assertions.
     N, D, eps = 3, 256, 1e-4
     words = [approx_ideal_rot_codeword(N, j, D, eps) for j in (0, 1)]
-    generators = map_error_generators(N, D, rotation_samples=8)
-    shifts = {k: v for k, v in generators.items() if k.startswith("gamma")}
-    rotations = {k: v for k, v in generators.items() if k.startswith("rotation")}
+    shifts, rotations = map_error_generators(N, D)
 
     shift_report = detectability_check(words, shifts, tol=1e-6)
     shift_dev = max(max(r.off_diag_max, r.diag_spread) for r in shift_report.rows)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _helpers import cz_crot_mismatches
 from cvqec import bridge, combs
 from cvqec.bridge import (
+    ROTATION_SAMPLES,
     bridge_gate_table,
     map_error_generators,
     omega_map_translation,
@@ -242,27 +243,28 @@ def test_gate_table_needs_room():
 
 
 def test_sample_angles_sit_strictly_inside_sector():
-    angles = rotation_sample_angles(3, samples=8)
-    assert len(angles) == 8
+    angles = rotation_sample_angles(3)
+    assert len(angles) == ROTATION_SAMPLES == 8
     assert all(F(0) < a < F(1, 3) for a in angles)
     assert angles[0] == F(1, 27) and angles[-1] == F(8, 27)
 
 
 def test_error_set_contents():
-    errs = map_error_generators(3, 12, rotation_samples=2)
-    assert set(errs) == {"gamma_1", "gamma_1_dag", "gamma_2", "gamma_2_dag", "rotation_1", "rotation_2"}
-    assert errs["gamma_2"].structure == "band" and errs["gamma_2"].offset == 2
-    assert np.allclose(errs["gamma_1_dag"].entries, np.eye(12, k=-1))
-    assert errs["rotation_1"].phases is not None
+    shifts, rotations = map_error_generators(3, 12)
+    assert list(shifts) == ["gamma_1", "gamma_1_dag", "gamma_2", "gamma_2_dag"]
+    assert list(rotations) == [f"rotation_{s}" for s in range(1, 9)]
+    assert shifts["gamma_2"].structure == "band" and shifts["gamma_2"].offset == 2
+    assert np.allclose(shifts["gamma_1_dag"].entries, np.eye(12, k=-1))
+    assert rotations["rotation_1"].phases is not None
 
 
 def test_order_one_code_has_no_shift_errors():
-    errs = map_error_generators(1, 8)
-    assert all(k.startswith("rotation_") for k in errs)
+    shifts, rotations = map_error_generators(1, 8)
+    assert shifts == {} and len(rotations) == ROTATION_SAMPLES
 
 
 @settings(deadline=None, max_examples=20)
-@given(st.integers(1, 6), st.integers(1, 12))
-def test_sampled_angles_avoid_stabilizer_multiples(N, samples):
-    for a in rotation_sample_angles(N, samples):
+@given(st.integers(1, 64))
+def test_sampled_angles_avoid_stabilizer_multiples(N):
+    for a in rotation_sample_angles(N):
         assert (a * N) % 2 != 0

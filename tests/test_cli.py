@@ -166,6 +166,18 @@ def test_detect_suite_on_sparse_primitive_code(tmp_path, capsys):
     assert all(r["name"].startswith("detect_gamma") for r in report["results"])
 
 
+def test_detect_suite_without_rows_is_refused(tmp_path, capsys):
+    # N = 1 has no shift below its order and a non-ideal code runs no rotation row: a report
+    # with no rows could not fail, so it exits 2; an injected shift gives it a row again
+    path = tmp_path / "order1.json"
+    argv = ["build-code", "--family", "rot", "--N", "1", "--D", "8", "--primitive", "fock:0,1"]
+    assert main([*argv, "--out", str(path)]) == 0
+    for fmt in ("json", "md"):
+        assert_quiet_exit_2(capsys, ["check", "--code", str(path), "--suite", "detect", "--format", fmt])
+    code, report = run_json(capsys, ["check", "--code", str(path), "--suite", "detect", "--inject-gamma", "2"])
+    assert code == 0 and [r["name"] for r in report["results"]] == ["detect_gamma_2_injected"]
+
+
 def test_gkp_logical_suite_is_exact(gkp_bundle, capsys):
     code, report = run_json(capsys, ["check", "--code", str(gkp_bundle), "--suite", "logical"])
     assert code == 0
@@ -448,6 +460,7 @@ def test_alg1_size_guard(capsys):
         (f"alg1-D{D}-G{G}.json", ["alg1", "--D", str(D), "--G", str(G)])
         for D, G in [(1, 1), (4, 3), (64, 64), (8, 512), (2048, 2), (1, 4096)]
     ]
+    + [("alg1-D8-G4.md", ["alg1", "--D", "8", "--G", "4", "--format", "md"])]
     + [
         (f"check-logical-gkp2.{fmt}", ["check", "--suite", "logical", "--format", fmt, "--code", "gkp 2"])
         for fmt in ("json", "md")

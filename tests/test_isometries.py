@@ -20,12 +20,10 @@ from cvqec.isometries import (
     Alg1Result,
     BlockOperator,
     PartialIsometryRep,
-    SpectrumSpec,
     alg1_pipeline,
     alg1_report,
     canonical_partial_isometry,
     cyclic_structure,
-    family_labels,
     iota_embed,
     kappa_extract,
     unitary_from_family,
@@ -40,122 +38,89 @@ F = Fraction
 
 def test_point_family_tiles_grid():
     # blocks {0,1}, {-1,-2} tile the grid {-2,-1,0,1}
-    specs = [SpectrumSpec(points=(F(0), F(1))), SpectrumSpec(points=(F(-1), F(-2)))]
-    target = SpectrumSpec(points=(F(-2), F(-1), F(0), F(1)))
-    out = validate_spectrum_family(specs, target)
+    out = validate_spectrum_family([np.array([0, 1]), np.array([-1, -2])], np.arange(-2, 2))
     assert out["union_ok"] and out["disjoint_ok"] and out["witnesses"] == []
+    # a 2-D table counts as its rows
+    assert validate_spectrum_family(np.array([[0, 1], [-1, -2]]), [1, -2, 0, -1]) == out
 
 
 def test_shared_point_is_witnessed():
-    specs = [SpectrumSpec(points=(F(0), F(1))), SpectrumSpec(points=(F(1), F(2)))]
-    target = SpectrumSpec(points=(F(0), F(1), F(2)))
-    out = validate_spectrum_family(specs, target)
+    out = validate_spectrum_family([np.array([0, 1]), np.array([1, 2])], np.arange(3))
     assert not out["disjoint_ok"]
     assert out["witnesses"] == ["specs [0, 1] share point 1"]
     # four owners of one point: by the later owner, then the earlier one
-    out = validate_spectrum_family([SpectrumSpec(points=(F(1, 2),))] * 4, SpectrumSpec(points=(F(1, 2),)))
+    out = validate_spectrum_family(np.array([[1]] * 4), [1], den=2)
     assert out["union_ok"] and not out["disjoint_ok"]
     pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     assert out["witnesses"] == [f"specs {[i, k]} share point 1/2" for i, k in pairs]
 
 
 def test_single_spec_must_equal_target():
-    spec = SpectrumSpec(points=(F(0), F(1), F(3, 2)))
-    assert validate_spectrum_family([spec], spec)["union_ok"]
-    other = SpectrumSpec(points=(F(0), F(1), F(5, 2)))
-    out = validate_spectrum_family([spec], other)
+    row = np.array([0, 2, 3])  # 0, 1, 3/2 over halves
+    assert validate_spectrum_family([row], row, den=2)["union_ok"]
+    out = validate_spectrum_family([row], np.array([0, 2, 5]), den=2)
     assert not out["union_ok"] and out["disjoint_ok"]
     assert out["witnesses"] == [
         "union mismatch: family gives points ['0', '1', '3/2'], target has points ['0', '1', '5/2']"
     ]
-    # no specs tile only the empty spectrum
-    assert validate_spectrum_family([], SpectrumSpec())["union_ok"]
-    assert validate_spectrum_family([], spec)["witnesses"] == [
+    # no rows tile only the empty spectrum
+    assert validate_spectrum_family([], np.zeros(0, np.int64))["union_ok"]
+    assert validate_spectrum_family([], row, den=2)["witnesses"] == [
         "union mismatch: family gives points [], target has points ['0', '1', '3/2']"
     ]
-
-
-def test_spec_keeps_sorted_read_only_numerators():
-    spec = SpectrumSpec(points=(F(1, 2), F(-1, 3), F(2)))
-    assert spec.den == 6 and spec.point_num.tolist() == [-2, 3, 12]
-    assert spec.point_num.dtype == np.int64 and not spec.point_num.flags.writeable
-    assert spec.points == (F(-1, 3), F(1, 2), F(2))
-    table = np.array([5, -1, 3])
-    over = SpectrumSpec(points=table, den=4)
-    assert over.den == 4 and over.point_num.tolist() == [-1, 3, 5]
-    # the caller's array is neither sorted nor frozen
-    assert table.tolist() == [5, -1, 3] and table.flags.writeable
-
-
-def test_common_denominator_may_exceed_int64():
-    # each spec fits int64, but the family's common denominator 6 (2**59 - 1) 2**57 does not
-    a, b = F(1, 2**59 - 1), F(-1, 2**58)
-    specs = [SpectrumSpec(points=(F(0), a)), SpectrumSpec(points=(b, F(1, 6))), SpectrumSpec(points=(a,))]
-    out = validate_spectrum_family(specs, SpectrumSpec(points=(F(0), a, F(1, 6))))
-    assert not out["union_ok"] and not out["disjoint_ok"]
-    assert out["witnesses"] == [
-        "specs [0, 2] share point 1/576460752303423487",
-        "union mismatch: family gives points ['-1/288230376151711744', '0', '1/576460752303423487', '1/6'], "
-        "target has points ['0', '1/576460752303423487', '1/6']",
-    ]
+    with pytest.raises(TypeError, match="integer"):
+        validate_spectrum_family([np.array([0.5])], [0])
 
 
 @pytest.mark.parametrize(
-    "points, den",
+    "rows, den, witnesses",
     [
-        ((F(1), F(1)), 1),
-        ((F(1, 2), F(0), F(1, 2)), 1),
-        ((F(1, 2), F(3, 6)), 1),  # one point written over two denominators
-        ((1, F(2, 2)), 1),
-        (np.array([3, 1, 3]), 4),
+        ([np.array([1, 1])], 1, ["specs [0, 0] share point 1"]),
+        ([np.array([2]), np.array([1, 0, 1])], 2, ["specs [1, 1] share point 1/2"]),
+        ([np.array([3, 1, 3])], 4, ["specs [0, 0] share point 3/4"]),
+        ([np.array([5, 5, 5])], 1, ["specs [0, 0] share point 5"] * 3),
+        (np.array([[1, 2], [2, 2]]), 3, ["specs [0, 1] share point 2/3", "specs [0, 1] share point 2/3",
+                                         "specs [1, 1] share point 2/3"]),
     ],
-    ids=["duplicate points", "duplicate among others", "two denominators", "int and fraction",
-         "duplicate numerators"],
+    ids=["duplicate points", "duplicate among others", "duplicate numerators", "three times", "table row"],
 )
-def test_spec_rejects_its_own_overlaps(points, den):
-    with pytest.raises(ValueError, match="given twice"):
-        SpectrumSpec(points=points, den=den)
+def test_point_repeated_in_one_row_is_witnessed(rows, den, witnesses):
+    # each pair of occurrences of a value is one witness, within a row as across rows
+    target = np.unique(np.concatenate(list(rows)))
+    out = validate_spectrum_family(rows, target, den)
+    assert out == {"union_ok": True, "disjoint_ok": False, "witnesses": witnesses}
 
 
-# points on a sixths grid, where specs collide, plus two whose denominators are coprime and
-# near 2**59: a family holding both needs a common denominator beyond int64
-BIG = (F(1, 2**59 - 1), F(-1, 2**58))
-POOL = [F(n, 6) for n in range(-6, 7)] + list(BIG)
-spec_points = st.sets(st.sampled_from(POOL), max_size=6).filter(lambda s: not set(BIG) <= s)
-
-
-def _spec(points, as_sixths):
-    """A spec from rationals, or from numerators over 6 when every point is a sixth."""
-    if as_sixths and all((6 * p).denominator == 1 for p in points):
-        return SpectrumSpec(points=np.array([int(6 * p) for p in points], dtype=np.int64), den=6)
-    return SpectrumSpec(points=points)
+# rows of numerators over sixths, ragged, where points collide within and across rows
+row_points = st.lists(st.integers(-6, 6), max_size=6)
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_family_verdicts_match_point_oracle(data):
-    family = data.draw(st.lists(spec_points, min_size=1, max_size=4))
+    family = data.draw(st.lists(row_points, max_size=4))
     union = sorted(set().union(*family))
-    # the target is the union, perhaps with a point dropped and a pool point added
+    # the target is the union, perhaps with a point dropped and a grid point added
     target = set(union)
     if target and data.draw(st.booleans()):
         target.discard(data.draw(st.sampled_from(union)))
     if data.draw(st.booleans()):
-        target.add(data.draw(st.sampled_from(POOL)))
-    if set(BIG) <= target:
-        target.discard(data.draw(st.sampled_from(BIG)))
-    specs = [_spec(g, data.draw(st.booleans())) for g in family]
-    out = validate_spectrum_family(specs, _spec(target, data.draw(st.booleans())))
+        target.add(data.draw(st.integers(-6, 6)))
+    rows = [np.array(g, dtype=np.int64) for g in family]
+    if family and len({len(g) for g in family}) == 1 and data.draw(st.booleans()):
+        rows = np.array(family, dtype=np.int64).reshape(len(family), -1)
+    out = validate_spectrum_family(rows, np.array(sorted(target), dtype=np.int64), den=6)
 
     shared = []
     for x in union:
-        owners = [i for i, g in enumerate(family) if x in g]
+        # every occurrence of x, in row order: each pair of occurrences is one witness
+        owners = [i for i, g in enumerate(family) for y in g if y == x]
         for b in range(len(owners)):
             for a in range(b):
-                shared.append(f"specs {[owners[a], owners[b]]} share point {x}")
+                shared.append(f"specs {[owners[a], owners[b]]} share point {F(x, 6)}")
     want = shared
     if set(union) != target:
-        text = lambda points: [str(x) for x in sorted(points)]
+        text = lambda points: [str(F(x, 6)) for x in sorted(points)]
         want = shared + [
             f"union mismatch: family gives points {text(union)}, target has points {text(target)}"
         ]
@@ -314,16 +279,15 @@ def test_cyclic_rotated_blocks_still_exact():
 
 
 def test_labels_cover_both_signs():
-    labels = family_labels(2)
-    assert labels == ((1, F(0)), (1, F(1, 2)), (-1, F(1, 2)), (-1, F(1)))
-    with pytest.raises(InvalidDimension):
-        family_labels(0)
+    table = alg1_pipeline(1, 2).block_op
+    assert table.labels == ((1, F(0)), (1, F(1, 2)), (-1, F(1, 2)), (-1, F(1)))
+    # nu is an integer over the table's one denominator
+    assert table.tau.tolist() == [1, 1, -1, -1] and table.nu.tolist() == [0, 1, 1, 2] and table.den == 2
 
 
 def test_kappa_round_trips_iota():
-    labels = family_labels(1)
     A = diagonal_value_operator([F(0), F(1), F(2)])
-    emb = iota_embed(lambda op: op, A, labels)
+    emb = iota_embed(lambda op: op, A, ((1, F(0)), (-1, F(1))))
     back = kappa_extract(emb, (1, F(0)))
     assert back.exact_diag == (F(0), F(1), F(2))
     neg = kappa_extract(emb, (-1, F(1)))
@@ -332,27 +296,48 @@ def test_kappa_round_trips_iota():
         kappa_extract(emb, (1, F(1, 2)))
 
 
-def test_square_embedding_acts_blockwise():
-    labels = family_labels(1)
+def test_labels_over_mixed_denominators_share_the_table_denominator():
     A = diagonal_value_operator([F(0), F(1), F(2)])
-    emb = iota_embed(lambda op: diagonal_value_operator([v * v for v in op.exact_diag]), A, labels)
+    labels = ((1, F(1, 2)), (-1, F(1, 3)), (1, 1))
+    emb = iota_embed(lambda op: op, A, labels)
+    assert emb.den == 6 and emb.nu.tolist() == [3, 2, 6]
+    assert emb.labels == ((1, F(1, 2)), (-1, F(1, 3)), (1, F(1)))
+    assert kappa_extract(emb, (1, F(1, 2))).exact_diag == (F(1, 2), F(3, 2), F(5, 2))
+    assert kappa_extract(emb, (-1, F(1, 3))).exact_diag == (F(-1, 3), F(-4, 3), F(-7, 3))
+    assert kappa_extract(emb, (1, 1)).exact_diag == (F(1), F(2), F(3))
+    # a nu off the table's sixths, even far off, or on them under the other tau, is no label
+    for label in ((1, F(1, 4)), (1, F(1, 2**70)), (1, F(1, 3)), (-1, F(1, 2))):
+        with pytest.raises(UnknownLabel):
+            kappa_extract(emb, label)
+
+
+def test_square_embedding_acts_blockwise():
+    A = diagonal_value_operator([F(0), F(1), F(2)])
+    square = lambda op: diagonal_value_operator([v * v for v in op.exact_diag])
+    emb = iota_embed(square, A, ((1, F(0)), (-1, F(1))))
     assert kappa_extract(emb, (1, F(0))).exact_diag == (F(0), F(1), F(4))
     assert kappa_extract(emb, (-1, F(1))).exact_diag == (F(1), F(4), F(9))
 
 
 def test_block_operator_validation():
-    table = BlockOperator(((1, F(0)), (-1, F(1))), np.array([[0, 1], [-2, -3]]), 2)
+    table = BlockOperator([1, -1], [0, 2], np.array([[0, 1], [-2, -3]]), 2)
+    assert table.labels == ((1, F(0)), (-1, F(1)))
     assert table.diagonal_values() == (F(0), F(1, 2), F(-1), F(-3, 2))
+    assert not (table.tau.flags.writeable or table.nu.flags.writeable or table.num.flags.writeable)
     with pytest.raises(ValueError, match="tau"):
-        BlockOperator(((2, F(0)),), np.array([[0]]))
-    with pytest.raises(ValueError, match="nu"):
-        BlockOperator(((1, F(3, 2)),), np.array([[0]]))
+        BlockOperator([2], [0], np.array([[0]]))
+    for nu in (-1, 3):  # nu = -1/2 and 3/2
+        with pytest.raises(ValueError, match="nu"):
+            BlockOperator([1], [nu], np.array([[0]]), 2)
     with pytest.raises(ValueError, match="distinct"):
-        BlockOperator(((1, F(0)), (1, F(0))), np.array([[0], [1]]))
-    # one integer row per label
+        BlockOperator([1, 1], [1, 1], np.array([[0], [1]]), 2)
+    # integer labels, and one integer row per label
+    for tau, nu in (([1.0, -1.0], [0, 1]), ([1, -1], [0.0, 1.0])):
+        with pytest.raises(InvalidDimension):
+            BlockOperator(tau, nu, np.array([[0], [1]]))
     for num in (np.array([[0]]), np.array([0, 1]), np.array([[0.0], [1.0]])):
         with pytest.raises(InvalidDimension):
-            BlockOperator(((1, F(0)), (-1, F(1))), num)
+            BlockOperator([1, -1], [0, 1], num)
 
 
 # --- discretization pipeline ------------------------------------------------------
@@ -360,7 +345,7 @@ def test_block_operator_validation():
 
 def test_pipeline_smallest_case_frozen():
     result = alg1_pipeline(1, 1)
-    assert result.labels == ((1, F(0)), (-1, F(1)))
+    assert result.block_op.labels == ((1, F(0)), (-1, F(1)))
     assert kappa_extract(result.block_op, (1, F(0))).exact_diag == (F(0),)
     assert kappa_extract(result.block_op, (-1, F(1))).exact_diag == (F(-1),)
     assert result.grid_values == (F(-1), F(0))
