@@ -72,29 +72,6 @@ def upsilon_apply(state: CombState, D: int) -> tuple[FockVector, float]:
     return FockVector(D, amps), dropped
 
 
-def upsilon_project(state: CombState, D: int) -> CombState:
-    """The comb-side projector picking out the integer teeth v with -v in [0, D)."""
-    if D < 1:
-        raise InvalidDimension("D must be >= 1")
-    kept, _ = _integer_teeth(state, D)
-    return finite_comb(state.unit, [(t.index, t.magnitude, t.phase) for t in kept])
-
-
-def upsilon_matrix(state: CombState, D: int) -> np.ndarray:
-    """0/1 selection matrix from the comb's finite tooth list into Fock space.
-
-    Column order follows the tooth list; row -v is hit when tooth t sits on
-    an integer v with -v in [0, D).
-    """
-    if state.entries is None:
-        raise ValueError("matrix form needs a finite comb")
-    M = np.zeros((D, len(state.entries)), dtype=np.int64)
-    for col, t in enumerate(state.entries):
-        if t.index.denominator == 1 and -D < t.index <= 0:
-            M[-int(t.index), col] = 1
-    return M
-
-
 def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int) -> FockOperator:
     """Image of a translation under the bridge.
 

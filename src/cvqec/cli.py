@@ -45,6 +45,9 @@ MAX_N = 64
 MAX_BRIDGE_N = 8
 MAX_ALG1_CELLS = 4096
 MAX_WINDOW = MAX_D // 2  # a windowed gkp codeword then has at most MAX_D + 1 teeth
+# the largest bundle build-code writes under these caps is 2,344,586 bytes (gkp N=64,
+# --window MAX_WINDOW); this must grow with MAX_D
+MAX_BUNDLE_BYTES = 8 * 2**20
 
 # exact rows (rational phases, disjoint supports) vs truncation-limited rows
 LOGICAL_TOL_EXACT = 1e-9
@@ -144,6 +147,18 @@ def _gkp_codewords(N: int, window: int | None) -> list[dict]:
     return [comb_to_json_dict(gkp_codeword(N, j, window=window)) for j in (0, 1)]
 
 
+def _rot_codewords(N: int, D: int, primitive: str, eps: object) -> tuple[list[FockVector], bool]:
+    """The order-N rot codewords build-code writes, and whether the primitive is ideal."""
+    vector = _parse_primitive(primitive, D)
+    if vector is None:
+        _require(D >= 2 * N, "ideal family needs D >= 2N")
+        _require(type(eps) in (int, float), f"the ideal primitive needs a number eps, got {eps!r}")
+        # through the module global, which bench/spans.py patches
+        return [approx_ideal_rot_codeword(N, j, D, eps) for j in (0, 1)], True
+    _require(rot_primitive_validity(vector, N), "primitive misses one of the two codeword sectors")
+    return [rot_codeword_from_primitive(vector, N, j) for j in (0, 1)], False
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -153,23 +168,12 @@ def cmd_build_code(config: argparse.Namespace) -> int:
     bundle = {"tool_version": __version__, "family": config.family, "N": config.N}
     if config.family == "rot":
         _require(1 <= config.D <= MAX_D, f"D must be in [1, {MAX_D}]")
-        primitive = _parse_primitive(config.primitive, config.D)
-        if primitive is None:
-            _require(config.D >= 2 * config.N, "ideal family needs D >= 2N")
-            words = [
-                approx_ideal_rot_codeword(config.N, j, config.D, config.eps) for j in (0, 1)
-            ]
-        else:
-            _require(
-                rot_primitive_validity(primitive, config.N),
-                "primitive misses one of the two codeword sectors",
-            )
-            words = [rot_codeword_from_primitive(primitive, config.N, j) for j in (0, 1)]
+        words, ideal = _rot_codewords(config.N, config.D, config.primitive, config.eps)
         bundle.update(
             {
                 "D": config.D,
                 "primitive": config.primitive,
-                "eps": config.eps if primitive is None else None,
+                "eps": config.eps if ideal else None,
                 "codewords": [w.to_json_dict() for w in words],
             }
         )
@@ -239,37 +243,38 @@ def _detect_suite_rot(
 
 def cmd_check(config: argparse.Namespace) -> int:
     _require(config.inject_gamma is None or config.suite == "detect", "--inject-gamma needs --suite detect")
-    with open(config.code, encoding="utf-8") as fh:
-        bundle = json.load(fh)
+    with open(config.code, "rb") as fh:
+        text = fh.read(MAX_BUNDLE_BYTES + 1)
+    _require(len(text) <= MAX_BUNDLE_BYTES, f"bundle file is longer than {MAX_BUNDLE_BYTES} bytes")
+    bundle = json.loads(text.decode("utf-8"))
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
     family = bundle.get("family")
     _require(family in ("rot", "gkp"), f"bundle has unknown family {family!r}")
     N = _field(bundle, "N")
     _require(type(N) is int, "bundle N must be an integer")
     _require(1 <= N <= MAX_N, f"N must be in [1, {MAX_N}]")
+    # both families rebuild their codewords from N and the primitive
+    primitive = _field(bundle, "primitive")
+    _require(isinstance(primitive, str), f"bundle primitive must be a string, got {primitive!r}")
     if family == "gkp":
         _require(
             config.suite == "logical",
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
-        primitive = _field(bundle, "primitive")
-        match = re.fullmatch(r"ideal|window:([0-9]+)", primitive if isinstance(primitive, str) else "")
+        match = re.fullmatch(r"ideal|window:([0-9]+)", primitive)
         _require(match is not None, f"gkp primitive must be ideal or window:W, got {primitive!r}")
         words = _gkp_codewords(N, None if match[1] is None else int(match[1]))
         _require(_field(bundle, "codewords") == words, "bundle codewords are not its N's gkp codewords")
         return _finish(config, gkp_exact_suite(N))
-    D, words = _field(bundle, "D"), _field(bundle, "codewords")
+    D, eps = _field(bundle, "D"), _field(bundle, "eps")
     _require(type(D) is int, "bundle D must be an integer")
     _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
+    words, ideal = _rot_codewords(N, D, primitive, eps)
+    _require(ideal or eps is None, f"a non-ideal primitive's eps must be null, got {eps!r}")
     _require(
-        isinstance(words, list) and all(isinstance(w, dict) for w in words),
-        "bundle codewords must be a list of objects",
+        _field(bundle, "codewords") == [w.to_json_dict() for w in words],
+        "bundle codewords differ from those its N, D, primitive and eps build",
     )
-    words = [FockVector.from_json_dict({k: _field(w, k) for k in ("dim", "entries")}) for w in words]
-    # the primitive decides which rows run, so it must be one build-code accepts
-    primitive = _field(bundle, "primitive")
-    _require(isinstance(primitive, str), f"rot primitive must be a string, got {primitive!r}")
-    ideal = _parse_primitive(primitive, D) is None
     suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
     return _finish(config, suite(N, D, words, ideal, config))
 
@@ -388,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except CVCodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import UnitMismatch, ZeroProjection
+from .errors import UnitMismatch
 from .phases import RationalLike, as_fraction, mod2, rational_to_json
 
 
@@ -382,66 +382,6 @@ def product_comb(a: CombState, b: CombState) -> TwoModeComb:
         for tb in b.entries
     )
     return TwoModeComb((a.unit, b.unit), teeth)
-
-
-def _solve_lattice_congruence(
-    offset: Fraction, period: int, target_offset: Fraction, target_period: int
-) -> tuple[int, int] | None:
-    """Solve offset + t*period = target_offset (mod target_period) over t.
-
-    Returns (t0, step) describing all solutions t = t0 + s*step, or None.
-    """
-    den = offset.denominator
-    rhs_frac = (target_offset - offset) * den
-    if rhs_frac.denominator != 1:
-        return None
-    rhs = rhs_frac.numerator
-    a = period * den
-    modulus = target_period * den
-    g = math.gcd(a, modulus)
-    if rhs % g != 0:
-        return None
-    reduced_mod = modulus // g
-    t0 = ((rhs // g) * pow(a // g, -1, reduced_mod)) % reduced_mod if reduced_mod > 1 else 0
-    return (t0, reduced_mod)
-
-
-def trans_projector_apply(state: CombState, j: int, n_fold: int) -> CombState:
-    """Keep the teeth whose index lies in (2Z + j) * N; phases and magnitudes stay."""
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    _require_regime(state.unit, n_fold)
-    N = n_fold
-    if state.entries is not None:
-        kept = []
-        for t in state.entries:
-            q = (t.index - j * N) / (2 * N)
-            if q.denominator == 1:
-                kept.append((t.index, t.magnitude, t.phase))
-        if not kept:
-            raise ZeroProjection(f"no teeth in the j={j} sector of order {N}")
-        return finite_comb(state.unit, kept)
-    p = state.periodic
-    sol = _solve_lattice_congruence(p.offset, p.period, Fraction(j * N), 2 * N)
-    if sol is None:
-        raise ZeroProjection(f"lattice misses the j={j} sector of order {N}")
-    t0, step = sol
-    L = len(p.pattern)
-    length = L // math.gcd(L, step)
-    new_pattern = [p.pattern[(t0 + s * step) % L] for s in range(length)]
-    return periodic_comb(
-        state.unit, p.offset + t0 * p.period, p.period * step, new_pattern, p.magnitude
-    )
-
-
-def trans_primitive_validity(state: CombState, n_fold: int) -> bool:
-    """True iff the comb meets both codeword sectors of order N."""
-    try:
-        for j in (0, 1):
-            trans_projector_apply(state, j, n_fold)
-    except ZeroProjection:
-        return False
-    return True
 
 
 def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:

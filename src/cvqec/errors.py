@@ -25,16 +25,8 @@ class DegenerateSpectrum(CVCodeError):
     """Eigenvalues are too close to assign canonical eigenvectors."""
 
 
-class IncompleteFamily(CVCodeError):
-    """A family of partial isometries does not resolve the identity."""
-
-
 class NotSemiUnitary(CVCodeError):
     """A claimed semi-unitary fails S^dag S = 1 or has non-orthogonal images."""
-
-
-class UnknownLabel(CVCodeError):
-    """A block label is absent from a block operator."""
 
 
 class NonOrthonormalCodewords(CVCodeError):

@@ -12,7 +12,6 @@ ones exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,25 +85,6 @@ class FockVector:
             "structure": "vector",
             "entries": np.column_stack((self.amplitudes.real, self.amplitudes.imag)).tolist(),
         }
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "FockVector":
-        dim, entries = obj["dim"], obj["entries"]
-        if type(dim) is not int:
-            raise ValueError("codeword dim must be an integer")
-        pairs = isinstance(entries, list) and set(map(type, entries)) <= {list}
-        pairs = pairs and set(map(len, entries)) <= {2}
-        flat = list(itertools.chain.from_iterable(entries)) if pairs else []
-        # exact types, checked once over all pairs: numpy would read True as 1.0
-        if not pairs or not set(map(type, flat)) <= {int, float}:
-            raise ValueError("codeword entries must be a list of [re, im] number pairs")
-        amps = np.array(flat, dtype=float).view(complex)
-        if not np.isfinite(amps).all():
-            raise ValueError("codeword entries must be finite numbers")
-        v = FockVector(dim, amps)
-        if not math.isfinite(v.norm):
-            raise ValueError("codeword norm must be finite")
-        return v
 
 
 @dataclass(frozen=True)
@@ -222,13 +202,12 @@ def diagonal_phase_operator(phases: Sequence[RationalLike] | np.ndarray, *, den:
     return FockOperator(len(num), data, structure="band", phase_num=num, den=den)
 
 
-def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
-    """Hermitian diagonal operator with exact eigenvalues value_m / den.
+def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray) -> FockOperator:
+    """Hermitian diagonal operator with exact eigenvalues `values`.
 
     `values` are rationals, or an integer numerator array.
     """
-    num, scale = numerators(values)
-    den *= scale
+    num, den = numerators(values)
     return FockOperator(len(num), num / den, structure="band", diag_num=num, den=den)
 
 
@@ -463,6 +442,7 @@ def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> Fock
     if support.size == 0:
         raise InvalidDimension(f"dim {dim} leaves no support for j={j}, N={n_fold}")
     amps = np.zeros(dim, dtype=complex)
-    amps[support] = np.exp(-eps * support.astype(float))
+    with np.errstate(over="ignore"):  # a huge eps gives -inf exponents, whose exp is 0
+        amps[support] = np.exp(-eps * support.astype(float))
     return FockVector(dim, amps).normalized_copy()
 

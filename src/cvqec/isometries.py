@@ -5,8 +5,8 @@ Three layers live here:
 * exact bookkeeping of point spectra, used to certify that a family of
   operators tiles a target spectrum disjointly;
 * numerical canonical partial isometries between Hermitian matrices with
-  eigenvalue matching, plus assembly of unitaries and cyclic-shift generators
-  from isometry families;
+  eigenvalue matching, plus cyclic-shift generators for semi-unitary
+  families;
 * the exact block pipeline that discretizes a momentum-like grid operator into
   a direct sum of shifted number operators, with the permutation conjugating
   one into the other computed and checked on integer numerators over one
@@ -15,22 +15,14 @@ Three layers live here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrum,
-    IncompleteFamily,
-    InvalidDimension,
-    NotSemiUnitary,
-    UnknownLabel,
-)
-from .fock import FockOperator, diagonal_value_operator
-from .phases import as_fraction, fraction_view
+from .errors import DegenerateSpectrum, InvalidDimension, NotSemiUnitary
+from .phases import fraction_view
 
 HERMITIAN_TOL = 1e-9
 PROJECTOR_TOL = 1e-9
@@ -169,52 +161,6 @@ def canonical_partial_isometry(X: np.ndarray, Y: np.ndarray) -> PartialIsometryR
     return PartialIsometryRep(V, K, L, tuple(pairs), residuals)
 
 
-def unitary_from_family(isometries: Sequence[PartialIsometryRep]) -> np.ndarray:
-    """Assemble a unitary from partial isometries whose projectors tile identity.
-
-    Two assembly modes: if the domain projectors L resolve the identity on a
-    shared domain the maps are summed; otherwise every map must be
-    semi-unitary on its own domain and the domains are stacked as a direct
-    sum.  Image projectors K must tile the codomain either way.
-    """
-    if not isometries:
-        raise IncompleteFamily("empty family")
-    rows = {rep.V.shape[0] for rep in isometries}
-    if len(rows) != 1:
-        raise IncompleteFamily("codomain dimensions differ")
-    d_out = rows.pop()
-    k_sum = sum(rep.K for rep in isometries)
-    if _max_abs(k_sum - np.eye(d_out)) > PROJECTOR_TOL:
-        raise IncompleteFamily("image projectors do not sum to identity")
-    for i in range(len(isometries)):
-        for j in range(i + 1, len(isometries)):
-            if _max_abs(isometries[i].K @ isometries[j].K) > PROJECTOR_TOL:
-                raise IncompleteFamily(f"image projectors {i} and {j} overlap")
-    cols = {rep.V.shape[1] for rep in isometries}
-    if len(cols) == 1:
-        l_sum = sum(rep.L for rep in isometries)
-        if _max_abs(l_sum - np.eye(cols.pop())) <= PROJECTOR_TOL:
-            U = sum(rep.V for rep in isometries)
-        else:
-            U = None
-    else:
-        U = None
-    if U is None:
-        # direct-sum domain: each block must act semi-unitarily on all of it
-        for idx, rep in enumerate(isometries):
-            if _max_abs(rep.L - np.eye(rep.V.shape[1])) > PROJECTOR_TOL:
-                raise IncompleteFamily(
-                    f"domain projectors neither tile a shared domain nor make map {idx} semi-unitary"
-                )
-        U = np.hstack([rep.V for rep in isometries])
-    if U.shape[0] != U.shape[1]:
-        raise IncompleteFamily("assembled map is not square")
-    eye = np.eye(U.shape[0])
-    if _max_abs(U.conj().T @ U - eye) > UNITARY_TOL or _max_abs(U @ U.conj().T - eye) > UNITARY_TOL:
-        raise IncompleteFamily("assembled map is not unitary")
-    return U
-
-
 def cyclic_structure(semis: Sequence[np.ndarray]) -> tuple[np.ndarray, bool]:
     """Cyclic-shift generator for semi-unitaries with orthogonal complete images.
 
@@ -252,9 +198,6 @@ def cyclic_structure(semis: Sequence[np.ndarray]) -> tuple[np.ndarray, bool]:
 
 # --- block operators and the discretization pipeline ------------------------
 
-Label = tuple[int, Fraction]
-
-
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Direct sum of diagonal blocks indexed by (tau, nu), as one exact table.
@@ -286,49 +229,9 @@ class BlockOperator:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(zip(self.tau.tolist(), fraction_view(self.nu, self.den)))
-
     def diagonal_values(self) -> tuple[Fraction, ...]:
         """Concatenated exact diagonal across blocks, in label order."""
         return fraction_view(self.num.ravel(), self.den)
-
-
-def kappa_extract(block: BlockOperator, label: Label) -> FockOperator:
-    """Pull one block out of a direct sum."""
-    tau, nu = label[0], as_fraction(label[1])
-    scaled = nu * block.den  # block i has this nu when nu[i] equals it, so only when it is an integer
-    row = np.flatnonzero((block.tau == tau) & (block.nu == scaled.numerator) & (scaled.denominator == 1))
-    if not row.size:
-        raise UnknownLabel(f"no block at label {(tau, nu)}")
-    return diagonal_value_operator(block.num[row[0]], den=block.den)
-
-
-def iota_embed(
-    series_action: Callable[[FockOperator], FockOperator],
-    A: FockOperator,
-    labels: Sequence[Label],
-) -> BlockOperator:
-    """Embed f(A) blockwise: the block at (tau, nu) is f(tau * (A + nu)).
-
-    At the distinguished label (+1, 0) this reproduces f(A) itself.
-    """
-    if A.exact_diag is None:
-        raise ValueError("embedding needs an exact diagonal operator")
-    keys = tuple((tau, as_fraction(nu)) for tau, nu in labels)
-    blocks = []
-    for tau, nu in keys:
-        # tau (v + nu) with v = n / den and nu = p / q is tau (n q + p den) / (den q)
-        num = tau * (A.diag_num * nu.denominator + nu.numerator * A.den)
-        block = series_action(diagonal_value_operator(num, den=A.den * nu.denominator))
-        if block.diag_num is None:
-            raise ValueError("series action must return an exact diagonal operator")
-        blocks.append(block)
-    den = math.lcm(*(b.den for b in blocks), *(nu.denominator for _, nu in keys))
-    tau = np.array([t for t, _ in keys], dtype=np.int64)
-    nu = np.array([nu.numerator * (den // nu.denominator) for _, nu in keys], dtype=np.int64)
-    return BlockOperator(tau, nu, [b.diag_num * (den // b.den) for b in blocks], den)
 
 
 @dataclass(frozen=True)

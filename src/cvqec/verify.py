@@ -8,7 +8,7 @@ rational-arithmetic identities and carry tolerance zero.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -35,14 +35,10 @@ def _check_codewords(codewords: Sequence[FockVector]) -> None:
                 )
 
 
-def _gram(bras: Sequence[FockVector], kets: Sequence[FockVector]) -> np.ndarray:
-    """The 2x2 matrix of inner products <bras[i]|kets[j]>."""
-    return np.array([[inner(bra, ket) for ket in kets] for bra in bras], dtype=complex)
-
-
 def restricted_matrix(op: FockOperator, codewords: Sequence[FockVector]) -> np.ndarray:
     """The 2x2 matrix of op in the codeword basis, <i|op|j>."""
-    return _gram(codewords, [apply_operator(op, ket) for ket in codewords])
+    kets = [apply_operator(op, ket) for ket in codewords]
+    return np.array([[inner(bra, ket) for ket in kets] for bra in codewords], dtype=complex)
 
 
 # --- detectability ----------------------------------------------------------
@@ -62,7 +58,6 @@ class DetectabilityReport:
     rows: tuple[ErrorRow, ...]
     tol: float
     passed: bool
-    pair_rows: tuple[ErrorRow, ...] = ()
 
 
 def _error_row(name: str, M: np.ndarray, tol: float) -> ErrorRow:
@@ -77,29 +72,15 @@ def detectability_check(
     codewords: Sequence[FockVector],
     errors: Mapping[str, FockOperator],
     tol: float,
-    pairwise: bool = False,
 ) -> DetectabilityReport:
     """Check P E P = c_E P for each error, against orthonormal codewords.
 
     Each error's restricted matrix must be a multiple of the identity within
-    tol (off-diagonals and diagonal spread).  With pairwise=True the products
-    E_a^dag E_b are checked too, upgrading detection to the correctability
-    condition for the given set; their restricted matrix <E_a i|E_b j> is
-    taken from the images of the codewords, so no product is formed.
+    tol (off-diagonals and diagonal spread).
     """
     _check_codewords(codewords)
-    named = list(errors.items())
-    images = [[apply_operator(op, w) for w in codewords] for _, op in named]
-    rows = tuple(_error_row(name, _gram(codewords, image), tol) for (name, _), image in zip(named, images))
-    pair_rows = ()
-    if pairwise:
-        pair_rows = tuple(
-            _error_row(f"{named[a][0]}^dag {named[b][0]}", _gram(images[a], images[b]), tol)
-            for a in range(len(named))
-            for b in range(a, len(named))
-        )
-    all_pass = all(r.passed for r in rows) and all(r.passed for r in pair_rows)
-    return DetectabilityReport(rows, tol, all_pass, pair_rows)
+    rows = tuple(_error_row(name, restricted_matrix(op, codewords), tol) for name, op in errors.items())
+    return DetectabilityReport(rows, tol, all(r.passed for r in rows))
 
 
 # --- logical action ---------------------------------------------------------

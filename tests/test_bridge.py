@@ -17,10 +17,8 @@ from cvqec.bridge import (
     omega_map_translation,
     rotation_sample_angles,
     upsilon_apply,
-    upsilon_matrix,
-    upsilon_project,
 )
-from cvqec.combs import bridge_unit, comb_equal_up_to_phase, finite_comb, gkp_apply, gkp_codeword
+from cvqec.combs import bridge_unit, finite_comb, gkp_apply, gkp_codeword
 from cvqec.errors import InvalidDimension, NonRationalPhase
 from cvqec.fock import adjoint, fock_operator, rot_logical_op
 from cvqec.phases import mod2
@@ -39,6 +37,8 @@ def test_integer_teeth_become_amplitudes():
     want = np.zeros(8, dtype=complex)
     want[0], want[2], want[5] = 1, 1j, 2
     assert np.allclose(vec.amplitudes, want)
+    with pytest.raises(InvalidDimension):
+        upsilon_apply(state, 0)
 
 
 def test_nonfock_teeth_report_dropped_mass():
@@ -55,30 +55,6 @@ def test_periodic_comb_keeps_window_and_drops_infinity():
     vec, dropped = upsilon_apply(w, 12)
     assert math.isinf(dropped)
     assert sorted(np.flatnonzero(np.abs(vec.amplitudes) > 0)) == [2, 6, 10]
-
-
-def test_projector_is_idempotent_and_consistent():
-    state = finite_comb(bridge_unit(2), [(2, 1, 0), (0, 1, F(1, 4)), (F(-3, 2), 1, 0), (-4, 1, 0)])
-    once = upsilon_project(state, 6)
-    same, phase = comb_equal_up_to_phase(once, upsilon_project(once, 6))
-    assert same and phase == 0
-    assert [t.index for t in once.entries] == [-4, 0]
-    vec_direct, _ = upsilon_apply(state, 6)
-    vec_projected, dropped = upsilon_apply(once, 6)
-    assert dropped == 0.0
-    assert np.allclose(vec_direct.amplitudes, vec_projected.amplitudes)
-
-
-def test_selection_matrix_marks_surviving_columns():
-    # columns follow the sorted tooth list -3, -1, 1
-    state = finite_comb(bridge_unit(1), [(1, 1, 0), (-1, 1, 0), (-3, 1, 0)])
-    M = upsilon_matrix(state, 4)
-    assert M.shape == (4, 3) and M.dtype == np.int64
-    assert M.sum() == 2 and M[3, 0] == 1 and M[1, 1] == 1
-    with pytest.raises(ValueError):
-        upsilon_matrix(gkp_codeword(1, 0), 4)
-    with pytest.raises(InvalidDimension):
-        upsilon_apply(state, 0)
 
 
 # --- translation transport --------------------------------------------------------

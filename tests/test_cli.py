@@ -271,52 +271,80 @@ def _retyped(bundle, field, value):
     "field, value, message",
     [
         (None, "list", "JSON object"),
+        # the JSON parser recurses once per nesting level
+        pytest.param(None, "[" * 200_000 + "]" * 200_000, "maximum recursion depth", id="nested-arrays"),
+        pytest.param(
+            None, '{"a": ' * 200_000 + "0" + "}" * 200_000, "maximum recursion depth", id="nested-objects"
+        ),
         ("N", None, "N must be an integer"),
         ("N", "2", "N must be an integer"),
         ("D", "16", "D must be an integer"),
-        ("codewords", {"0": {}}, "codewords must be a list"),
-        ("codewords", [1, 2], "codewords must be a list"),
-        ("codeword.dim", None, "dim must be an integer"),
-        ("codeword.dim", "16", "dim must be an integer"),
-        ("codeword.entries", [1, 2], "entries must be a list"),
+        ("codewords", {"0": {}}, "codewords differ"),
+        ("codewords", [1, 2], "codewords differ"),
+        ("codeword.dim", None, "codewords differ"),
+        ("codeword.dim", "16", "codewords differ"),
+        ("codeword.entries", [1, 2], "codewords differ"),
         ("N", MISSING, "bundle lacks field 'N'"),
         ("D", MISSING, "bundle lacks field 'D'"),
         ("codewords", MISSING, "bundle lacks field 'codewords'"),
-        ("codeword.entries", MISSING, "bundle lacks field 'entries'"),
+        ("codeword.entries", MISSING, "codewords differ"),
         # json writes these as the NaN and Infinity tokens, which json.load reads back
-        ("codeword.entries", [[math.nan, 0.0]] * 16, "entries must be finite"),
-        ("codeword.entries", [[0.25, -math.inf]] * 16, "entries must be finite"),
+        ("codeword.entries", [[math.nan, 0.0]] * 16, "codewords differ"),
+        ("codeword.entries", [[0.25, -math.inf]] * 16, "codewords differ"),
         # finite entries whose norm overflows a float: NaN overlaps would pass every row
-        ("codeword.entries", [[1e308, 1e308]] + [[0.0, 0.0]] * 15, "norm must be finite"),
-        ("codeword.entries", [[10**400, 0]] * 16, "too large to convert to float"),
+        ("codeword.entries", [[1e308, 1e308]] + [[0.0, 0.0]] * 15, "codewords differ"),
+        ("codeword.entries", [[10**400, 0]] * 16, "codewords differ"),
         # entries a numpy conversion would take without complaint
-        ("codeword.entries", [[True, 0.0]] * 16, "number pairs"),
-        ("codeword.entries", [[0.1, 0.0, 0.0]] * 16, "number pairs"),
-        ("codeword.entries", [[0.1]] * 16, "number pairs"),
-        ("codeword.entries", [["0.1", 0.0]] * 16, "number pairs"),
-        ("codeword.entries", [[0.1, [0.2]]] * 16, "number pairs"),
-        ("codeword.entries", [[None, 0.0]] * 16, "number pairs"),
-        # the primitive decides whether the truncation-limited rows run
+        ("codeword.entries", [[True, 0.0]] * 16, "codewords differ"),
+        ("codeword.entries", [[0.1, 0.0, 0.0]] * 16, "codewords differ"),
+        ("codeword.entries", [[0.1]] * 16, "codewords differ"),
+        ("codeword.entries", [["0.1", 0.0]] * 16, "codewords differ"),
+        ("codeword.entries", [[0.1, [0.2]]] * 16, "codewords differ"),
+        ("codeword.entries", [[None, 0.0]] * 16, "codewords differ"),
+        # the codewords are rebuilt from the primitive and eps
         ("primitive", MISSING, "bundle lacks field 'primitive'"),
         ("primitive", 7, "primitive must be a string"),
         ("primitive", None, "primitive must be a string"),
         ("primitive", ["ideal"], "primitive must be a string"),
         ("primitive", "banana", "unrecognized primitive"),
         ("primitive", "fock:", "at least one level"),
+        ("eps", MISSING, "bundle lacks field 'eps'"),
+        ("eps", None, "needs a number eps"),
+        ("eps", "0.001", "needs a number eps"),
+        ("eps", True, "needs a number eps"),
+        # e^{-eps m} underflows to 0 on the j = 1 sector, without an overflow warning
+        ("eps", 1e308, "cannot normalize"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(
     small_rot_bundle, tmp_path, suite, field, value, message
 ):
-    bundle = [small_rot_bundle] if field is None else _retyped(small_rot_bundle, field, value)
     path = tmp_path / "typed.json"
-    path.write_text(json.dumps(bundle))
+    if field is None:  # value is the file's text
+        path.write_text(json.dumps([small_rot_bundle]) if value == "list" else value)
+    else:
+        path.write_text(json.dumps(_retyped(small_rot_bundle, field, value)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, err = _check_exit(path, suite)
     assert code == 2
     assert err.startswith("error:") and message in err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def small_fock_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "fock.json"
+    argv = ["build-code", "--family", "rot", "--N", "2", "--D", "16", "--primitive", "fock:0,2"]
+    assert main([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _entry_one_ulp_up(bundle):
+    """Codeword 0's entries with its first real part moved up by one ulp."""
+    entries = [list(pair) for pair in bundle["codewords"][0]["entries"]]
+    entries[0][0] = math.nextafter(entries[0][0], math.inf)
+    return entries
 
 
 @pytest.mark.parametrize(
@@ -331,12 +359,20 @@ def test_check_rejects_wrongly_typed_bundles(
         ("ideal", {"primitive": "fock:0,2"}, "gkp primitive must be ideal or window:W"),
         ("ideal", {"primitive": "2"}, "gkp primitive must be ideal or window:W"),
         ("ideal", {"primitive": f"window:{MAX_WINDOW + 1}"}, "window must be at most"),
+        # relabelled, the ideal rot bundle would skip its failing X and H rows
+        ("rot", {"primitive": "fock:0,2"}, "eps must be null"),
+        ("rot", {"primitive": "fock:0,2", "eps": None}, "codewords differ"),
+        ("rot", {"eps": 2e-3}, "codewords differ"),
+        ("rot fock:0,2", {"eps": 1e-3}, "eps must be null"),
+        ("rot", {"codeword.entries": _entry_one_ulp_up}, "codewords differ"),
     ],
 )
-def test_check_rejects_foreign_gkp_codewords(small_gkp_bundles, tmp_path, built, changes, message):
-    bundle = small_gkp_bundles[built]
+def test_check_rejects_foreign_codewords(
+    small_rot_bundle, small_fock_bundle, small_gkp_bundles, tmp_path, built, changes, message
+):
+    bundle = {"rot": small_rot_bundle, "rot fock:0,2": small_fock_bundle, **small_gkp_bundles}[built]
     for field, value in changes.items():
-        bundle = _retyped(bundle, field, value)
+        bundle = _retyped(bundle, field, value(bundle) if callable(value) else value)
     path = tmp_path / "foreign.json"
     path.write_text(json.dumps(bundle))
     code, err = _check_exit(path, "logical")
@@ -380,6 +416,22 @@ def test_check_survives_retyped_bundle_fields(
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert code != 2 or err.startswith("error:")
+
+
+def test_check_refuses_a_file_longer_than_the_cap(small_rot_bundle, tmp_path, monkeypatch, capsys):
+    # the largest bundle build-code writes under the caps stays inside the byte cap
+    big = tmp_path / "gkp.json"
+    argv = ["build-code", "--family", "gkp", "--N", str(MAX_N), "--window", str(MAX_WINDOW)]
+    assert main([*argv, "--out", str(big)]) == 0
+    assert big.stat().st_size <= cli.MAX_BUNDLE_BYTES
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps(small_rot_bundle))
+    argv = ["check", "--code", str(path), "--suite", "logical"]
+    monkeypatch.setattr(cli, "MAX_BUNDLE_BYTES", path.stat().st_size)
+    assert main(argv) != 2
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_BUNDLE_BYTES", path.stat().st_size - 1)
+    assert_quiet_exit_2(capsys, argv)
 
 
 def test_check_missing_bundle_file(capsys):
@@ -587,6 +639,19 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_check_report_ignores_bundle_layout(tmp_path, capsys):
+    # check reads a bundle's fields, not its bytes: compact, unsorted JSON gives the same report
+    code = tmp_path / "rot.json"
+    assert main(["build-code", "--family", "rot", "--N", "2", "--D", "16", "--out", str(code)]) == 0
+    argv = ["check", "--code", str(code), "--suite", "logical"]
+    main(argv)
+    indented = capsys.readouterr().out
+    bundle = json.loads(code.read_text())
+    code.write_text(json.dumps(dict(reversed(bundle.items()))))
+    main(argv)
+    assert capsys.readouterr().out == indented
 
 
 def test_bundles_are_byte_identical(tmp_path):

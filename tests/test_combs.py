@@ -1,4 +1,4 @@
-"""Exact comb states: constructors, gates, equality, projectors, ranges."""
+"""Exact comb states: constructors, gates, equality, ranges."""
 
 import math
 from fractions import Fraction
@@ -20,11 +20,9 @@ from cvqec.combs import (
     periodic_comb,
     product_comb,
     teeth_in_range,
-    trans_primitive_validity,
-    trans_projector_apply,
     twomode_equal_up_to_phase,
 )
-from cvqec.errors import NonRationalPhase, UnitMismatch, ZeroProjection
+from cvqec.errors import NonRationalPhase, UnitMismatch
 
 F = Fraction
 
@@ -347,70 +345,6 @@ def test_t_gate_with_long_phase_period():
     for t in [*range(0, L, 1_013), L - 1, L, L + 1, 3 * L + 17]:
         l = (offset + 2 * N * t) / N
         assert out.pattern[t % L] == (l**4 / 4) % 2
-
-
-# --- projectors and validity -----------------------------------------------------
-
-
-def test_projector_selection_rule_frozen():
-    state = finite_comb(bridge_unit(2), [(0, 1, 0), (2, 1, 0), (4, 1, 0)])
-    kept0 = trans_projector_apply(state, 0, 2)
-    assert indices(kept0) == [0, 4]
-    kept1 = trans_projector_apply(state, 1, 2)
-    assert indices(kept1) == [2]
-
-
-def test_projector_zero_raises():
-    state = finite_comb(bridge_unit(2), [(0, 1, 0), (4, 1, 0)])
-    with pytest.raises(ZeroProjection):
-        trans_projector_apply(state, 1, 2)
-
-
-def test_projector_on_periodic_lattice():
-    # all integers, order 2: j=0 sector is the 4Z lattice
-    state = periodic_comb(bridge_unit(2), 0, 1, [F(0)])
-    kept = trans_projector_apply(state, 0, 2)
-    assert (kept.periodic.offset, kept.periodic.period) == (0, 4)
-    kept1 = trans_projector_apply(state, 1, 2)
-    assert (kept1.periodic.offset, kept1.periodic.period) == (2, 4)
-
-
-def test_projector_misses_shifted_lattice():
-    state = periodic_comb(bridge_unit(2), F(1, 2), 4, [F(0)])
-    with pytest.raises(ZeroProjection):
-        trans_projector_apply(state, 0, 2)
-
-
-def test_projector_fixes_ideal_codewords():
-    for N in (1, 2, 3):
-        for j in (0, 1):
-            w = gkp_codeword(N, j)
-            same, phase = comb_equal_up_to_phase(w, trans_projector_apply(w, j, N))
-            assert same and phase == 0
-            with pytest.raises(ZeroProjection):
-                trans_projector_apply(w, 1 - j, N)
-
-
-@settings(deadline=None, max_examples=40)
-@given(regime_combs())
-def test_projector_is_idempotent(state):
-    try:
-        once = trans_projector_apply(state, 0, 2)
-    except ZeroProjection:
-        return
-    twice = trans_projector_apply(once, 0, 2)
-    same, phase = comb_equal_up_to_phase(once, twice)
-    assert same and phase == 0
-
-
-def test_primitive_validity_cases():
-    assert trans_primitive_validity(periodic_comb(bridge_unit(2), 0, 1, [F(0)]), 2)
-    assert not trans_primitive_validity(
-        finite_comb(bridge_unit(2), [(0, 1, 0), (4, 1, 0)]), 2
-    )
-    assert trans_primitive_validity(finite_comb(bridge_unit(2), [(0, 1, 0), (2, 1, 0)]), 2)
-    # periodic lattice that never hits the odd sector
-    assert not trans_primitive_validity(periodic_comb(bridge_unit(2), 0, 4, [F(0)]), 2)
 
 
 # --- equality up to one global phase ------------------------------------------------

@@ -8,25 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import block_basis_semis, hermitian_pair_with_shared, random_unitary
-from cvqec.errors import (
-    DegenerateSpectrum,
-    IncompleteFamily,
-    InvalidDimension,
-    NotSemiUnitary,
-    UnknownLabel,
-)
-from cvqec.fock import diagonal_value_operator
+from cvqec.errors import DegenerateSpectrum, InvalidDimension, NotSemiUnitary
 from cvqec.isometries import (
-    Alg1Result,
     BlockOperator,
-    PartialIsometryRep,
     alg1_pipeline,
     alg1_report,
     canonical_partial_isometry,
     cyclic_structure,
-    iota_embed,
-    kappa_extract,
-    unitary_from_family,
     validate_spectrum_family,
 )
 
@@ -188,56 +176,6 @@ def test_matched_pairs_intertwine_within_tolerance(seed, dim, data):
     assert all(v <= 1e-9 for v in rep.residuals.values())
 
 
-# --- unitary assembly ---------------------------------------------------------
-
-
-def test_single_full_match_is_already_unitary():
-    rng = np.random.default_rng(3)
-    q = random_unitary(rng, 4)
-    X = np.diag([1.0, 2.0, 3.0, 4.0])
-    Y = q @ X @ q.conj().T
-    rep = canonical_partial_isometry(X, (Y + Y.conj().T) / 2)
-    U = unitary_from_family([rep])
-    assert np.allclose(U, rep.V)
-
-
-def test_complementary_domains_sum_to_unitary():
-    # two maps on one 2d domain, each matching one eigenline
-    X = np.diag([0.0, 1.0])
-    Y = np.diag([1.0, 2.0])
-    a = canonical_partial_isometry(X, Y)
-    b = canonical_partial_isometry(np.diag([5.0, 0.5]), np.diag([2.0, 5.0]))
-    U = unitary_from_family([a, b])
-    assert np.allclose(U @ U.conj().T, np.eye(2), atol=1e-9)
-
-
-def test_stacked_domains_build_a_direct_sum():
-    up = PartialIsometryRep(
-        V=np.array([[1.0], [0.0]]),
-        K=np.diag([1.0, 0.0]),
-        L=np.eye(1),
-        pairs=((0.0, 0.0),),
-    )
-    down = PartialIsometryRep(
-        V=np.array([[0.0], [1.0]]),
-        K=np.diag([0.0, 1.0]),
-        L=np.eye(1),
-        pairs=((1.0, 1.0),),
-    )
-    U = unitary_from_family([up, down])
-    assert np.allclose(U, np.eye(2))
-
-
-def test_gappy_family_is_rejected():
-    X = np.diag([0.0, 1.0])
-    Y = np.diag([1.0, 2.0])
-    rep = canonical_partial_isometry(X, Y)
-    with pytest.raises(IncompleteFamily):
-        unitary_from_family([rep])
-    with pytest.raises(IncompleteFamily):
-        unitary_from_family([])
-
-
 # --- cyclic families ------------------------------------------------------------
 
 
@@ -280,48 +218,13 @@ def test_cyclic_rotated_blocks_still_exact():
 
 def test_labels_cover_both_signs():
     table = alg1_pipeline(1, 2).block_op
-    assert table.labels == ((1, F(0)), (1, F(1, 2)), (-1, F(1, 2)), (-1, F(1)))
-    # nu is an integer over the table's one denominator
+    # labels (1, 0), (1, 1/2), (-1, 1/2), (-1, 1): nu is an integer over the table's one denominator
     assert table.tau.tolist() == [1, 1, -1, -1] and table.nu.tolist() == [0, 1, 1, 2] and table.den == 2
-
-
-def test_kappa_round_trips_iota():
-    A = diagonal_value_operator([F(0), F(1), F(2)])
-    emb = iota_embed(lambda op: op, A, ((1, F(0)), (-1, F(1))))
-    back = kappa_extract(emb, (1, F(0)))
-    assert back.exact_diag == (F(0), F(1), F(2))
-    neg = kappa_extract(emb, (-1, F(1)))
-    assert neg.exact_diag == (F(-1), F(-2), F(-3))
-    with pytest.raises(UnknownLabel):
-        kappa_extract(emb, (1, F(1, 2)))
-
-
-def test_labels_over_mixed_denominators_share_the_table_denominator():
-    A = diagonal_value_operator([F(0), F(1), F(2)])
-    labels = ((1, F(1, 2)), (-1, F(1, 3)), (1, 1))
-    emb = iota_embed(lambda op: op, A, labels)
-    assert emb.den == 6 and emb.nu.tolist() == [3, 2, 6]
-    assert emb.labels == ((1, F(1, 2)), (-1, F(1, 3)), (1, F(1)))
-    assert kappa_extract(emb, (1, F(1, 2))).exact_diag == (F(1, 2), F(3, 2), F(5, 2))
-    assert kappa_extract(emb, (-1, F(1, 3))).exact_diag == (F(-1, 3), F(-4, 3), F(-7, 3))
-    assert kappa_extract(emb, (1, 1)).exact_diag == (F(1), F(2), F(3))
-    # a nu off the table's sixths, even far off, or on them under the other tau, is no label
-    for label in ((1, F(1, 4)), (1, F(1, 2**70)), (1, F(1, 3)), (-1, F(1, 2))):
-        with pytest.raises(UnknownLabel):
-            kappa_extract(emb, label)
-
-
-def test_square_embedding_acts_blockwise():
-    A = diagonal_value_operator([F(0), F(1), F(2)])
-    square = lambda op: diagonal_value_operator([v * v for v in op.exact_diag])
-    emb = iota_embed(square, A, ((1, F(0)), (-1, F(1))))
-    assert kappa_extract(emb, (1, F(0))).exact_diag == (F(0), F(1), F(4))
-    assert kappa_extract(emb, (-1, F(1))).exact_diag == (F(1), F(4), F(9))
 
 
 def test_block_operator_validation():
     table = BlockOperator([1, -1], [0, 2], np.array([[0, 1], [-2, -3]]), 2)
-    assert table.labels == ((1, F(0)), (-1, F(1)))
+    assert table.tau.tolist() == [1, -1] and table.nu.tolist() == [0, 2]
     assert table.diagonal_values() == (F(0), F(1, 2), F(-1), F(-3, 2))
     assert not (table.tau.flags.writeable or table.nu.flags.writeable or table.num.flags.writeable)
     with pytest.raises(ValueError, match="tau"):
@@ -345,9 +248,10 @@ def test_block_operator_validation():
 
 def test_pipeline_smallest_case_frozen():
     result = alg1_pipeline(1, 1)
-    assert result.block_op.labels == ((1, F(0)), (-1, F(1)))
-    assert kappa_extract(result.block_op, (1, F(0))).exact_diag == (F(0),)
-    assert kappa_extract(result.block_op, (-1, F(1))).exact_diag == (F(-1),)
+    table = result.block_op
+    # blocks (1, 0) and (-1, 1) with diagonals (0) and (-1)
+    assert table.tau.tolist() == [1, -1] and table.nu.tolist() == [0, 1] and table.den == 1
+    assert table.num.tolist() == [[0], [-1]]
     assert result.grid_values == (F(-1), F(0))
     assert result.sigma == (1, 0)
     assert all(r == 0.0 for r in result.residuals.values())

@@ -78,52 +78,6 @@ def test_orthonormality_is_enforced():
         detectability_check(unnormalized, {"id": identity(dim)}, tol=1e-6)
 
 
-def test_pairwise_products_are_reported():
-    # support {1, 3} avoids the vacuum, where g^dag g = diag(0,1,...,1) dips
-    words = [FockVector.basis(8, 1), FockVector.basis(8, 3)]
-    shift = fock_operator("number_shift", 8, shift=1)
-    report = detectability_check(words, {"g": shift}, tol=1e-9, pairwise=True)
-    names = [r.name for r in report.pair_rows]
-    assert names == ["g^dag g"]
-    assert report.pair_rows[0].passed
-    assert report.passed
-
-
-def test_pairwise_can_fail_where_singles_pass():
-    # support {0, 7}: g^dag g = diag(0,1,...,1) reads 0 at the vacuum, 1 at 7
-    words = [FockVector.basis(8, 0), FockVector.basis(8, 7)]
-    shift = fock_operator("number_shift", 8, shift=1)
-    single = detectability_check(words, {"g": shift}, tol=1e-9)
-    paired = detectability_check(words, {"g": shift}, tol=1e-9, pairwise=True)
-    assert single.passed and not paired.passed
-    assert paired.pair_rows[0].diag_spread == pytest.approx(1.0)
-
-
-def test_pairwise_rows_match_dense_products():
-    dim = 16
-    words = envelope_code(2, 0.05, dim)
-    rng = np.random.default_rng(4)
-    junk = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    errors = {
-        "g": fock_operator("number_shift", dim, shift=1),
-        "a": fock_operator("annihilation", dim),
-        "r": fock_operator("rotation", dim, theta=0.3),
-        "H": rot_logical_op("H", 2, dim),
-        "junk": FockOperator(dim, junk, "dense"),
-    }
-    report = detectability_check(words, errors, tol=1e-6, pairwise=True)
-    names = list(errors)
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
-    assert [r.name for r in report.pair_rows] == [f"{a}^dag {b}" for a, b in pairs]
-    for row, (a, b) in zip(report.pair_rows, pairs):
-        prod = FockOperator(dim, errors[a].entries.conj().T @ errors[b].entries, "dense")
-        want = detectability_check(words, {row.name: prod}, tol=1e-6).rows[0]
-        assert abs(row.c_E - want.c_E) < 1e-12
-        assert abs(row.off_diag_max - want.off_diag_max) < 1e-12
-        assert abs(row.diag_spread - want.diag_spread) < 1e-12
-        assert row.passed == want.passed
-
-
 def test_nan_overlap_fails_orthonormality():
     nan_word = FockVector(8, np.where(np.arange(8) == 0, np.nan, 0.0))
     with pytest.raises(NonOrthonormalCodewords):
@@ -290,8 +244,7 @@ def test_restricted_matrix_entries():
     assert M == pytest.approx(np.zeros((2, 2)))
 
 
-def test_report_rows_and_pair_rows():
-    report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-9, pairwise=True)
+def test_report_rows():
+    report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-9)
     assert report.passed is True and report.tol == 1e-9
     assert report.rows[0].name == "id"
-    assert report.pair_rows[0].name == "id^dag id"
