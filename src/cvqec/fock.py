@@ -4,9 +4,9 @@ Operators on the first D number states are stored by their structure: a
 diagonal or a number shift is one band at a signed offset from the main
 diagonal, a residue-class kernel such as logical H keeps its table of 2N^2
 values, and only a caller-supplied "dense" operator keeps a D x D matrix.
-Diagonal operators built from rational angles or eigenvalues also keep them
-exactly, as an int64 numerator array over one denominator (see `phases`).
-That is what lets the bridge check the comb gates against the rotation-side
+Diagonal phase operators built from rational angles (units of pi) also keep
+them exactly, as an int64 numerator array over one denominator.  That is
+what lets the bridge check the comb gates against the rotation-side
 ones exactly.
 """
 
@@ -15,18 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidDimension, ZeroProjection
-from .phases import (
-    RationalLike,
-    as_fraction,
-    fraction_view,
-    mod_power,
-    numerators,
-)
+from .phases import RationalLike, as_fraction, fraction_view, mod_power
 
 SUPPORT_TOL = 1e-12
 
@@ -98,14 +91,13 @@ class FockOperator:
     For "kernel" it is a table of P values, and entry (m, m') is
     data[m m' mod P].  `entries` builds the dense matrix on demand.
 
-    The band at offset 0 may keep its values exactly, as int64 numerators
-    over the one denominator `den`: `phase_num` for the phases of a
-    unit-modulus operator (units of pi, reduced into [0, 2 den)), and
-    `diag_num` for the eigenvalues of a Hermitian generator.  Either implies
-    the float band agrees with the exact data at materialization precision.
-    `den` is reduced to the least common denominator, so two operators have
-    equal exact data iff their arrays and `den` are equal.  `phases` and
-    `exact_diag` are the same data as tuples of Fraction, built on demand.
+    The band at offset 0 of a unit-modulus operator may keep its phases
+    exactly, as int64 numerators `phase_num` over the one denominator `den`
+    (units of pi, reduced into [0, 2 den)); the float band then agrees with
+    them at materialization precision.  `den` is reduced to the least common
+    denominator (1 without phases), so two operators have equal phases iff
+    their `phase_num` and `den` are equal.  `phases` is the same data as a
+    tuple of Fraction, built on demand.
     """
 
     dim: int
@@ -113,7 +105,6 @@ class FockOperator:
     structure: str = "dense"
     offset: int = 0
     phase_num: np.ndarray | None = None
-    diag_num: np.ndarray | None = None
     den: int = 1
 
     def __post_init__(self):
@@ -137,33 +128,25 @@ class FockOperator:
         den = int(self.den)
         if den < 1:
             raise ValueError(f"den must be a positive integer, got {den}")
-        exact = {}
-        for name in ("phase_num", "diag_num"):
-            num = getattr(self, name)
-            if num is None:
-                continue
-            if self.structure != "band" or self.offset:
-                raise ValueError(f"{name} only makes sense for diagonal operators")
-            num = np.asarray(num)
-            if num.dtype.kind not in "iu" or num.shape != (self.dim,):
-                raise InvalidDimension(f"{name} must be {self.dim} integers")
-            num = num.astype(np.int64)
-            exact[name] = num % (2 * den) if name == "phase_num" else num
+        if self.phase_num is None:
+            object.__setattr__(self, "den", 1)
+            return
+        if self.structure != "band" or self.offset:
+            raise ValueError("phase_num only makes sense for diagonal operators")
+        num = np.asarray(self.phase_num)
+        if num.dtype.kind not in "iu" or num.shape != (self.dim,):
+            raise InvalidDimension(f"phase_num must be {self.dim} integers")
+        num = num.astype(np.int64) % (2 * den)  # this operator's own copy
         # divide out the common factor, so that den is the least common denominator
-        g = math.gcd(den, *(int(np.gcd.reduce(num)) for num in exact.values()))
+        g = math.gcd(den, int(np.gcd.reduce(num)))
+        num //= g
+        num.setflags(write=False)
+        object.__setattr__(self, "phase_num", num)
         object.__setattr__(self, "den", den // g)
-        for name, num in exact.items():
-            num //= g  # this operator's own copy
-            num.setflags(write=False)
-            object.__setattr__(self, name, num)
 
     @property
     def phases(self) -> tuple[Fraction, ...] | None:
         return None if self.phase_num is None else fraction_view(self.phase_num, self.den)
-
-    @property
-    def exact_diag(self) -> tuple[Fraction, ...] | None:
-        return None if self.diag_num is None else fraction_view(self.diag_num, self.den)
 
     @property
     def entries(self) -> np.ndarray:
@@ -187,62 +170,44 @@ def identity(dim: int) -> FockOperator:
     return FockOperator(dim, np.ones(dim), structure="band")
 
 
-def diagonal_phase_operator(phases: Sequence[RationalLike] | np.ndarray, *, den: int = 1) -> FockOperator:
-    """Unit-modulus diagonal operator diag(e^{i pi phase_m / den}), phases kept exact.
+def diagonal_phase_operator(num: np.ndarray, *, den: int = 1) -> FockOperator:
+    """Unit-modulus diagonal operator diag(e^{i pi num_m / den}), phases kept exact.
 
-    `phases` are rationals, or an integer numerator array.  Each entry is the
-    cos and sin of pi times the float of the reduced phase, as in
-    `phase_to_complex`.
+    `num` is an integer numerator array.  Each entry is the cos and sin of pi
+    times the float of the reduced phase, as in `phase_to_complex`.
     """
-    num, scale = numerators(phases)
-    den *= scale
-    num %= 2 * den
+    num = np.asarray(num) % (2 * den)
     angle = np.pi * (num / den)
     data = np.cos(angle) + 1j * np.sin(angle)
     return FockOperator(len(num), data, structure="band", phase_num=num, den=den)
-
-
-def diagonal_value_operator(values: Sequence[RationalLike] | np.ndarray) -> FockOperator:
-    """Hermitian diagonal operator with exact eigenvalues `values`.
-
-    `values` are rationals, or an integer numerator array.
-    """
-    num, den = numerators(values)
-    return FockOperator(len(num), num / den, structure="band", diag_num=num, den=den)
 
 
 def fock_operator(
     kind: str,
     dim: int,
     *,
-    theta: float | RationalLike | None = None,
+    theta: RationalLike | None = None,
     shift: int | None = None,
 ) -> FockOperator:
     """Standard single-mode operators on the first `dim` number states.
 
     kind:
-      "number"        diag(0, 1, ..., dim-1), exact
       "annihilation"  a|l> = sqrt(l)|l-1>
-      "rotation"      diag(e^{i theta m}); pass theta as a Fraction to mean
-                      theta = (that rational) * pi with exact phase storage,
-                      or as a float in radians
+      "rotation"      diag(e^{i pi theta m}) with exact phases; theta is an
+                      exact rational (units of pi), and a float raises
+                      NonRationalPhase
       "number_shift"  sum_l |l><l+shift|, unit-amplitude lowering by `shift`
     """
     if dim <= 0:
         raise InvalidDimension(f"dim must be positive, got {dim}")
-    if kind == "number":
-        return diagonal_value_operator(np.arange(dim))
     if kind == "annihilation":
         return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="band", offset=1)
     if kind == "rotation":
         if theta is None:
             raise ValueError("rotation requires theta")
-        if isinstance(theta, (int, Fraction)):
-            frac = as_fraction(theta)
-            den = frac.denominator
-            return diagonal_phase_operator(frac.numerator % (2 * den) * np.arange(dim), den=den)
-        angles = float(theta) * np.arange(dim)
-        return FockOperator(dim, np.exp(1j * angles), structure="band")
+        frac = as_fraction(theta)
+        den = frac.denominator
+        return diagonal_phase_operator(frac.numerator % (2 * den) * np.arange(dim), den=den)
     if kind == "number_shift":
         if shift is None:
             raise ValueError("number_shift requires shift")
@@ -260,7 +225,6 @@ def adjoint(op: FockOperator) -> FockOperator:
         structure=op.structure,
         offset=-op.offset,
         phase_num=None if op.phase_num is None else -op.phase_num,
-        diag_num=op.diag_num,
         den=op.den,
     )
 
@@ -311,43 +275,6 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
         raise ValueError(f"coherent state of amplitude {alpha} on {dim} levels overflows a float") from None
 
 
-def u_invariant_projector(
-    spectrum: Sequence[RationalLike], s_z: RationalLike, j: int
-) -> FockOperator:
-    """Diagonal 0/1 projector onto generator eigenvalues (2k+j)/s_z, k integer.
-
-    `spectrum` lists the exact eigenvalues of the diagonal generator in basis
-    order; `s_z` is the logical-Z angle in units of pi.  An empty selection is
-    legal and yields the zero projector (query with `FockOperator.is_zero`).
-    """
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
-    s = as_fraction(s_z)
-    if s == 0:
-        raise ValueError("s_z must be nonzero")
-    num, den = numerators(spectrum)
-    # value * s_z = q / q_den
-    q, q_den = num * s.numerator, den * s.denominator
-    picked = (q % q_den == 0) & ((q // q_den - j) % 2 == 0)
-    return diagonal_value_operator(picked.astype(np.int64))
-
-
-def rot_primitive_validity(primitive: FockVector, n_fold: int) -> bool:
-    """True iff both codewords of order `n_fold` survive projection.
-
-    Requires weight above threshold on some |kN> with k even and on some
-    |kN> with k odd.
-    """
-    if n_fold <= 0:
-        raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
-    amps = primitive.amplitudes
-    seen = {0: False, 1: False}
-    for k in range(0, (primitive.dim - 1) // n_fold + 1):
-        if abs(amps[k * n_fold]) > SUPPORT_TOL:
-            seen[k % 2] = True
-    return seen[0] and seen[1]
-
-
 def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> FockVector:
     """Project a primitive onto the order-N codeword with logical index j.
 
@@ -367,7 +294,8 @@ def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> F
     selected = np.where(m % (2 * n_fold) == (j * n_fold) % (2 * n_fold), primitive.amplitudes, 0.0)
 
     # rotation-sum route: (1/2N) sum_s ((-1)^j R_{pi/N})^s
-    rot_diag = np.exp(1j * np.pi * m / n_fold) * ((-1) ** j)
+    # the phase has period 2N in m, so reducing m first keeps the angle, and its error, small
+    rot_diag = np.exp(1j * np.pi * (m % (2 * n_fold)) / n_fold) * ((-1) ** j)
     acc = np.zeros(dim, dtype=complex)
     term = primitive.amplitudes.astype(complex)
     for _ in range(2 * n_fold):

@@ -34,23 +34,18 @@ MATCH_TOL = 1e-8
 # --- spectra as exact sets --------------------------------------------------
 
 
-def validate_spectrum_family(rows, target, den: int = 1) -> dict:
+def validate_spectrum_family(rows: np.ndarray, target, den: int = 1) -> dict:
     """Check that the rows' point spectra are pairwise disjoint and their union equals target.
 
-    Each row is an integer array of numerators over one denominator `den`
-    (a 2-D table counts as its rows); target holds distinct ones over `den`.
+    `rows` is a 2-D integer table, one row of numerators over one
+    denominator `den` per spectrum; target holds distinct ones over `den`.
     All comparisons are exact: one stable sort of the (value, row) pairs
     puts the owners of each point side by side in row order.  Each run of
     equal values is one point of the union, and each pair of occurrences in
     a run is a witness, so a point repeated inside one row is witnessed by
     that row twice.
     """
-    if isinstance(rows, np.ndarray):
-        values, owner = rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1])
-    else:
-        rows = [np.asarray(r) for r in rows]
-        values = np.concatenate([np.zeros(0, np.int64), *rows])
-        owner = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    values, owner = rows.ravel(), np.repeat(np.arange(len(rows)), rows.shape[1])
     want = np.sort(target)
     if values.dtype.kind not in "iu" or want.dtype.kind not in "iu":
         raise TypeError("spectrum rows and target must be integer numerator arrays")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -36,15 +35,6 @@ def mod2(phase: RationalLike) -> Fraction:
 def phase_to_complex(phase: RationalLike) -> complex:
     angle = math.pi * float(Fraction(phase))
     return complex(math.cos(angle), math.sin(angle))
-
-
-def numerators(values: Iterable[RationalLike] | np.ndarray) -> tuple[np.ndarray, int]:
-    """Rationals as int64 numerators over their least common denominator (1 for an int array)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values.astype(np.int64), 1
-    fracs = [as_fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return np.array([f.numerator * (den // f.denominator) for f in fracs], dtype=np.int64), den
 
 
 def mod_power(m: np.ndarray, power: int, modulus: int) -> np.ndarray:

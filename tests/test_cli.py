@@ -57,6 +57,13 @@ def test_build_writes_rot_bundle(tmp_path):
     assert len(bundle["codewords"]) == 2
     amps0 = bundle["codewords"][0]["entries"]
     assert amps0[0] == [1.0, 0.0] and all(a == [0.0, 0.0] for a in amps0[1:])
+    # a far level on the j = 1 sector: the rotation-sum route reduces its angle mod 2 pi first
+    for N, level in ((3, 2613), (5, 3895)):
+        argv = ["build-code", "--family", "rot", "--N", str(N), "--D", "4096",
+                "--primitive", f"fock:0,{level}", "--out", str(out)]
+        assert main(argv) == 0
+        amps1 = json.loads(out.read_text())["codewords"][1]["entries"]
+        assert amps1[level] == [1.0, 0.0]
 
 
 def test_build_writes_gkp_bundle(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqec.errors import InvalidDimension, NonOrthonormalCodewords, ZeroProjection
+from cvqec.errors import InvalidDimension, NonRationalPhase, ZeroProjection
 from cvqec.fock import (
     FockOperator,
     FockVector,
@@ -24,8 +24,6 @@ from cvqec.fock import (
     inner,
     rot_codeword_from_primitive,
     rot_logical_op,
-    rot_primitive_validity,
-    u_invariant_projector,
 )
 from cvqec.phases import mod2, phase_to_complex
 
@@ -37,12 +35,6 @@ def basis(dim, m):
 
 
 # --- operator constructors ----------------------------------------------------
-
-
-def test_number_operator_diagonal():
-    n = fock_operator("number", 5)
-    assert n.exact_diag == tuple(Fraction(m) for m in range(5))
-    assert np.allclose(n.entries, np.diag(np.arange(5.0)))
 
 
 def test_annihilation_action_oracle():
@@ -61,10 +53,10 @@ def test_rotation_exact_phase_channel():
     assert np.allclose(np.diag(r.entries), [1, 1j, -1, -1j])
 
 
-def test_rotation_float_theta_has_no_exact_channel():
-    r = fock_operator("rotation", 4, theta=0.7)
-    assert r.phases is None
-    assert np.allclose(np.diag(r.entries), np.exp(1j * 0.7 * np.arange(4)))
+def test_rotation_float_theta_is_refused():
+    # theta is a rational of pi; a float would be rounded, so it is refused
+    with pytest.raises(NonRationalPhase):
+        fock_operator("rotation", 4, theta=0.7)
 
 
 def test_number_shift_matrix_and_adjoint():
@@ -91,12 +83,10 @@ def test_exact_data_is_kept_over_the_least_denominator():
     assert op.phases == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
     ref = fock_operator("rotation", 4, theta=Fraction(1, 2))
     assert op.den == ref.den and np.array_equal(op.phase_num, ref.phase_num)
-    n = FockOperator(2, [0, 1], "band", diag_num=np.array([0, 6]), den=6)
-    assert n.den == 1 and n.exact_diag == (Fraction(0), Fraction(1))
     with pytest.raises(InvalidDimension):
-        FockOperator(2, [0, 1], "band", diag_num=np.array([0.0, 1.0]))
+        FockOperator(2, [1, -1], "band", phase_num=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        FockOperator(2, [0, 1], "band", diag_num=np.array([0, 1]), den=0)
+        FockOperator(2, [1, -1], "band", phase_num=np.array([0, 1]), den=0)
     # exact data lives on the main diagonal only, and a band lies inside the matrix
     with pytest.raises(ValueError, match="diagonal operators"):
         FockOperator(2, [1], "band", offset=-1, phase_num=np.array([0, 1]))
@@ -111,33 +101,7 @@ def test_phase_operator_entries_match_phase_to_complex(num, den):
     assert abs(got - phase_to_complex(mod2(Fraction(num, den)))) < 1e-15
 
 
-# --- invariant projector --------------------------------------------------------
-
-
-def test_u_invariant_projector_rotation_code_sectors():
-    # generator spectrum 0..7 with Z angle pi/2: sector j keeps {0,4} / {2,6}
-    spectrum = [Fraction(m) for m in range(8)]
-    p0 = u_invariant_projector(spectrum, Fraction(1, 2), 0)
-    p1 = u_invariant_projector(spectrum, Fraction(1, 2), 1)
-    assert p0.exact_diag == tuple(Fraction(int(m in (0, 4))) for m in range(8))
-    assert p1.exact_diag == tuple(Fraction(int(m in (2, 6))) for m in range(8))
-
-
-def test_u_invariant_projector_zero_sector_is_flagged_not_error():
-    spectrum = [Fraction(m) for m in range(8)]
-    p = u_invariant_projector(spectrum, Fraction(1, 10), 1)
-    assert p.is_zero
-
-
 # --- codeword construction ------------------------------------------------------
-
-
-def test_primitive_validity_frozen_cases():
-    v = FockVector(8, np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=complex) / np.sqrt(2))
-    assert rot_primitive_validity(v, 2)
-    both_even = FockVector(8, np.array([1, 0, 0, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(2))
-    assert not rot_primitive_validity(both_even, 2)
-    assert rot_primitive_validity(coherent_state(2.0, 32), 2)
 
 
 def test_codewords_from_two_level_primitive():
@@ -291,7 +255,7 @@ def test_banded_operators_store_no_dense_matrix():
         ops = [
             fock_operator("number_shift", dim, shift=3),
             fock_operator("annihilation", dim),
-            fock_operator("rotation", dim, theta=0.3),
+            fock_operator("rotation", dim, theta=Fraction(3, 10)),
         ]
         ops += [adjoint(op) for op in ops]
         vec = basis(dim, m)
@@ -299,10 +263,10 @@ def test_banded_operators_store_no_dense_matrix():
         expected = [
             (m - 3, 1.0),
             (m - 1, math.sqrt(m)),
-            (m, np.exp(0.3j * m)),
+            (m, np.exp(0.3j * np.pi * m)),
             (m + 3, 1.0),
             (m + 1, math.sqrt(m + 1)),
-            (m, np.exp(-0.3j * m)),
+            (m, np.exp(-0.3j * np.pi * m)),
         ]
         for op, (index, value) in zip(ops, expected):
             amps = apply_operator(op, vec).amplitudes

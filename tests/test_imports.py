@@ -1,0 +1,33 @@
+"""Every module under src/cvqec/ and tests/ reads each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parents[1]
+MODULES = sorted([*(ROOT / "src" / "cvqec").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` imports, at any depth, that no expression in it reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds a
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_are_found():
+    source = "import os.path\nimport numpy as np\nfrom a import b, c as d\nfrom __future__ import annotations\nd(os)\n"
+    assert unused_imports(source) == ["b", "np"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

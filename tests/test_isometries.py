@@ -26,14 +26,15 @@ F = Fraction
 
 def test_point_family_tiles_grid():
     # blocks {0,1}, {-1,-2} tile the grid {-2,-1,0,1}
-    out = validate_spectrum_family([np.array([0, 1]), np.array([-1, -2])], np.arange(-2, 2))
+    table = np.array([[0, 1], [-1, -2]])
+    out = validate_spectrum_family(table, np.arange(-2, 2))
     assert out["union_ok"] and out["disjoint_ok"] and out["witnesses"] == []
-    # a 2-D table counts as its rows
-    assert validate_spectrum_family(np.array([[0, 1], [-1, -2]]), [1, -2, 0, -1]) == out
+    # the target's order does not matter
+    assert validate_spectrum_family(table, [1, -2, 0, -1]) == out
 
 
 def test_shared_point_is_witnessed():
-    out = validate_spectrum_family([np.array([0, 1]), np.array([1, 2])], np.arange(3))
+    out = validate_spectrum_family(np.array([[0, 1], [1, 2]]), np.arange(3))
     assert not out["disjoint_ok"]
     assert out["witnesses"] == ["specs [0, 1] share point 1"]
     # four owners of one point: by the later owner, then the earlier one
@@ -45,28 +46,29 @@ def test_shared_point_is_witnessed():
 
 def test_single_spec_must_equal_target():
     row = np.array([0, 2, 3])  # 0, 1, 3/2 over halves
-    assert validate_spectrum_family([row], row, den=2)["union_ok"]
-    out = validate_spectrum_family([row], np.array([0, 2, 5]), den=2)
+    assert validate_spectrum_family(row[None], row, den=2)["union_ok"]
+    out = validate_spectrum_family(row[None], np.array([0, 2, 5]), den=2)
     assert not out["union_ok"] and out["disjoint_ok"]
     assert out["witnesses"] == [
         "union mismatch: family gives points ['0', '1', '3/2'], target has points ['0', '1', '5/2']"
     ]
     # no rows tile only the empty spectrum
-    assert validate_spectrum_family([], np.zeros(0, np.int64))["union_ok"]
-    assert validate_spectrum_family([], row, den=2)["witnesses"] == [
+    no_rows = np.zeros((0, 3), np.int64)
+    assert validate_spectrum_family(no_rows, np.zeros(0, np.int64))["union_ok"]
+    assert validate_spectrum_family(no_rows, row, den=2)["witnesses"] == [
         "union mismatch: family gives points [], target has points ['0', '1', '3/2']"
     ]
     with pytest.raises(TypeError, match="integer"):
-        validate_spectrum_family([np.array([0.5])], [0])
+        validate_spectrum_family(np.array([[0.5]]), [0])
 
 
 @pytest.mark.parametrize(
     "rows, den, witnesses",
     [
-        ([np.array([1, 1])], 1, ["specs [0, 0] share point 1"]),
-        ([np.array([2]), np.array([1, 0, 1])], 2, ["specs [1, 1] share point 1/2"]),
-        ([np.array([3, 1, 3])], 4, ["specs [0, 0] share point 3/4"]),
-        ([np.array([5, 5, 5])], 1, ["specs [0, 0] share point 5"] * 3),
+        (np.array([[1, 1]]), 1, ["specs [0, 0] share point 1"]),
+        (np.array([[2, 3, 4], [1, 0, 1]]), 2, ["specs [1, 1] share point 1/2"]),
+        (np.array([[3, 1, 3]]), 4, ["specs [0, 0] share point 3/4"]),
+        (np.array([[5, 5, 5]]), 1, ["specs [0, 0] share point 5"] * 3),
         (np.array([[1, 2], [2, 2]]), 3, ["specs [0, 1] share point 2/3", "specs [0, 1] share point 2/3",
                                          "specs [1, 1] share point 2/3"]),
     ],
@@ -74,19 +76,17 @@ def test_single_spec_must_equal_target():
 )
 def test_point_repeated_in_one_row_is_witnessed(rows, den, witnesses):
     # each pair of occurrences of a value is one witness, within a row as across rows
-    target = np.unique(np.concatenate(list(rows)))
+    target = np.unique(rows)
     out = validate_spectrum_family(rows, target, den)
     assert out == {"union_ok": True, "disjoint_ok": False, "witnesses": witnesses}
-
-
-# rows of numerators over sixths, ragged, where points collide within and across rows
-row_points = st.lists(st.integers(-6, 6), max_size=6)
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_family_verdicts_match_point_oracle(data):
-    family = data.draw(st.lists(row_points, max_size=4))
+    # a table of numerators over sixths, where points collide within and across rows
+    width = data.draw(st.integers(0, 6))
+    family = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=width, max_size=width), max_size=4))
     union = sorted(set().union(*family))
     # the target is the union, perhaps with a point dropped and a grid point added
     target = set(union)
@@ -94,9 +94,7 @@ def test_family_verdicts_match_point_oracle(data):
         target.discard(data.draw(st.sampled_from(union)))
     if data.draw(st.booleans()):
         target.add(data.draw(st.integers(-6, 6)))
-    rows = [np.array(g, dtype=np.int64) for g in family]
-    if family and len({len(g) for g in family}) == 1 and data.draw(st.booleans()):
-        rows = np.array(family, dtype=np.int64).reshape(len(family), -1)
+    rows = np.array(family, dtype=np.int64).reshape(len(family), width)
     out = validate_spectrum_family(rows, np.array(sorted(target), dtype=np.int64), den=6)
 
     shared = []

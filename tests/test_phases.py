@@ -14,7 +14,6 @@ from cvqec.phases import (
     fraction_view,
     mod2,
     mod_power,
-    numerators,
     phase_to_complex,
     rational_to_json,
 )
@@ -96,12 +95,3 @@ def test_s_and_t_phase_numerators_stay_exact_in_int64(N, start):
 def test_mod_power_refuses_moduli_whose_square_overflows():
     with pytest.raises(OverflowError):
         mod_power(np.arange(4), 2, 2**32)
-
-
-def test_numerators_share_the_least_denominator():
-    num, den = numerators([Fraction(1, 2), 3, Fraction(-5, 6)])
-    assert den == 6 and num.dtype == np.int64 and num.tolist() == [3, 18, -5]
-    num, den = numerators(np.arange(3, dtype=np.int32))
-    assert den == 1 and num.dtype == np.int64 and num.tolist() == [0, 1, 2]
-    with pytest.raises(NonRationalPhase):
-        numerators([Fraction(1, 2), 0.5])

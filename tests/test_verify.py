@@ -15,7 +15,6 @@ from cvqec.fock import (
     approx_ideal_rot_codeword,
     fock_operator,
     identity,
-    rot_codeword_from_primitive,
     rot_logical_op,
 )
 from cvqec.verify import (
