@@ -259,7 +259,8 @@ def cmd_check(config: argparse.Namespace) -> int:
             config.suite == "logical",
             "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
         )
-        match = re.fullmatch(r"ideal|window:([0-9]+)", primitive)
+        # only the labels build-code writes: W in canonical decimal
+        match = re.fullmatch(r"ideal|window:(0|[1-9][0-9]*)", primitive)
         _require(match is not None, f"gkp primitive must be ideal or window:W, got {primitive!r}")
         words = _gkp_codewords(N, None if match[1] is None else int(match[1]))
         _require(_field(bundle, "codewords") == words, "bundle codewords are not its N's gkp codewords")

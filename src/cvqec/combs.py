@@ -186,16 +186,6 @@ def gkp_codeword(n_fold: int, j: int, window: int | None = None) -> CombState:
 # --- exact polynomial phase machinery for periodic supports ---------------
 
 
-def _newton_coeffs(values: Sequence[Fraction]) -> list[Fraction]:
-    """Forward-difference coefficients at 0: f(t) = sum_i c_i * C(t, i)."""
-    row = list(values)
-    coeffs = []
-    while row:
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return coeffs
-
-
 def _is_valid_period(row: Sequence[int], modulus: int, T: int) -> bool:
     # For delta = sum_j row[j] C(t, j) / den, den (delta(t+T) - delta(t)) has binomial-basis
     # coefficients sum_{j>i} row[j] C(T, j-i); it lies in 2 den Z at every integer t iff they do.
@@ -240,29 +230,48 @@ _PHASE_GATES = {
 _SHIFT_GATES = {"X": Fraction(1), "stab_p": Fraction(2)}
 
 
+def _add_phase(phase: Fraction, num: int, den: int) -> Fraction:
+    """(phase + num/den) mod 2 from integer numerators, for den > 0."""
+    d = phase.denominator * den
+    return Fraction((phase.numerator * den + num * phase.denominator) % (2 * d), d)
+
+
 def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> CombState:
     _require_regime(state.unit, n_fold)
     N = n_fold
+    c, e = coef.numerator, coef.denominator
     if state.entries is not None:
         # a phase gate keeps every index and magnitude, so the teeth stay sorted and nonzero
         teeth = tuple(
-            CombTooth(t.index, t.magnitude, mod2(t.phase + coef * (t.index / N) ** power))
+            CombTooth(
+                t.index,
+                t.magnitude,
+                _add_phase(t.phase, c * t.index.numerator**power, e * (t.index.denominator * N) ** power),
+            )
             for t in state.entries
         )
         return CombState(state.unit, entries=teeth)
     p = state.periodic
-    newton = _newton_coeffs([coef * ((p.offset + t * p.period) / N) ** power for t in range(power + 1)])
+    # at offset a/b tooth t adds c (a + t period b)^power / (e (b N)^power): an integer Newton row, one gcd
+    a, b = p.offset.numerator, p.offset.denominator
+    values = [c * (a + t * p.period * b) ** power for t in range(power + 1)]
+    newton = [
+        sum((-1) ** (i - k) * math.comb(i, k) * values[k] for k in range(i + 1)) for i in range(power + 1)
+    ]
+    scale = e * (b * N) ** power
+    g = math.gcd(scale, *newton)
+    scale //= g
     # phases as integer numerators over one common denominator, mod 2 den
-    den = math.lcm(*(c.denominator for c in (*newton, *p.pattern)))
+    den = math.lcm(scale, *(ph.denominator for ph in p.pattern))
     modulus = 2 * den
-    row = [c.numerator * (den // c.denominator) % modulus for c in newton]
-    start = [c.numerator * (den // c.denominator) for c in p.pattern]
+    row = [n // g * (den // scale) % modulus for n in newton]
+    start = [ph.numerator * (den // ph.denominator) for ph in p.pattern]
     T = _phase_cycle_period(row, modulus)
     new_pattern = []
     for t in range(math.lcm(len(start), T)):
         new_pattern.append(Fraction((start[t % len(start)] + row[0]) % modulus, den))
         # forward differences: row[i] becomes den (Delta^i delta)(t + 1)
-        row = [(a + b) % modulus for a, b in zip(row, row[1:])] + row[-1:]
+        row = [(x + y) % modulus for x, y in zip(row, row[1:])] + row[-1:]
     return periodic_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
 
 
@@ -280,17 +289,13 @@ def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:
 def _apply_cz(state: TwoModeComb, n_fold: int) -> TwoModeComb:
     for u in state.units:
         _require_regime(u, n_fold)
-    N = n_fold
-    teeth = tuple(
-        TwoModeTooth(
-            t.index1,
-            t.index2,
-            t.magnitude,
-            mod2(t.phase + (t.index1 / N) * (t.index2 / N)),
-        )
-        for t in state.entries
-    )
-    return TwoModeComb(state.units, teeth)
+    N2 = n_fold * n_fold
+    teeth = []
+    for t in state.entries:
+        i1, i2 = t.index1, t.index2
+        phase = _add_phase(t.phase, i1.numerator * i2.numerator, i1.denominator * i2.denominator * N2)
+        teeth.append(TwoModeTooth(i1, i2, t.magnitude, phase))
+    return TwoModeComb(state.units, tuple(teeth))
 
 
 def gkp_apply(
@@ -306,6 +311,8 @@ def gkp_apply(
     adding l1 l2 (units of pi) at logical indices l = v/N.
     Amounts must be exact rationals; floats raise NonRationalPhase.
     """
+    if amount is not None and kind in (*_PHASE_GATES, *_SHIFT_GATES, "CZ"):
+        raise ValueError(f"{kind} takes no amount")
     if kind == "CZ":
         if not isinstance(state, TwoModeComb):
             raise TypeError("CZ needs a TwoModeComb")
@@ -329,16 +336,18 @@ def _equal_up_to_phase(a: Sequence[tuple], b: Sequence[tuple]) -> tuple[bool, Fr
 
     A place holds a tooth's position and magnitude; no records give (True, 0).
     """
-    if len(a) != len(b):
+    if len(a) != len(b) or any(x[0] != y[0] for x, y in zip(a, b)):
         return (False, None)
-    diffs = set()
-    for (place_a, pa), (place_b, pb) in zip(a, b):
-        if place_a != place_b:
-            return (False, None)
-        diffs.add(mod2(pb - pa))
-    if not diffs:
+    if not a:
         return (True, Fraction(0))
-    return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
+    first = b[0][1] - a[0][1]
+    n, d = first.numerator, first.denominator
+    for (_, pa), (_, pb) in zip(a, b):
+        # pb - pa - n/d lies in 2Z
+        da, db = pa.denominator, pb.denominator
+        if (pb.numerator * da * d - pa.numerator * db * d - n * da * db) % (2 * da * db * d):
+            return (False, None)
+    return (True, first % 2)
 
 
 def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction | None]:
@@ -376,12 +385,12 @@ def product_comb(a: CombState, b: CombState) -> TwoModeComb:
     """Tensor product of two finite combs."""
     if a.entries is None or b.entries is None:
         raise ValueError("product_comb needs finite combs")
-    teeth = tuple(
-        TwoModeTooth(ta.index, tb.index, ta.magnitude * tb.magnitude, mod2(ta.phase + tb.phase))
-        for ta in a.entries
-        for tb in b.entries
-    )
-    return TwoModeComb((a.unit, b.unit), teeth)
+    teeth = []
+    for ta in a.entries:
+        for tb in b.entries:
+            phase = _add_phase(ta.phase, tb.phase.numerator, tb.phase.denominator)
+            teeth.append(TwoModeTooth(ta.index, tb.index, ta.magnitude * tb.magnitude, phase))
+    return TwoModeComb((a.unit, b.unit), tuple(teeth))
 
 
 def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:

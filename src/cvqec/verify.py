@@ -199,24 +199,26 @@ def gkp_exact_suite(n_fold: int) -> list[dict]:
     """
     N = n_fold
     words = {j: combs.gkp_codeword(N, j) for j in (0, 1)}
-
-    def gate(name, state):
-        return combs.gkp_apply(name, state, N)
+    # each distinct gate output once: the single gates, then each doubled on top of its first
+    outs = {}
+    for j, w in words.items():
+        out = {name: combs.gkp_apply(name, w, N) for name in ("Z", "S", "T", "X", "stab_q", "stab_p")}
+        out.update({name * 2: combs.gkp_apply(name, out[name], N) for name in ("Z", "X", "S", "T")})
+        outs[j] = out
 
     rows: list[dict] = []
     for j in (0, 1):
         w = words[j]
         gate_phases = {"Z": j, "S": Fraction(j, 2), "T": Fraction(j, 4), "stab_q": 0, "stab_p": 0}
         for name, phase in gate_phases.items():
-            rows.append(_phase_row(f"{name}_on_{j}", w, gate(name, w), mod2(phase)))
-        rows.append(_phase_row(f"X_swaps_{j}", words[1 - j], gate("X", w), Fraction(0)))
+            rows.append(_phase_row(f"{name}_on_{j}", w, outs[j][name], mod2(phase)))
+        rows.append(_phase_row(f"X_swaps_{j}", words[1 - j], outs[j]["X"], Fraction(0)))
     # CZ acts tooth by tooth, so windowed codewords witness the ideal phases
+    windowed = {j: combs.gkp_codeword(N, j, window=2) for j in (0, 1)}
     for j in (0, 1):
         for jp in (0, 1):
-            prod = combs.product_comb(
-                combs.gkp_codeword(N, j, window=2), combs.gkp_codeword(N, jp, window=2)
-            )
-            same, phase = combs.twomode_equal_up_to_phase(prod, gate("CZ", prod))
+            prod = combs.product_comb(windowed[j], windowed[jp])
+            same, phase = combs.twomode_equal_up_to_phase(prod, combs.gkp_apply("CZ", prod, N))
             expected = mod2(j * jp)
             rows.append(
                 result_row(
@@ -233,10 +235,8 @@ def gkp_exact_suite(n_fold: int) -> list[dict]:
         ("TT_is_S", "T", "S", None),
     )
     for j in (0, 1):
-        w = words[j]
         for name, double, single, expected in identities:
-            got = gate(double, gate(double, w))
-            rows.append(_phase_row(f"{name}_on_{j}", gate(single, w), got, expected))
+            rows.append(_phase_row(f"{name}_on_{j}", outs[j][single], outs[j][double * 2], expected))
     return rows
 
 

@@ -372,6 +372,9 @@ def _entry_one_ulp_up(bundle):
         ("rot", {"eps": 2e-3}, "codewords differ"),
         ("rot fock:0,2", {"eps": 1e-3}, "eps must be null"),
         ("rot", {"codeword.entries": _entry_one_ulp_up}, "codewords differ"),
+        # build-code writes W in canonical decimal, so a padded label is not one it wrote
+        ("window:2", {"primitive": "window:002"}, "gkp primitive must be ideal or window:W"),
+        ("window:2", {"primitive": "window:02"}, "gkp primitive must be ideal or window:W"),
     ],
 )
 def test_check_rejects_foreign_codewords(
@@ -546,7 +549,9 @@ def test_alg1_size_guard(capsys):
         # D = 2N, the smallest legal D, puts the bridge's check comb at the window edge
         (f"bridge-N{N}-D{D}.{fmt}", ["bridge", "--N", str(N), "--D", str(D), "--format", fmt])
         for N, D, fmt in [(1, 2, "json"), (2, 4, "json"), (8, 16, "json"), (8, 64, "md")]
-    ],
+    ]
+    # the largest order: its T gate reduces the largest Newton denominator, 4 N^4
+    + [("check-logical-gkp64.json", ["check", "--suite", "logical", "--code", "gkp 64"])],
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
     # The gkp and alg1 reports carry no float from a numerical routine, so their bytes are

@@ -170,6 +170,15 @@ def test_float_amount_raises():
         gkp_apply("translate_q", state, 1, amount=0.5)
 
 
+@pytest.mark.parametrize("amount", [5, 0, F(1, 3)])
+@pytest.mark.parametrize("kind", ["Z", "S", "T", "X", "stab_q", "stab_p", "CZ"])
+def test_amount_is_refused_where_a_gate_takes_none(kind, amount):
+    w = gkp_codeword(2, 1, window=2)
+    state = product_comb(w, w) if kind == "CZ" else w
+    with pytest.raises(ValueError, match="takes no amount"):
+        gkp_apply(kind, state, 2, amount=amount)
+
+
 def test_unit_regime_enforced():
     state = finite_comb(CombUnit(0, F(3)), [(0, 1, 0), (3, 1, 0)])
     with pytest.raises(UnitMismatch):
@@ -345,6 +354,128 @@ def test_t_gate_with_long_phase_period():
     for t in [*range(0, L, 1_013), L - 1, L, L + 1, 3 * L + 17]:
         l = (offset + 2 * N * t) / N
         assert out.pattern[t % L] == (l**4 / 4) % 2
+
+
+# --- integer arithmetic against direct Fraction evaluation ----------------------------
+
+# (coef, power): the gate adds coef * (index / N)**power, in units of pi
+ORACLE_GATES = {"Z": (-1, 1), "stab_q": (-2, 1), "S": (F(1, 2), 2), "T": (F(1, 4), 4)}
+oracle_index = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+oracle_phase = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+oracle_magnitude = st.fractions(min_value=F(1, 8), max_value=5, max_denominator=8)
+oracle_teeth = st.dictionaries(oracle_index, st.tuples(oracle_magnitude, oracle_phase), max_size=6)
+# added to a phase difference: 0 and multiples of 2 keep it mod 2, the others move it
+oracle_bends = st.sampled_from([0, 0, 2, -4, 1, -3, F(1, 3), F(-5, 7)])
+
+
+def oracle_comb(N, teeth):
+    return finite_comb(bridge_unit(N), [(i, m, p) for i, (m, p) in teeth.items()])
+
+
+def records(state):
+    """Every tooth as a tuple, its phase checked to be a Fraction in [0, 2)."""
+    assert all(type(t.phase) is F and 0 <= t.phase < 2 for t in state.entries)
+    return [tuple(vars(t).values()) for t in state.entries]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 7), oracle_teeth, st.sampled_from([*ORACLE_GATES, "translate_q"]), oracle_index)
+def test_finite_phase_gates_match_fraction_oracle(N, teeth, gate, r):
+    state = oracle_comb(N, teeth)
+    coef, power = (-r, 1) if gate == "translate_q" else ORACLE_GATES[gate]
+    out = gkp_apply(gate, state, N, amount=r if gate == "translate_q" else None)
+    want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in state.entries]
+    assert records(out) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 7), oracle_teeth, oracle_teeth)
+def test_product_and_cz_match_fraction_oracle(N, teeth_a, teeth_b):
+    a, b = oracle_comb(N, teeth_a), oracle_comb(N, teeth_b)
+    prod = product_comb(a, b)
+    want = [
+        (ta.index, tb.index, ta.magnitude * tb.magnitude, (ta.phase + tb.phase) % 2)
+        for ta in a.entries
+        for tb in b.entries
+    ]
+    assert records(prod) == want
+    cz = [(i1, i2, m, (p + (i1 / N) * (i2 / N)) % 2) for i1, i2, m, p in want]
+    assert records(gkp_apply("CZ", prod, N)) == cz
+
+
+def oracle_equal(pairs):
+    """(True, d) when every phase pair differs by d mod 2, the sum over Fractions."""
+    diffs = {(pb - pa) % 2 for pa, pb in pairs}
+    if not diffs:
+        return (True, 0)
+    return (True, diffs.pop()) if len(diffs) == 1 else (False, None)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    oracle_teeth,
+    oracle_phase,
+    st.lists(oracle_bends, min_size=6, max_size=6),
+)
+def test_finite_equality_matches_fraction_oracle(teeth, shift, bends):
+    a = oracle_comb(3, teeth)
+    b = finite_comb(a.unit, [(t.index, t.magnitude, t.phase + shift + k) for t, k in zip(a.entries, bends)])
+    want = oracle_equal([(ta.phase, tb.phase) for ta, tb in zip(a.entries, b.entries)])
+    assert comb_equal_up_to_phase(a, b) == want
+    other = finite_comb(a.unit, [(1, 2, F(1, 3)), (F(-3, 2), F(1, 2), F(7, 5))])
+    # twomode equality sorts the teeth, so the reversed product is the same comb
+    pa, pb = product_comb(a, other), product_comb(b, other)
+    pb = TwoModeComb(pb.units, pb.entries[::-1])
+    assert twomode_equal_up_to_phase(pa, pb) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(1, 5),
+    st.lists(oracle_phase, min_size=1, max_size=4),
+    oracle_phase,
+    st.lists(oracle_bends, min_size=1, max_size=6),
+    oracle_magnitude,
+)
+def test_periodic_equality_matches_fraction_oracle(offset, period, pattern, shift, bends, magnitude):
+    # b repeats a's pattern over len(bends) teeth, shifted by one phase and bent tooth by tooth
+    unit = bridge_unit(2)
+    a = periodic_comb(unit, offset, period, pattern, magnitude)
+    b_pattern = [pattern[t % len(pattern)] + shift + k for t, k in enumerate(bends)]
+    b = periodic_comb(unit, offset, period, b_pattern, magnitude)
+    # the teeth in one span of both patterns fix every phase difference
+    hi = 12 * 5 * period
+    pairs = [(ta.phase, tb.phase) for ta, tb in zip(teeth_in_range(a, -hi, hi), teeth_in_range(b, -hi, hi))]
+    assert comb_equal_up_to_phase(a, b) == oracle_equal(pairs)
+
+
+def test_phase_differences_equal_only_mod_2():
+    # the differences are 1/2 and 1/2 - 2, the same global phase
+    unit = bridge_unit(2)
+    a = finite_comb(unit, [(0, 1, 0), (2, 1, F(3, 2))])
+    b = finite_comb(unit, [(0, 1, F(1, 2)), (2, 1, 0)])
+    assert comb_equal_up_to_phase(a, b) == (True, F(1, 2))
+    one = finite_comb(unit, [(4, 1, F(5, 3))])
+    assert twomode_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (True, F(1, 2))
+    assert comb_equal_up_to_phase(
+        periodic_comb(unit, 1, 4, [0, F(3, 2)]), periodic_comb(unit, 1, 4, [F(1, 2), 0])
+    ) == (True, F(1, 2))
+
+
+def test_phase_differences_apart_by_a_small_fraction():
+    unit = bridge_unit(2)
+    # differences 0 and 1 are apart by an odd integer, not a multiple of 2
+    odd = finite_comb(unit, [(0, 1, 0), (2, 1, 1)])
+    assert comb_equal_up_to_phase(finite_comb(unit, [(0, 1, 0), (2, 1, 0)]), odd) == (False, None)
+    a = finite_comb(unit, [(0, 1, 0), (2, 1, 0)])
+    b = finite_comb(unit, [(0, 1, F(1, 3)), (2, 1, F(1, 3) + F(1, 10**6))])
+    assert comb_equal_up_to_phase(a, b) == (False, None)
+    one = finite_comb(unit, [(4, 1, 0)])
+    assert twomode_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (False, None)
+    assert comb_equal_up_to_phase(
+        periodic_comb(unit, 1, 4, [0, 0]), periodic_comb(unit, 1, 4, [F(1, 3), F(1, 3) + F(1, 10**6)])
+    ) == (False, None)
 
 
 # --- equality up to one global phase ------------------------------------------------

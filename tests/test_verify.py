@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqec.cli import MAX_N
 from cvqec.errors import NonOrthonormalCodewords
 from cvqec.fock import (
     FockOperator,
@@ -207,7 +208,7 @@ def test_scan_records_points():
 # --- exact suite and reports -------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 5])
+@pytest.mark.parametrize("N", range(1, MAX_N + 1))
 def test_exact_suite_is_all_green(N):
     rows = gkp_exact_suite(N)
     assert len(rows) == 24
