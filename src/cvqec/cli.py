@@ -71,23 +71,31 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _bundle_text(bundle: dict) -> str:
-    """Exactly json.dumps(bundle, indent=2, sort_keys=True), at C-encoder speed.
+# a codeword's entries table at its depth in the bundle: rows of [re, im] pairs
+_ROW, _PAIR = "\n        ],\n        [\n          ", ",\n          "
+_ZERO_PAIRS = np.array([f"{a!r}{_PAIR}{b!r}" for a in (0.0, -0.0) for b in (0.0, -0.0)], dtype=object)
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Each Fock codeword's entries table is encoded compactly and then laid out
-    at its nesting depth, which is sound because a float's repr holds no ", ",
-    "[" or "]".  A table stands in as the string "\\0" until then; "codewords"
-    sorts before every string-valued field, so the k-th stand-in is codeword k's.
+
+def _bundle_text(bundle: dict) -> str:
+    """Exactly json.dumps(bundle, indent=2, sort_keys=True), a FockVector codeword as its to_json_dict().
+
+    A vector's entries table is written from its amplitudes: a pair of zeros is
+    picked by its two sign bits, and any other value is its repr, with json's
+    spelling of nan and inf.  A table stands in as the string "\\0" until then;
+    "codewords" sorts before every string-valued field, so the k-th stand-in is
+    codeword k's.
     """
     tables, words = [], []
     for w in bundle["codewords"]:
-        if w.get("structure") == "vector":
-            tables.append(
-                json.dumps(w["entries"]).replace("], [", "\n        ],\n        [\n          ")
-                .replace(", ", ",\n          ").replace("[[", "[\n        [\n          ")
-                .replace("]]", "\n        ]\n      ]")
-            )
-            w = {**w, "entries": "\0"}
+        if isinstance(w, FockVector):
+            amps = w.amplitudes
+            rows = _ZERO_PAIRS[2 * np.signbit(amps.real) + np.signbit(amps.imag)]
+            rest = amps != 0
+            values = iter([_JSON_SPELLING.get(v, v) for v in map(repr, amps[rest].view(float).tolist())])
+            rows[rest] = list(map(_PAIR.join, zip(values, values)))
+            tables.append("[\n        [\n          " + _ROW.join(rows.tolist()) + "\n        ]\n      ]")
+            w = {"dim": w.dim, "entries": "\0", "structure": "vector"}
         words.append(w)
     text = json.dumps({**bundle, "codewords": words}, indent=2, sort_keys=True)
     for table in tables:
@@ -165,17 +173,19 @@ def cmd_build_code(config: argparse.Namespace) -> int:
     _require(1 <= config.N <= MAX_N, f"N must be in [1, {MAX_N}]")
     bundle = {"tool_version": __version__, "family": config.family, "N": config.N}
     if config.family == "rot":
-        _require(1 <= config.D <= MAX_D, f"D must be in [1, {MAX_D}]")
-        words, ideal = _rot_codewords(config.N, config.D, config.primitive, config.eps)
-        bundle.update(
-            {
-                "D": config.D,
-                "primitive": config.primitive,
-                "eps": config.eps if ideal else None,
-                "codewords": [w.to_json_dict() for w in words],
-            }
-        )
+        _require(config.window is None, "--window applies only to the gkp family")
+        D = 64 if config.D is None else config.D
+        primitive = "ideal" if config.primitive is None else config.primitive
+        _require(config.eps is None or primitive == "ideal", "--eps applies only to the ideal primitive")
+        eps = 1e-3 if config.eps is None else config.eps
+        _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
+        words, ideal = _rot_codewords(config.N, D, primitive, eps)
+        bundle.update({"D": D, "primitive": primitive, "eps": eps if ideal else None, "codewords": words})
     else:
+        _require(
+            config.D is None and config.eps is None and config.primitive is None,
+            "--D, --eps and --primitive apply only to the rot family",
+        )
         bundle.update(
             {
                 "primitive": "ideal" if config.window is None else f"window:{config.window}",
@@ -341,9 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build-code", help="construct codewords and write a bundle")
     build.add_argument("--family", required=True, choices=["rot", "gkp"])
     build.add_argument("--N", required=True, type=int)
-    build.add_argument("--D", type=int, default=64)
-    build.add_argument("--primitive", default="ideal")
-    build.add_argument("--eps", type=float, default=1e-3)
+    # rot-only: None until cmd_build_code sets 64, ideal and 1e-3; the gkp family refuses them
+    build.add_argument("--D", type=int, default=None)
+    build.add_argument("--primitive", default=None)
+    build.add_argument("--eps", type=float, default=None)
     build.add_argument("--window", type=int, default=None)
     build.add_argument("--out", default=None)
 

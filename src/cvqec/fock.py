@@ -290,18 +290,16 @@ def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> F
     if dim < 2 * n_fold:
         raise InvalidDimension(f"dim {dim} < 2*n_fold = {2 * n_fold}")
 
-    m = np.arange(dim)
-    selected = np.where(m % (2 * n_fold) == (j * n_fold) % (2 * n_fold), primitive.amplitudes, 0.0)
+    residue = np.arange(dim) % (2 * n_fold)
+    selected = np.where(residue == j * n_fold, primitive.amplitudes, 0.0)
 
-    # rotation-sum route: (1/2N) sum_s ((-1)^j R_{pi/N})^s
-    # the phase has period 2N in m, so reducing m first keeps the angle, and its error, small
-    rot_diag = np.exp(1j * np.pi * (m % (2 * n_fold)) / n_fold) * ((-1) ** j)
-    acc = np.zeros(dim, dtype=complex)
-    term = primitive.amplitudes.astype(complex)
-    for _ in range(2 * n_fold):
-        acc += term
-        term = rot_diag * term
-    acc /= 2 * n_fold
+    # rotation-sum route: (1/2N) sum_s ((-1)^j R_{pi/N})^s is diagonal, and its entry at
+    # level m is e^{i pi s (m + jN) / N} averaged over s, which depends on m mod 2N only;
+    # the angle's numerator is reduced mod 2N in integers, so it stays small at any level
+    r, s = np.ogrid[: 2 * n_fold, : 2 * n_fold]
+    unit = np.exp(1j * np.pi * np.arange(2 * n_fold) / n_fold)
+    table = unit[(r + j * n_fold) * s % (2 * n_fold)].mean(axis=1)
+    acc = table[residue] * primitive.amplitudes
 
     if np.max(np.abs(acc - selected)) > 1e-12:
         raise RuntimeError("projector routes disagree beyond 1e-12; numerical fault")

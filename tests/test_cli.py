@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,12 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
                   ["--primitive", "coherent:infj"], ["--primitive", "coherent:1e200"],
                   ["--D", "4096", "--primitive", "coherent:30"]):
         assert_quiet_exit_2(capsys, [*rot, *extra, "--out", str(tmp_path / "never.json")])
+    # an option of the other family, or eps with a non-ideal primitive, is refused, not dropped
+    gkp2, rot2 = ["--family", "gkp", "--N", "2"], ["--family", "rot", "--N", "2"]
+    for argv in ([*gkp2, "--primitive", "coherent:1", "--D", "7", "--eps", "5"], [*gkp2, "--D", "64"],
+                 [*gkp2, "--eps", "1e-3"], [*gkp2, "--primitive", "ideal"], [*rot2, "--window", "3"],
+                 [*rot2, "--primitive", "fock:0,2", "--eps", "0.5"]):
+        assert_quiet_exit_2(capsys, ["build-code", *argv, "--out", str(tmp_path / "never.json")])
     assert not (tmp_path / "never.json").exists()
 
 
@@ -582,11 +589,27 @@ table_floats = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e3
     )
 )
 def test_bundle_text_matches_indented_dumps(tables):
+    # the writer reads each codeword's amplitude array; json.dumps of its to_json_dict() is the oracle
+    words = [fock.FockVector(len(t), np.array(t, dtype=float).view(complex).ravel()) for t in tables]
+    fields = {"tool_version": __version__, "family": "rot", "N": 2, "D": 16, "primitive": "ideal", "eps": 1e-3}
+    oracle = {**fields, "codewords": [w.to_json_dict() for w in words]}
+    assert _bundle_text({**fields, "codewords": words}) == json.dumps(oracle, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "N, primitive", [(64, "ideal"), (3, "coherent:0.3+1j"), (3, "coherent:1"), (64, "fock:0,64")]
+)
+def test_build_bytes_match_indented_dumps_at_the_d_cap(tmp_path, N, primitive):
+    # coherent:1 underflows to zero, through the subnormals, long before level MAX_D
+    out = tmp_path / "code.json"
+    argv = ["build-code", "--family", "rot", "--N", str(N), "--D", str(MAX_D), "--primitive", primitive]
+    assert main([*argv, "--out", str(out)]) == 0
+    words, ideal = cli._rot_codewords(N, MAX_D, primitive, 1e-3)
     bundle = {
-        "tool_version": __version__, "family": "rot", "N": 2, "D": 16, "primitive": "ideal", "eps": 1e-3,
-        "codewords": [{"dim": len(t), "entries": t, "structure": "vector"} for t in tables],
+        "tool_version": __version__, "family": "rot", "N": N, "D": MAX_D, "primitive": primitive,
+        "eps": 1e-3 if ideal else None, "codewords": [w.to_json_dict() for w in words],
     }
-    assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
+    assert out.read_text(encoding="utf-8") == json.dumps(bundle, indent=2, sort_keys=True) + "\n"
 
 
 def test_parser_reuse_keeps_reports(tmp_path, capsys):
