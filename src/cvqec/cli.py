@@ -39,13 +39,15 @@ from .verify import (
     suite_markdown,
 )
 
-MAX_D = 4096
+MAX_D = 2**16
 MAX_N = 64
 MAX_BRIDGE_N = 8
 MAX_ALG1_CELLS = 4096
-MAX_WINDOW = MAX_D // 2  # a windowed gkp codeword then has at most MAX_D + 1 teeth
-# the largest bundle build-code writes under these caps is 2,344,586 bytes (gkp N=64,
-# --window MAX_WINDOW); this must grow with MAX_D
+MAX_WINDOW = 2048  # a windowed gkp codeword then has at most 4097 teeth
+# the largest bundle build-code writes under these caps is rot N=1 at D=MAX_D: 8,050,126 bytes
+# for fock:0,1,...,65535 (its label alone is 382,110 characters) and 7,801,548 for the ideal
+# primitive at eps=0.0108, where most amplitudes print as 23-character e-notation; the largest
+# gkp bundle (N=64, --window MAX_WINDOW) is 2,344,586.  This must grow with MAX_D.
 MAX_BUNDLE_BYTES = 8 * 2**20
 
 # exact rows (rational phases, disjoint supports) vs truncation-limited rows

@@ -4,6 +4,9 @@ Operators on the first D number states are stored by their structure: a
 diagonal or a number shift is one band at a signed offset from the main
 diagonal, a residue-class kernel such as logical H keeps its table of 2N^2
 values, and only a caller-supplied "dense" operator keeps a D x D matrix.
+Bands and dense operators act on vectors.  A kernel never does: the only
+use of logical H is its 2x2 restriction to the code space, which
+`verify.restricted_matrix` forms from the codewords' residue-class sums.
 Diagonal phase operators built from rational angles (units of pi) also keep
 them exactly, as an int64 numerator array over one denominator.  That is
 what lets the bridge check the comb gates against the rotation-side
@@ -25,9 +28,6 @@ SUPPORT_TOL = 1e-12
 
 # logical Z, S, T carry the phase m^k / (k N^k) at level m
 _PHASE_POWERS = {"Z": 1, "S": 2, "T": 4}
-
-# rows of a kernel's residue table formed at once, so its workspace is O(_KERNEL_ROWS R)
-_KERNEL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -230,18 +230,17 @@ def adjoint(op: FockOperator) -> FockOperator:
 
 
 def apply_operator(op: FockOperator, vec: FockVector) -> FockVector:
-    """op|vec>; O(dim) for banded operators, O(dim + R^2) for a kernel of R = min(dim, P) classes."""
+    """op|vec> for a band (O(dim)) or dense operator.
+
+    A kernel raises ValueError: `verify.restricted_matrix` restricts one to
+    the code space from the codewords' residue-class sums instead.
+    """
     if op.dim != vec.dim:
         raise InvalidDimension(f"operator dim {op.dim} != vector dim {vec.dim}")
     if op.structure == "dense":
         return FockVector(vec.dim, op.data @ vec.amplitudes)
     if op.structure == "kernel":
-        # out(m) depends on m mod P only, and sees vec only through its sums over residue classes
-        P, R = op.data.size, min(vec.dim, op.data.size)
-        sums = np.pad(vec.amplitudes, (0, -vec.dim % P)).reshape(-1, P).sum(axis=0)[:R]
-        s = np.arange(R)
-        rows = [op.data[np.outer(s[i : i + _KERNEL_ROWS], s) % P] @ sums for i in range(0, R, _KERNEL_ROWS)]
-        return FockVector(vec.dim, np.resize(np.concatenate(rows), vec.dim))
+        raise ValueError("a kernel is not applied to a vector; restrict it with verify.restricted_matrix")
     # band entry i sits at (row + i, col + i)
     n = op.data.size
     row, col = max(-op.offset, 0), max(op.offset, 0)

@@ -15,12 +15,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import combs
-from .errors import NonOrthonormalCodewords
+from .errors import InvalidDimension, NonOrthonormalCodewords
 from .fock import FockOperator, FockVector, apply_operator, inner
 from .phases import mod2
 
 ORTHONORMAL_TOL = 1e-10
 MONOTONE_SLACK = 1e-12
+
+# rows of a kernel formed at once, so restricting it needs O(_KERNEL_ROWS min(D, P)) workspace
+_KERNEL_ROWS = 32
 
 
 def _check_codewords(codewords: Sequence[FockVector]) -> None:
@@ -36,9 +39,33 @@ def _check_codewords(codewords: Sequence[FockVector]) -> None:
 
 
 def restricted_matrix(op: FockOperator, codewords: Sequence[FockVector]) -> np.ndarray:
-    """The 2x2 matrix of op in the codeword basis, <i|op|j>."""
-    kets = [apply_operator(op, ket) for ket in codewords]
-    return np.array([[inner(bra, ket) for ket in kets] for bra in codewords], dtype=complex)
+    """The 2x2 matrix of op in the codeword basis, <i|op|j>.
+
+    A band or dense operator is applied to each codeword.  A kernel never is:
+    its entry (m, m') depends on m m' mod P only, so <i|op|j> = C_i^H K C_j,
+    where C_j holds codeword j's sums over the residue classes mod P and
+    K[r, s] = data[r s mod P].  The sum runs only over the classes where
+    some codeword's sum is nonzero (2N of the 2N^2 for the order-N
+    codewords of logical H), forming K _KERNEL_ROWS rows at a time.  Every
+    sum is numpy's pairwise one, over a contiguous axis.
+    """
+    if op.structure != "kernel":
+        kets = [apply_operator(op, ket) for ket in codewords]
+        return np.array([[inner(bra, ket) for ket in kets] for bra in codewords], dtype=complex)
+    if any(w.dim != op.dim for w in codewords):
+        raise InvalidDimension(f"codeword dim differs from operator dim {op.dim}")
+    P, n = op.data.size, len(codewords)
+    amps = np.pad([w.amplitudes for w in codewords], ((0, 0), (0, -op.dim % P)))
+    sums = amps.reshape(n, -1, P).swapaxes(1, 2).copy().sum(axis=-1)  # each class contiguous
+    live = np.flatnonzero(np.any(sums != 0, axis=0))
+    sums = np.take(sums, live, axis=1)  # C order, so each sum below runs over a contiguous axis
+    M = np.zeros((n, n), dtype=complex)
+    for i in range(0, live.size, _KERNEL_ROWS):
+        k = np.outer(live[i : i + _KERNEL_ROWS], live)
+        k %= P
+        kets = (op.data[k] * sums[:, None, :]).sum(axis=-1)  # (K C_j)[r] for the block's rows r
+        M += (sums[:, None, i : i + _KERNEL_ROWS].conj() * kets).sum(axis=-1)
+    return M
 
 
 # --- detectability ----------------------------------------------------------

@@ -26,6 +26,7 @@ from cvqec.fock import (
     rot_logical_op,
 )
 from cvqec.phases import mod2, phase_to_complex
+from cvqec.verify import restricted_matrix
 
 from _helpers import random_state
 
@@ -282,28 +283,34 @@ def test_logical_h_stores_no_dense_matrix():
     N = 3
     assert rot_logical_op("H", N, 4096).data.nbytes <= 16 * 2 * N**2
     # dense storage at this size would take 2**32 complex entries, 64 GiB
-    dim, m = 2**16, 5
+    dim = 2**16
+    levels = (5, dim - 1)
     tracemalloc.start()
     try:
-        out = apply_operator(rot_logical_op("H", N, dim), basis(dim, m)).amplitudes
+        M = restricted_matrix(rot_logical_op("H", N, dim), [basis(dim, m) for m in levels])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
-    # column m of the kernel: phase r m mod 2N^2 over N^2 at row r
-    r = np.array([0, 1, 17, dim - 1])
-    want = np.exp(-1j * np.pi * (r * m % (2 * N**2)) / N**2) / math.sqrt(2 * math.pi)
-    assert np.max(np.abs(out[r] - want)) < 1e-15
+    # <m|H|m'> is the kernel entry at phase m m' mod 2N^2 over N^2
+    k = np.outer(levels, levels) % (2 * N**2)
+    want = np.exp(-1j * np.pi * k / N**2) / math.sqrt(2 * math.pi)
+    assert np.max(np.abs(M - want)) < 1e-15
 
 
-@pytest.mark.parametrize("structure, n", [("band", -3), ("band", 0), ("band", 3), ("kernel", 5), ("kernel", 30)])
-def test_band_action_matches_dense_matrix(structure, n):
-    # n is a band's offset, or a kernel's table size P, below and above dim
+def test_apply_operator_refuses_a_kernel():
+    # a kernel is only ever restricted to the code space, never applied to a vector
+    with pytest.raises(ValueError, match="kernel"):
+        apply_operator(rot_logical_op("H", 2, 16), basis(16, 3))
+
+
+@pytest.mark.parametrize("offset", [-3, 0, 3], ids=lambda offset: f"band-{offset}")
+def test_band_action_matches_dense_matrix(offset):
     rng = np.random.default_rng(11)
     dim = 12
-    size = n if structure == "kernel" else dim - abs(n)
+    size = dim - abs(offset)
     band = rng.normal(size=size) + 1j * rng.normal(size=size)
-    op = FockOperator(dim, band, structure, 0 if structure == "kernel" else n)
+    op = FockOperator(dim, band, "band", offset)
     vec = random_state(rng, dim)
     dense = op.entries @ vec.amplitudes
     assert np.max(np.abs(apply_operator(op, vec).amplitudes - dense)) < 1e-14

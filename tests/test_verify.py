@@ -1,6 +1,8 @@
 """Detectability checks, logical action, convergence scans, exact suite."""
 
 import cmath
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec.cli import MAX_N
-from cvqec.errors import NonOrthonormalCodewords
+from cvqec.errors import InvalidDimension, NonOrthonormalCodewords
 from cvqec.fock import (
     FockOperator,
     FockVector,
+    adjoint,
     approx_ideal_rot_codeword,
     fock_operator,
     identity,
@@ -29,6 +32,8 @@ from cvqec.verify import (
     stabilizer_check,
     suite_markdown,
 )
+
+from _helpers import random_state
 
 F = Fraction
 
@@ -242,6 +247,59 @@ def test_restricted_matrix_entries():
     M = restricted_matrix(x, words)
     # lowering by 1: <0|X|2> = 0, off-support otherwise
     assert M == pytest.approx(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("P", [30, 12, 5])
+def test_kernel_restriction_matches_dense_matrix(P):
+    # P above dim, equal to it, and not dividing it; dense random vectors fill every class
+    rng = np.random.default_rng(11)
+    dim = 12
+    op = FockOperator(dim, rng.normal(size=P) + 1j * rng.normal(size=P), "kernel")
+    words = [random_state(rng, dim) for _ in range(2)]
+    amps = np.array([w.amplitudes for w in words])
+    dense = amps.conj() @ op.entries @ amps.T
+    assert np.max(np.abs(restricted_matrix(op, words) - dense)) < 1e-14
+    assert np.array_equal(adjoint(op).entries, op.entries.conj().T)
+    with pytest.raises(InvalidDimension):
+        restricted_matrix(op, [words[0], random_state(rng, dim + 1)])
+
+
+def test_kernel_restriction_of_dense_vectors_is_blocked():
+    # every one of the min(D, 2N^2) = 4096 classes is live; the whole K would take 256 MiB
+    rng = np.random.default_rng(5)
+    N, dim = 64, 4096
+    h = rot_logical_op("H", N, dim)
+    words = [random_state(rng, dim) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        M = restricted_matrix(h, words)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MiB"
+    # the kernel is symmetric, so <1|H|0> is <0|H^*|1> conjugated
+    assert abs(M[1, 0] - restricted_matrix(adjoint(h), words)[0, 1].conjugate()) < 1e-12
+
+
+def _h_oracle(N, words):
+    """<i|H|j> from every pair of nonzero levels: phase m m' mod 2N^2 in integers, math.fsum sums."""
+    out = np.zeros((2, 2), dtype=complex)
+    for i, bra in enumerate(words):
+        for j, ket in enumerate(words):
+            m, mp = np.flatnonzero(bra.amplitudes), np.flatnonzero(ket.amplitudes)
+            phase = -np.pi * ((np.outer(m, mp) % (2 * N**2)) / N**2)
+            terms = np.outer(bra.amplitudes[m].conj(), ket.amplitudes[mp])
+            terms = terms * (np.cos(phase) + 1j * np.sin(phase))
+            out[i, j] = complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+    return out / math.sqrt(2 * math.pi)
+
+
+@pytest.mark.parametrize("N, dim", [(1, 64), (3, 2048), (5, 1000), (8, 256), (64, 4096)])
+def test_logical_h_restriction_matches_integer_phase_oracle(N, dim):
+    words = envelope_code(N, 1e-3, dim)
+    want = _h_oracle(N, words)
+    got = restricted_matrix(rot_logical_op("H", N, dim), words)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_report_rows():
