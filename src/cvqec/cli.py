@@ -50,7 +50,8 @@ MAX_WINDOW = 2048  # a windowed gkp codeword then has at most 4097 teeth
 # gkp bundle (N=64, --window MAX_WINDOW) is 2,344,586.  This must grow with MAX_D.
 MAX_BUNDLE_BYTES = 8 * 2**20
 
-# exact rows (rational phases, disjoint supports) vs truncation-limited rows
+# exact rows (rational phases, disjoint supports) vs the ideal primitive's X, H and rotation
+# rows, which its envelope e^{-eps m} and its truncation edge at D limit (see _logical_suite_rot)
 LOGICAL_TOL_EXACT = 1e-9
 LOGICAL_TOL_APPROX = 5e-2
 DETECT_TOL_SHIFT = 1e-6
@@ -133,13 +134,23 @@ def _field(bundle: dict, key: str):
     return bundle[key]
 
 
+_FOCK_LEVELS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
 def _parse_primitive(text: str, dim: int) -> FockVector | None:
     """Parse a primitive descriptor; returns None for the ideal family member."""
     if text == "ideal":
         return None
     if text.startswith("fock:"):
-        levels = [int(part) for part in text[len("fock:"):].split(",") if part]
-        _require(bool(levels), "fock primitive needs at least one level")
+        body = text[len("fock:"):]
+        _require(bool(body), "fock primitive needs at least one level")
+        # only canonical labels: a level list has one spelling, so a bundle's size is bounded by D
+        _require(
+            _FOCK_LEVELS.fullmatch(body) is not None,
+            "fock levels must be decimals without leading zeros, separated by single commas",
+        )
+        levels = [int(part) for part in body.split(",")]
+        _require(all(a < b for a, b in zip(levels, levels[1:])), "fock levels must be strictly increasing")
         amps = np.zeros(dim, dtype=complex)
         for level in levels:
             _require(0 <= level < dim, f"fock level {level} outside [0, {dim})")
@@ -216,7 +227,11 @@ def _logical_suite_rot(
     )
     results.append(result_row("stabilizer_rotation", stab_ok, {"tol": LOGICAL_TOL_EXACT}))
     if ideal:
-        # truncation-limited rows: fidelity is capped by the envelope's edge teeth
+        # y = e^{-2 eps N}, x = y^2, K_j sector-j teeth below D.  Envelope: lowering by N scales a
+        # tooth by e^{-eps N} one way and e^{+eps N} the other, so X's fidelity is (1 + y)/2 when
+        # D mod 2N is in [1, N] (K_0 = K_1 + 1).  Edge: otherwise (K_0 = K_1 = K) the top sector-1
+        # tooth has no partner N above it, and X's is (1 + y (1 - x^(K-1)) / (1 - x^K))/2.  H's
+        # envelope cancels between the sectors; its edge gives 1 when K_0 = K_1, less otherwise
         results += [_logical_row(gate, N, D, words, LOGICAL_TOL_APPROX) for gate in ("X", "H")]
     return results
 
@@ -245,6 +260,7 @@ def _detect_suite_rot(
     if shifts:
         results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)
     if ideal:
+        # envelope and edge (README): the spread tends to ~ 2 eps N / |cos(theta N / 2)| as D grows
         results += _detect_rows(words, rotations, DETECT_TOL_ROTATION)
     # N = 1 has no shift below its order, so without ideal rotation rows nothing could fail
     _require(bool(results), f"detect suite has no rows for N={N} and a non-ideal primitive")

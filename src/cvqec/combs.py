@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import UnitMismatch
@@ -138,20 +139,22 @@ def periodic_comb(
     mag = as_fraction(magnitude)
     if mag <= 0:
         raise ValueError("periodic magnitude must be positive")
-    rho = as_fraction(offset)
-    rho_canon = rho % period
-    shift = int((rho - rho_canon) / period)
-    # entries already in [0, 2) are kept as they are: a gate's new pattern is built reduced
-    cycle = [
-        p if type(p) is Fraction and 0 <= p.numerator < 2 * p.denominator else mod2(p)
-        for p in pattern
-    ]
-    n = len(cycle)
-    rotated = tuple(cycle[(t - shift) % n] for t in range(n))
-    return CombState(
-        unit,
-        periodic=PeriodicSupport(rho_canon, period, _minimal_cycle(rotated), mag),
-    )
+    cycle = [p if type(p) is Fraction and 0 <= p.numerator < 2 * p.denominator else mod2(p) for p in pattern]
+    return _canonical_comb(unit, as_fraction(offset), period, cycle, mag)
+
+
+def _canonical_comb(
+    unit: CombUnit, offset: Fraction, period: int, cycle: list[Fraction], mag: Fraction
+) -> CombState:
+    """periodic_comb for a nonempty cycle of Fractions already in [0, 2)."""
+    b = offset.denominator
+    # offset = shift * period + r / b with 0 <= r < period * b
+    shift, r = divmod(offset.numerator, period * b)
+    if shift:
+        # tooth t of the canonical comb is tooth t - shift of the given one
+        s = -shift % len(cycle)
+        cycle = cycle[s:] + cycle[:s]
+    return CombState(unit, periodic=PeriodicSupport(Fraction(r, b), period, _minimal_cycle(cycle), mag))
 
 
 def _require_regime(state_unit: CombUnit, n_fold: int) -> None:
@@ -267,12 +270,18 @@ def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> C
     row = [n // g * (den // scale) % modulus for n in newton]
     start = [ph.numerator * (den // ph.denominator) for ph in p.pattern]
     T = _phase_cycle_period(row, modulus)
-    new_pattern = []
-    for t in range(math.lcm(len(start), T)):
-        new_pattern.append(Fraction((start[t % len(start)] + row[0]) % modulus, den))
-        # forward differences: row[i] becomes den (Delta^i delta)(t + 1)
-        row = [(x + y) % modulus for x, y in zip(row, row[1:])] + row[-1:]
-    return periodic_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
+    L = math.lcm(len(start), T)
+    # den (Delta^i delta)(t) for t < L, from the constant top difference down: each level is
+    # the running sum of the one above it, starting at its Newton coefficient
+    vals = [row[-1]] * L
+    for x in reversed(row[1:-1]):
+        vals = [v % modulus for v in accumulate(vals[:-1], initial=x)]
+    # the last level, den delta(t), plus the old pattern's numerators: one Fraction per tooth
+    new_pattern = [
+        Fraction((s + v) % modulus, den)
+        for s, v in zip(start * (L // len(start)), accumulate(vals[:-1], initial=row[0]))
+    ]
+    return _canonical_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
 
 
 def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:

@@ -87,6 +87,16 @@ def test_build_windowed_gkp_label(tmp_path):
     assert bundle["codewords"][0]["kind"] == "finite"
 
 
+# fock labels build-code refuses, with the reason it gives
+NONCANONICAL_FOCK = {
+    "fock:0,0": "strictly increasing",
+    "fock:2,0": "strictly increasing",
+    "fock:00,2": "without leading zeros",
+    "fock:0,,2": "separated by single commas",
+    "fock:0,2,": "separated by single commas",
+}
+
+
 def test_build_rejects_bad_requests(tmp_path, capsys):
     assert main(["build-code", "--family", "rot", "--N", "0"]) == 2
     assert main(["build-code", "--family", "rot", "--N", "2", "--D", "2"]) == 2
@@ -107,6 +117,10 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
                  [*gkp2, "--eps", "1e-3"], [*gkp2, "--primitive", "ideal"], [*rot2, "--window", "3"],
                  [*rot2, "--primitive", "fock:0,2", "--eps", "0.5"]):
         assert_quiet_exit_2(capsys, ["build-code", *argv, "--out", str(tmp_path / "never.json")])
+    # a fock label is canonical: one spelling per level set, so a bundle's size is bounded by D
+    for label in NONCANONICAL_FOCK:
+        assert_quiet_exit_2(capsys, ["build-code", *rot2, "--D", "16", "--primitive", label,
+                                     "--out", str(tmp_path / "never.json")])
     assert not (tmp_path / "never.json").exists()
 
 
@@ -382,6 +396,8 @@ def _entry_one_ulp_up(bundle):
         # build-code writes W in canonical decimal, so a padded label is not one it wrote
         ("window:2", {"primitive": "window:002"}, "gkp primitive must be ideal or window:W"),
         ("window:2", {"primitive": "window:02"}, "gkp primitive must be ideal or window:W"),
+        # nor is a fock label that spells its levels another way
+        *(("rot fock:0,2", {"primitive": label}, reason) for label, reason in NONCANONICAL_FOCK.items()),
     ],
 )
 def test_check_rejects_foreign_codewords(

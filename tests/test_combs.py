@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from cvqec import combs
 from cvqec.combs import (
+    CombState,
     CombUnit,
+    PeriodicSupport,
     TwoModeComb,
     bridge_unit,
     comb_equal_up_to_phase,
@@ -25,6 +28,7 @@ from cvqec.combs import (
 from cvqec.errors import NonRationalPhase, UnitMismatch
 
 F = Fraction
+BENCH = Path(__file__).parents[1] / "bench"
 
 
 def indices(state):
@@ -73,6 +77,26 @@ def test_periodic_canonicalization_rotates_pattern():
     p = state.periodic
     assert p.offset == 1
     assert p.pattern == (F(1, 2), F(0))
+    # every offset in [-9, 9] with denominator <= 7, against the Fraction formula
+    offsets = sorted({F(n, d) for d in range(1, 8) for n in range(-9 * d, 9 * d + 1)})
+    for pattern in ([F(0), F(1, 2), F(1, 3), F(7, 4)], [F(5, 3), F(0), F(1)]):
+        n = len(pattern)
+        for period in (1, 2, 3, 5):
+            for rho in offsets:
+                canon = rho % period
+                shift = int((rho - canon) / period)
+                want = tuple(pattern[(t - shift) % n] for t in range(n))
+                p = periodic_comb(bridge_unit(1), rho, period, pattern).periodic
+                assert (p.offset, p.pattern) == (canon, want), (rho, period)
+    # a gate on a support built by hand at an offset outside [0, period) still canonicalizes
+    raw = CombState(bridge_unit(2), periodic=PeriodicSupport(F(-17, 3), 4, (F(0), F(1, 2), F(3, 2))))
+    src = periodic_comb(bridge_unit(2), F(-17, 3), 4, [F(0), F(1, 2), F(3, 2)]).periodic
+    out = gkp_apply("S", raw, 2).periodic
+    assert out.offset == src.offset == F(7, 3)
+    L = len(out.pattern)
+    for t in range(2 * L):
+        l = (src.offset + 4 * t) / 2
+        assert out.pattern[t % L] == (src.pattern[t % 3] + l * l / 2) % 2
 
 
 def test_periodic_comb_reduces_caller_phases():
@@ -343,6 +367,20 @@ def test_phase_period_matches_linear_scan(offset, period, pattern, gate, r):
     for t in range(len(got.pattern) + len(p.pattern)):
         want = (p.pattern[t % len(p.pattern)] + fn((p.offset + t * p.period) / N)) % 2
         assert got.pattern[t % len(got.pattern)] == want
+
+
+def test_benchmark_comb_jobs_pass_their_checks(tmp_path, monkeypatch):
+    # every comb job of both benchmark workloads, on the input and the check the benchmark uses
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import workloads
+
+    for name, make in workloads.WORKLOADS.items():
+        jobs = dict.fromkeys(job for job in make(tmp_path).jobs if isinstance(job, workloads.CombJob))
+        assert jobs, name
+        for job in jobs:
+            state = periodic_comb(bridge_unit(job.N), job.offset, 2 * job.N, [0])
+            checks.check_comb_gate(job.gate, job.N, job.offset, gkp_apply(job.gate, state, job.N))
 
 
 def test_t_gate_with_long_phase_period():

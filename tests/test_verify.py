@@ -150,6 +150,28 @@ def test_zero_restriction_is_flagged():
     assert res.passed is False and res.aligned_fidelity == 0.0
 
 
+def x_fidelity_closed_form(N, D, eps):
+    """Envelope (1 + y)/2, y = e^{-2 eps N}, or, when the top sector-1 tooth has no partner, the edge form."""
+    y = math.exp(-2 * eps * N)
+    if 1 <= D % (2 * N) <= N:
+        return (1 + y) / 2
+    x, K = y * y, -(-D // (2 * N))
+    return (1 + y * (1 - x ** (K - 1)) / (1 - x**K)) / 2
+
+
+@pytest.mark.parametrize(
+    "N, D, fidelity, passed",
+    [(52, 128, 0.9506126487, True), (53, 128, 0.9497123240, False), (52, 1024, 0.9357382050, False)],
+)
+def test_ideal_x_fidelity_is_envelope_or_edge(N, D, fidelity, passed):
+    # the envelope alone at (52, 128) and (53, 128), which fails the 0.95 bar; the edge too at (52, 1024)
+    words = [approx_ideal_rot_codeword(N, j, D, 1e-3) for j in (0, 1)]
+    res = logical_action(rot_logical_op("X", N, D), words, np.array([[0, 1], [1, 0]]), tol=5e-2)
+    want = x_fidelity_closed_form(N, D, 1e-3)
+    assert abs(res.aligned_fidelity - want) <= 1e-12
+    assert round(want, 10) == fidelity and res.passed is passed
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.fractions(min_value=0, max_value=2, max_denominator=16))
 def test_fidelity_ignores_global_phase(phi):
