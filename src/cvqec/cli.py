@@ -78,6 +78,13 @@ def _emit(text: str, out: str | None) -> None:
 _ROW, _PAIR = "\n        ],\n        [\n          ", ",\n          "
 _ZERO_PAIRS = np.array([f"{a!r}{_PAIR}{b!r}" for a in (0.0, -0.0) for b in (0.0, -0.0)], dtype=object)
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# one tooth of a finite comb codeword's entries table at its depth in the bundle; a phase's unit is pi
+_TOOTH = (
+    '{{\n          "index": {{\n            "den": {index[den]},\n            "num": {index[num]}\n          }},'
+    '\n          "magnitude": {{\n            "den": {magnitude[den]},\n            "num": {magnitude[num]}'
+    '\n          }},\n          "phase": {{\n            "den": {phase[den]},\n            "num": {phase[num]},'
+    '\n            "unit": "pi"\n          }}\n        }}'
+)
 
 
 def _bundle_text(bundle: dict) -> str:
@@ -85,9 +92,11 @@ def _bundle_text(bundle: dict) -> str:
 
     A vector's entries table is written from its amplitudes: a pair of zeros is
     picked by its two sign bits, and any other value is its repr, with json's
-    spelling of nan and inf.  A table stands in as the string "\\0" until then;
-    "codewords" sorts before every string-valued field, so the k-th stand-in is
-    codeword k's.
+    spelling of nan and inf.  A finite comb codeword's teeth, all integers, are
+    each written from one template.  A table stands in as the string "\\0"
+    until then; "codewords" sorts before every string-valued field, and
+    "entries" before a comb's other fields, so the k-th stand-in is the k-th
+    table.
     """
     tables, words = [], []
     for w in bundle["codewords"]:
@@ -99,6 +108,9 @@ def _bundle_text(bundle: dict) -> str:
             rows[rest] = list(map(_PAIR.join, zip(values, values)))
             tables.append("[\n        [\n          " + _ROW.join(rows.tolist()) + "\n        ]\n      ]")
             w = {"dim": w.dim, "entries": "\0", "structure": "vector"}
+        elif w.get("kind") == "finite" and w["entries"]:
+            tables.append("[\n        " + ",\n        ".join(map(_TOOTH.format_map, w["entries"])) + "\n      ]")
+            w = {**w, "entries": "\0"}
         words.append(w)
     text = json.dumps({**bundle, "codewords": words}, indent=2, sort_keys=True)
     for table in tables:
@@ -149,12 +161,15 @@ def _parse_primitive(text: str, dim: int) -> FockVector | None:
             _FOCK_LEVELS.fullmatch(body) is not None,
             "fock levels must be decimals without leading zeros, separated by single commas",
         )
-        levels = [int(part) for part in body.split(",")]
+        # canonical decimals order as (digit count, digits), so no level is converted before it
+        # is known to be below D: int() refuses more than 4,300 digits
+        levels = [(len(part), part) for part in body.split(",")]
         _require(all(a < b for a, b in zip(levels, levels[1:])), "fock levels must be strictly increasing")
-        amps = np.zeros(dim, dtype=complex)
+        top = (len(str(dim)), str(dim))
         for level in levels:
-            _require(0 <= level < dim, f"fock level {level} outside [0, {dim})")
-            amps[level] = 1.0
+            _require(level < top, f"fock level {level[1]} outside [0, {dim})")
+        amps = np.zeros(dim, dtype=complex)
+        amps[[int(part) for _, part in levels]] = 1.0
         return FockVector(dim, amps / np.linalg.norm(amps))
     if text.startswith("coherent:"):
         return coherent_state(complex(text[len("coherent:"):]), dim)
@@ -290,7 +305,10 @@ def cmd_check(config: argparse.Namespace) -> int:
         # only the labels build-code writes: W in canonical decimal
         match = re.fullmatch(r"ideal|window:(0|[1-9][0-9]*)", primitive)
         _require(match is not None, f"gkp primitive must be ideal or window:W, got {primitive!r}")
-        words = _gkp_codewords(N, None if match[1] is None else int(match[1]))
+        window = match[1]
+        # more digits than MAX_WINDOW is too large, and int() refuses more than 4,300
+        _require(window is None or len(window) <= len(str(MAX_WINDOW)), f"window must be at most {MAX_WINDOW}")
+        words = _gkp_codewords(N, None if window is None else int(window))
         _require(_field(bundle, "codewords") == words, "bundle codewords are not its N's gkp codewords")
         return _finish(config, gkp_exact_suite(N))
     D, eps = _field(bundle, "D"), _field(bundle, "eps")

@@ -95,8 +95,29 @@ class TwoModeTooth:
 
 @dataclass(frozen=True)
 class TwoModeComb:
+    """A finite two-mode comb in one exact form; build it with twomode_comb or product_comb.
+
+    Tooth k's place is places[k] = (index1, index2, magnitude) as integer
+    numerators over place_dens, each coordinate's least common denominator,
+    so equal places are equal integers; the places are in (index1, index2)
+    order.  Its phase is phase_num[k] / den (units of pi), with phase_num[k]
+    in [0, 2 den).
+    """
+
     units: tuple[CombUnit, CombUnit]
-    entries: tuple[TwoModeTooth, ...]
+    places: tuple[tuple[int, int, int], ...]
+    place_dens: tuple[int, int, int]
+    phase_num: tuple[int, ...]
+    den: int
+
+    @property
+    def entries(self) -> tuple[TwoModeTooth, ...]:
+        """The teeth as TwoModeTooth records, built on each call."""
+        d1, d2, dm = self.place_dens
+        return tuple(
+            TwoModeTooth(Fraction(x1, d1), Fraction(x2, d2), Fraction(m, dm), Fraction(n, self.den))
+            for (x1, x2, m), n in zip(self.places, self.phase_num)
+        )
 
 
 def finite_comb(unit: CombUnit, teeth: Iterable[tuple[RationalLike, RationalLike, RationalLike]]) -> CombState:
@@ -114,6 +135,37 @@ def finite_comb(unit: CombUnit, teeth: Iterable[tuple[RationalLike, RationalLike
         if a.index == b.index:
             raise ValueError(f"duplicate tooth index {a.index}")
     return CombState(unit, entries=tuple(cleaned))
+
+
+def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of values over their least common denominator (1 for no values)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def twomode_comb(
+    units: tuple[CombUnit, CombUnit],
+    teeth: Iterable[tuple[RationalLike, RationalLike, RationalLike, RationalLike]],
+) -> TwoModeComb:
+    """Build a finite two-mode comb from (index1, index2, magnitude, phase) teeth in any order.
+
+    Zero-magnitude teeth are dropped; index pairs must be distinct.
+    """
+    cleaned = []
+    for index1, index2, magnitude, phase in teeth:
+        mag = as_fraction(magnitude)
+        if mag < 0:
+            raise ValueError("magnitudes must be nonnegative")
+        if mag == 0:
+            continue
+        cleaned.append((as_fraction(index1), as_fraction(index2), mag, mod2(phase)))
+    cleaned.sort(key=lambda t: t[:2])
+    for a, b in zip(cleaned, cleaned[1:]):
+        if a[:2] == b[:2]:
+            raise ValueError(f"duplicate tooth index pair ({a[0]}, {a[1]})")
+    (x1, d1), (x2, d2), (mags, dm), (nums, den) = (_over_one_den([t[k] for t in cleaned]) for k in range(4))
+    return TwoModeComb(tuple(units), tuple(zip(x1, x2, mags)), (d1, d2, dm), tuple(nums), den)
 
 
 def _minimal_cycle(pattern: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -298,13 +350,15 @@ def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:
 def _apply_cz(state: TwoModeComb, n_fold: int) -> TwoModeComb:
     for u in state.units:
         _require_regime(u, n_fold)
-    N2 = n_fold * n_fold
-    teeth = []
-    for t in state.entries:
-        i1, i2 = t.index1, t.index2
-        phase = _add_phase(t.phase, i1.numerator * i2.numerator, i1.denominator * i2.denominator * N2)
-        teeth.append(TwoModeTooth(i1, i2, t.magnitude, phase))
-    return TwoModeComb(state.units, tuple(teeth))
+    # at indices x1/d1, x2/d2 CZ adds x1 x2 / (d1 d2 N^2): over den, a multiple of d1 d2 N^2
+    d1, d2, _ = state.place_dens
+    den = math.lcm(state.den, d1 * d2 * n_fold * n_fold)
+    s, c, modulus = den // state.den, den // (d1 * d2 * n_fold * n_fold), 2 * den
+    phase_num = tuple(
+        (n * s + x1 * x2 * c) % modulus for (x1, x2, _), n in zip(state.places, state.phase_num)
+    )
+    # CZ keeps every place, so the output shares the input's
+    return TwoModeComb(state.units, state.places, state.place_dens, phase_num, den)
 
 
 def gkp_apply(
@@ -340,23 +394,27 @@ def gkp_apply(
     raise ValueError(f"unknown comb gate {kind!r}")
 
 
-def _equal_up_to_phase(a: Sequence[tuple], b: Sequence[tuple]) -> tuple[bool, Fraction | None]:
-    """Aligned (place, phase) records: (True, d) when every place agrees and every pb - pa = d mod 2.
+def _equal_up_to_phase(
+    places_a: object,
+    places_b: object,
+    phases_a: tuple[Sequence[int], int],
+    phases_b: tuple[Sequence[int], int],
+) -> tuple[bool, Fraction | None]:
+    """(True, d) when the places agree and every tooth's phase_b - phase_a = d mod 2.
 
-    A place holds a tooth's position and magnitude; no records give (True, 0).
+    The places, compared whole, hold the teeth's positions and magnitudes;
+    the phases are (numerators, den), aligned tooth by tooth.  No teeth give
+    (True, 0).
     """
-    if len(a) != len(b) or any(x[0] != y[0] for x, y in zip(a, b)):
+    if places_a != places_b:
         return (False, None)
-    if not a:
-        return (True, Fraction(0))
-    first = b[0][1] - a[0][1]
-    n, d = first.numerator, first.denominator
-    for (_, pa), (_, pb) in zip(a, b):
-        # pb - pa - n/d lies in 2Z
-        da, db = pa.denominator, pb.denominator
-        if (pb.numerator * da * d - pa.numerator * db * d - n * da * db) % (2 * da * db * d):
-            return (False, None)
-    return (True, first % 2)
+    (nums_a, den_a), (nums_b, den_b) = phases_a, phases_b
+    den = math.lcm(den_a, den_b)
+    sa, sb, modulus = den // den_a, den // den_b, 2 * den
+    diffs = {(y * sb - x * sa) % modulus for x, y in zip(nums_a, nums_b)}
+    if len(diffs) > 1:
+        return (False, None)
+    return (True, Fraction(diffs.pop() if diffs else 0, den))
 
 
 def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction | None]:
@@ -371,35 +429,54 @@ def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction |
     if a.support_kind != b.support_kind:
         raise ValueError("support kinds differ")
     if a.entries is not None:
-        records = lambda s: [((t.index, t.magnitude), t.phase) for t in s.entries]
-        return _equal_up_to_phase(records(a), records(b))
-    span = math.lcm(len(a.periodic.pattern), len(b.periodic.pattern))
-
-    def records(s: CombState) -> list[tuple]:
-        p = s.periodic
-        return [((p.offset, p.period, p.magnitude), p.pattern[t % len(p.pattern)]) for t in range(span)]
-
-    return _equal_up_to_phase(records(a), records(b))
+        place = lambda s: [(t.index, t.magnitude) for t in s.entries]
+        phases = lambda s: _over_one_den([t.phase for t in s.entries])
+        return _equal_up_to_phase(place(a), place(b), phases(a), phases(b))
+    pa, pb = a.periodic, b.periodic
+    (nums_a, den_a), (nums_b, den_b) = _over_one_den(pa.pattern), _over_one_den(pb.pattern)
+    # both patterns over one span, a multiple of each length
+    span = math.lcm(len(nums_a), len(nums_b))
+    return _equal_up_to_phase(
+        (pa.offset, pa.period, pa.magnitude),
+        (pb.offset, pb.period, pb.magnitude),
+        (nums_a * (span // len(nums_a)), den_a),
+        (nums_b * (span // len(nums_b)), den_b),
+    )
 
 
 def twomode_equal_up_to_phase(a: TwoModeComb, b: TwoModeComb) -> tuple[bool, Fraction | None]:
+    """comb_equal_up_to_phase for two-mode combs; both keep their teeth in one order, so none is sorted."""
     if a.units != b.units:
         raise UnitMismatch("two-mode combs live in different unit regimes")
-    key = lambda t: (t.index1, t.index2)
-    records = lambda s: [((*key(t), t.magnitude), t.phase) for t in sorted(s.entries, key=key)]
-    return _equal_up_to_phase(records(a), records(b))
+    return _equal_up_to_phase(
+        (a.place_dens, a.places), (b.place_dens, b.places), (a.phase_num, a.den), (b.phase_num, b.den)
+    )
+
+
+def _tooth_numerators(state: CombState) -> list[tuple[list[int], int]]:
+    """A finite comb's indices, magnitudes and phases, each over its least common denominator."""
+    return [_over_one_den([getattr(t, k) for t in state.entries]) for k in ("index", "magnitude", "phase")]
 
 
 def product_comb(a: CombState, b: CombState) -> TwoModeComb:
-    """Tensor product of two finite combs."""
+    """Tensor product of two finite combs; each factor's index order gives (index1, index2) order."""
     if a.entries is None or b.entries is None:
         raise ValueError("product_comb needs finite combs")
-    teeth = []
-    for ta in a.entries:
-        for tb in b.entries:
-            phase = _add_phase(ta.phase, tb.phase.numerator, tb.phase.denominator)
-            teeth.append(TwoModeTooth(ta.index, tb.index, ta.magnitude * tb.magnitude, phase))
-    return TwoModeComb((a.unit, b.unit), tuple(teeth))
+    if not (a.entries and b.entries):
+        # no teeth: every place denominator is 1, whatever the factors' teeth
+        return twomode_comb((a.unit, b.unit), [])
+    (x1, d1), (mags_a, da), (phases_a, pa) = _tooth_numerators(a)
+    (x2, d2), (mags_b, db), (phases_b, pb) = _tooth_numerators(b)
+    # ma mb / (da db) in least common terms: g = gcd(da db, gcd(mags_a) gcd(mags_b)) divides every
+    # product, and g / gcd(g, gcd(mags_a)) divides gcd(mags_b), so each factor takes its part of g
+    g = math.gcd(da * db, math.gcd(*mags_a) * math.gcd(*mags_b))
+    ga = math.gcd(g, *mags_a)
+    mags_a, mags_b = [m // ga for m in mags_a], [m // (g // ga) for m in mags_b]
+    den = math.lcm(pa, pb)
+    modulus, sa, sb = 2 * den, den // pa, den // pb
+    places = tuple((i1, i2, ma * mb) for i1, ma in zip(x1, mags_a) for i2, mb in zip(x2, mags_b))
+    phase_num = tuple((x * sa + y * sb) % modulus for x in phases_a for y in phases_b)
+    return TwoModeComb((a.unit, b.unit), places, (d1, d2, da * db // g), phase_num, den)
 
 
 def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:

@@ -88,12 +88,15 @@ def test_build_windowed_gkp_label(tmp_path):
 
 
 # fock labels build-code refuses, with the reason it gives
+# more digits than int() converts (4,300): the range and window checks must not need int()
+LONG_DECIMAL = "1" + "0" * 4400
 NONCANONICAL_FOCK = {
     "fock:0,0": "strictly increasing",
     "fock:2,0": "strictly increasing",
     "fock:00,2": "without leading zeros",
     "fock:0,,2": "separated by single commas",
     "fock:0,2,": "separated by single commas",
+    f"fock:{LONG_DECIMAL},2": "strictly increasing",
 }
 
 
@@ -121,6 +124,13 @@ def test_build_rejects_bad_requests(tmp_path, capsys):
     for label in NONCANONICAL_FOCK:
         assert_quiet_exit_2(capsys, ["build-code", *rot2, "--D", "16", "--primitive", label,
                                      "--out", str(tmp_path / "never.json")])
+    # a level too long for int() gets the range message a 40-digit one gets
+    for level in ("1" + "0" * 39, LONG_DECIMAL):
+        assert main(["build-code", *rot2, "--D", "16", "--primitive", f"fock:0,{level}",
+                     "--out", str(tmp_path / "never.json")]) == 2
+        assert f"error: fock level {level} outside [0, 16)" in capsys.readouterr().err
+    # argparse converts --window, and refuses one too long for int() as an invalid int
+    assert_quiet_exit_2(capsys, ["build-code", *gkp2, "--window", LONG_DECIMAL])
     assert not (tmp_path / "never.json").exists()
 
 
@@ -398,6 +408,9 @@ def _entry_one_ulp_up(bundle):
         ("window:2", {"primitive": "window:02"}, "gkp primitive must be ideal or window:W"),
         # nor is a fock label that spells its levels another way
         *(("rot fock:0,2", {"primitive": label}, reason) for label, reason in NONCANONICAL_FOCK.items()),
+        # labels too long for int() get the messages a 40-digit value gets
+        ("ideal", {"primitive": f"window:{LONG_DECIMAL}"}, f"window must be at most {MAX_WINDOW}"),
+        ("rot fock:0,2", {"primitive": f"fock:0,{LONG_DECIMAL}"}, "0 outside [0, 16)"),
     ],
 )
 def test_check_rejects_foreign_codewords(
@@ -626,6 +639,15 @@ def test_bundle_text_matches_indented_dumps(tables):
     fields = {"tool_version": __version__, "family": "rot", "N": 2, "D": 16, "primitive": "ideal", "eps": 1e-3}
     oracle = {**fields, "codewords": [w.to_json_dict() for w in words]}
     assert _bundle_text({**fields, "codewords": words}) == json.dumps(oracle, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("N", [1, 64])
+@pytest.mark.parametrize("window", [0, 1, 3, MAX_WINDOW])
+def test_windowed_gkp_bundle_matches_indented_dumps(N, window):
+    # the writer fills each finite tooth into one template; json.dumps of the same dicts is the oracle
+    bundle = {"tool_version": __version__, "family": "gkp", "N": N, "primitive": f"window:{window}",
+              "codewords": cli._gkp_codewords(N, window)}
+    assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(

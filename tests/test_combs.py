@@ -1,5 +1,6 @@
 """Exact comb states: constructors, gates, equality, ranges."""
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,6 @@ from cvqec.combs import (
     CombState,
     CombUnit,
     PeriodicSupport,
-    TwoModeComb,
     bridge_unit,
     comb_equal_up_to_phase,
     finite_comb,
@@ -23,6 +23,7 @@ from cvqec.combs import (
     periodic_comb,
     product_comb,
     teeth_in_range,
+    twomode_comb,
     twomode_equal_up_to_phase,
 )
 from cvqec.errors import NonRationalPhase, UnitMismatch
@@ -69,6 +70,58 @@ def test_finite_comb_rejects_duplicates_and_floats():
 def test_finite_comb_drops_zero_teeth_and_sorts():
     state = finite_comb(bridge_unit(1), [(3, 1, 0), (-1, 1, F(1, 2)), (0, 0, 0)])
     assert indices(state) == [-1, 3]
+
+
+TWOMODE_TEETH = [(2, -1, F(1, 2), F(1, 3)), (-1, 4, 3, F(7, 4)), (2, F(1, 2), F(2, 3), 0), (-1, -1, 1, F(5, 2))]
+
+
+def test_twomode_comb_sorts_teeth_given_in_any_order():
+    unit = bridge_unit(2)
+    want = twomode_comb((unit, unit), TWOMODE_TEETH)
+    assert [tuple(vars(t).values()) for t in want.entries] == [
+        (F(i1), F(i2), F(m), F(p) % 2) for i1, i2, m, p in sorted(TWOMODE_TEETH, key=lambda t: t[:2])
+    ]
+    # a zero-magnitude tooth is dropped wherever it comes
+    for perm in itertools.permutations([*TWOMODE_TEETH, (0, 0, 0, 1)]):
+        got = twomode_comb((unit, unit), perm)
+        assert got == want
+        assert twomode_equal_up_to_phase(want, got) == (True, 0)
+
+
+def test_twomode_comb_rejects_duplicates_and_floats():
+    unit = bridge_unit(1)
+    with pytest.raises(ValueError, match="duplicate tooth index pair"):
+        twomode_comb((unit, unit), [(0, 1, 1, 0), (0, F(2, 2), 3, F(1, 2))])
+    with pytest.raises(ValueError, match="nonnegative"):
+        twomode_comb((unit, unit), [(0, 1, -1, 0)])
+    with pytest.raises(NonRationalPhase):
+        twomode_comb((unit, unit), [(0.5, 1, 1, 0)])
+
+
+def test_cz_output_keeps_integer_phases_over_one_den():
+    # a two-mode comb stores its places and phases as integer numerators, not Fractions per tooth
+    N = 3
+    a = finite_comb(bridge_unit(N), [(F(-7, 2), F(1, 2), F(1, 3)), (0, 1, 0), (5, 2, F(3, 4))])
+    b = finite_comb(bridge_unit(N), [(F(1, 5), 3, F(1, 6)), (6, 1, F(1, 2))])
+    out = gkp_apply("CZ", product_comb(a, b), N)
+    assert type(out.den) is int and all(type(d) is int for d in out.place_dens)
+    assert all(type(n) is int and 0 <= n < 2 * out.den for n in out.phase_num)
+    assert all(type(x) is int for place in out.places for x in place)
+    assert len(out.phase_num) == len(out.places) == 6
+    # index 5, index 1/5: phase 3/4 + 1/6 + (5/3)(1/15) at logical l = v/N
+    assert out.entries[-2].phase == (F(3, 4) + F(1, 6) + F(5, 3) * F(1, 15)) % 2
+
+
+def test_product_keeps_per_tooth_magnitudes():
+    # equality sees each tooth's magnitude, not the factors: (2a) x b is a x (2b)
+    unit = bridge_unit(2)
+    teeth = [(0, 1, F(1, 3)), (2, F(1, 2), 0), (4, 3, F(3, 2))]
+    a, b = finite_comb(unit, teeth), finite_comb(unit, [(-2, F(2, 3), F(1, 4)), (6, 1, 1)])
+    double = lambda s: finite_comb(unit, [(t.index, 2 * t.magnitude, t.phase) for t in s.entries])
+    assert twomode_equal_up_to_phase(product_comb(double(a), b), product_comb(a, double(b))) == (True, 0)
+    # a magnitude 1/2 against 2 cancels to the integer 1
+    half, two = finite_comb(unit, [(0, F(1, 2), 0)]), finite_comb(unit, [(0, 2, 0)])
+    assert product_comb(half, two) == twomode_comb((unit, unit), [(0, 0, 1, 0)])
 
 
 def test_periodic_canonicalization_rotates_pattern():
@@ -461,9 +514,9 @@ def test_finite_equality_matches_fraction_oracle(teeth, shift, bends):
     want = oracle_equal([(ta.phase, tb.phase) for ta, tb in zip(a.entries, b.entries)])
     assert comb_equal_up_to_phase(a, b) == want
     other = finite_comb(a.unit, [(1, 2, F(1, 3)), (F(-3, 2), F(1, 2), F(7, 5))])
-    # twomode equality sorts the teeth, so the reversed product is the same comb
+    # twomode_comb sorts the teeth it is given, so the reversed product builds the same comb
     pa, pb = product_comb(a, other), product_comb(b, other)
-    pb = TwoModeComb(pb.units, pb.entries[::-1])
+    pb = twomode_comb(pb.units, [tuple(vars(t).values()) for t in reversed(pb.entries)])
     assert twomode_equal_up_to_phase(pa, pb) == want
 
 
@@ -522,8 +575,11 @@ def test_phase_differences_apart_by_a_small_fraction():
 def test_empty_combs_are_equal_with_zero_phase():
     unit = bridge_unit(2)
     assert comb_equal_up_to_phase(finite_comb(unit, []), finite_comb(unit, [])) == (True, 0)
-    empty = TwoModeComb((unit, unit), ())
+    empty = twomode_comb((unit, unit), [])
     assert twomode_equal_up_to_phase(empty, empty) == (True, 0)
+    none = finite_comb(unit, [])
+    assert product_comb(none, none) == empty
+    assert twomode_equal_up_to_phase(product_comb(none, none), empty) == (True, 0)
 
 
 def test_one_changed_magnitude_breaks_equality():
