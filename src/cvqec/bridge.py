@@ -28,34 +28,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combs import CombState, bridge_unit, finite_comb, gkp_apply, teeth_in_range
+from .combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply, teeth_in_range
 from .errors import InvalidDimension
-from .fock import FockOperator, FockVector, adjoint, fock_operator, rot_logical_op
+from .fock import FockOperator, FockVector, fock_operator, rot_logical_op
 from .phases import RationalLike, as_fraction, mod2, phase_to_complex
 
 ROTATION_SAMPLES = 8  # sampled rotation errors in the mapped error set
 
 
-def _integer_teeth(state: CombState, D: int):
-    """Teeth on integers v with -v in [0, D), plus the squared mass elsewhere."""
-    if state.entries is not None:
-        kept, dropped = [], Fraction(0)
-        for t in state.entries:
-            if t.index.denominator == 1 and -D < t.index <= 0:
-                kept.append(t)
+def _levels(state: CombState | FiniteComb, D: int) -> tuple[dict[int, tuple[Fraction, Fraction]], float]:
+    """Upsilon(state) exactly, as level -> (magnitude, phase), and the squared mass it drops.
+
+    The tooth on an integer v with -v in [0, D) goes to level -v; every other tooth is dropped.
+    """
+    if isinstance(state, FiniteComb):
+        (d, dm), levels, dropped = state.place_dens, {}, 0
+        for (x, m), n in zip(state.places, state.phase_num):
+            # index x/d is an integer when d divides x
+            if x % d == 0 and -D * d < x <= 0:
+                levels[-x // d] = (Fraction(m, dm), Fraction(n, state.den))
             else:
-                dropped += t.magnitude * t.magnitude
-        return kept, float(dropped)
-    kept = [
-        t
-        for t in teeth_in_range(state, 1 - D, 1)
-        if t.index.denominator == 1
-    ]
+                dropped += m * m
+        return levels, dropped / (dm * dm)
+    teeth = teeth_in_range(state, 1 - D, 1)
     # a periodic comb always has infinitely many teeth outside the window
-    return kept, math.inf
+    return {-int(t.index): (t.magnitude, t.phase) for t in teeth if t.index.denominator == 1}, math.inf
 
 
-def upsilon_apply(state: CombState, D: int) -> tuple[FockVector, float]:
+def upsilon_apply(state: CombState | FiniteComb, D: int) -> tuple[FockVector, float]:
     """Map a comb to the truncated Fock space.
 
     The tooth on integer v with -v in [0, D) becomes the amplitude of |-v>,
@@ -65,10 +65,10 @@ def upsilon_apply(state: CombState, D: int) -> tuple[FockVector, float]:
     """
     if D < 1:
         raise InvalidDimension("D must be >= 1")
-    kept, dropped = _integer_teeth(state, D)
+    levels, dropped = _levels(state, D)
     amps = np.zeros(D, dtype=complex)
-    for t in kept:
-        amps[-int(t.index)] = float(t.magnitude) * phase_to_complex(t.phase)
+    for m, (magnitude, phase) in levels.items():
+        amps[m] = float(magnitude) * phase_to_complex(phase)
     return FockVector(D, amps), dropped
 
 
@@ -102,27 +102,22 @@ def rotation_sample_angles(n_fold: int) -> list[Fraction]:
 
 
 def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, FockOperator], dict[str, FockOperator]]:
-    """Mapped error set: the number shifts below the code order, and the sampled rotations.
+    """Mapped error set: the bridge images of the comb translations below the code order.
 
-    The shifts are keyed "gamma_l" / "gamma_l_dag" for l = 1..N-1, the
-    rotations "rotation_s" for the s-th sampled angle; rotation operators
-    carry their exact angle.
+    "gamma_l" / "gamma_l_dag" for l = 1..N-1 are the images of the
+    p-translations by l and -l, the number shifts lowering and raising by l;
+    "rotation_s" is the image of the q-translation by the s-th sampled
+    angle, a rotation that carries its exact angle.
     """
     if dim <= n_fold:
         raise InvalidDimension("dim must exceed n_fold")
     shifts: dict[str, FockOperator] = {}
     for l in range(1, n_fold):
-        shift = fock_operator("number_shift", dim, shift=l)
-        shifts[f"gamma_{l}"] = shift
-        shifts[f"gamma_{l}_dag"] = adjoint(shift)
+        shifts[f"gamma_{l}"] = omega_map_translation("p", l, n_fold, dim)
+        shifts[f"gamma_{l}_dag"] = omega_map_translation("p", -l, n_fold, dim)
     angles = enumerate(rotation_sample_angles(n_fold), start=1)
-    rotations = {f"rotation_{s}": fock_operator("rotation", dim, theta=theta) for s, theta in angles}
+    rotations = {f"rotation_{s}": omega_map_translation("q", theta, n_fold, dim) for s, theta in angles}
     return shifts, rotations
-
-
-def _levels(state: CombState, D: int) -> dict[int, tuple[Fraction, Fraction]]:
-    """Upsilon(state) exactly: level -> (magnitude, phase) of the kept teeth."""
-    return {-int(t.index): (t.magnitude, t.phase) for t in _integer_teeth(state, D)[0]}
 
 
 def _rot_image(op: FockOperator, levels: dict) -> dict | None:
@@ -161,10 +156,10 @@ def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
         raise InvalidDimension("dim must be at least 2*n_fold")
     N = n_fold
     comb = finite_comb(bridge_unit(N), [(-m, 1, Fraction(m, 4)) for m in (N, N + 1) if m < dim])
-    before = _levels(comb, dim)
+    before = _levels(comb, dim)[0]
     table: dict[str, dict] = {}
     for gate in ("Z", "S", "T", "X"):
-        got = _levels(gkp_apply(gate, comb, N), dim)
+        got = _levels(gkp_apply(gate, comb, N), dim)[0]
         want = _rot_image(rot_logical_op(gate, N, dim), before)
         diff = 0.0 if got == want else _phase_gap(got, want)
         table[gate] = {"exact_match": diff == 0.0, "max_phase_diff": diff}

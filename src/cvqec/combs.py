@@ -11,6 +11,10 @@ Gate amounts are given in logical units: a q-translation by r acquires phase
 -r*(v/N)*pi at raw index v, and a p-translation by r shifts raw indices by
 r*N.  Quadratic and quartic phase gates act through the logical index
 l = v/N as l^2/2 and l^4/4 (units of pi).
+
+A finite comb, of one mode or two, is a FiniteComb: integer numerators over
+least common denominators, one form for every builder, gate and equality
+test.  A periodic comb is a CombState holding a PeriodicSupport.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, Sequence
 
 from .errors import UnitMismatch
-from .phases import RationalLike, as_fraction, mod2, rational_to_json
+from .phases import RationalLike, as_fraction, as_ratio, mod2, rational_to_json
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,10 @@ class PeriodicSupport:
 
 @dataclass(frozen=True)
 class CombState:
+    """A periodic comb; build it with periodic_comb or gkp_codeword."""
+
     unit: CombUnit
-    entries: tuple[CombTooth, ...] | None = None
-    periodic: PeriodicSupport | None = None
-
-    def __post_init__(self):
-        if (self.entries is None) == (self.periodic is None):
-            raise ValueError("exactly one of entries/periodic must be given")
-
-    @property
-    def support_kind(self) -> str:
-        return "finite" if self.entries is not None else "periodic"
+    periodic: PeriodicSupport
 
 
 @dataclass(frozen=True)
@@ -94,78 +91,103 @@ class TwoModeTooth:
 
 
 @dataclass(frozen=True)
-class TwoModeComb:
-    """A finite two-mode comb in one exact form; build it with twomode_comb or product_comb.
+class FiniteComb:
+    """A finite comb of one or two modes in one exact form.
 
-    Tooth k's place is places[k] = (index1, index2, magnitude) as integer
+    Build it with finite_comb, twomode_comb, gkp_codeword or product_comb.
+    Tooth k's place is places[k] = (index per mode, magnitude) as integer
     numerators over place_dens, each coordinate's least common denominator,
-    so equal places are equal integers; the places are in (index1, index2)
-    order.  Its phase is phase_num[k] / den (units of pi), with phase_num[k]
-    in [0, 2 den).
+    so equal places are equal integers; the places are in index order.  Its
+    phase is phase_num[k] / den (units of pi), which the constructor reduces
+    into [0, 2 den) over the least den, so equal combs are equal dataclasses.
     """
 
-    units: tuple[CombUnit, CombUnit]
-    places: tuple[tuple[int, int, int], ...]
-    place_dens: tuple[int, int, int]
+    units: tuple[CombUnit, ...]
+    places: tuple[tuple[int, ...], ...]
+    place_dens: tuple[int, ...]
     phase_num: tuple[int, ...]
     den: int
 
+    def __post_init__(self):
+        nums, den = _least([n % (2 * self.den) for n in self.phase_num], self.den)
+        object.__setattr__(self, "phase_num", tuple(nums))
+        object.__setattr__(self, "den", den)
+
     @property
-    def entries(self) -> tuple[TwoModeTooth, ...]:
-        """The teeth as TwoModeTooth records, built on each call."""
-        d1, d2, dm = self.place_dens
+    def unit(self) -> CombUnit:
+        """A single-mode comb's unit."""
+        (unit,) = self.units
+        return unit
+
+    @property
+    def entries(self) -> tuple[CombTooth | TwoModeTooth, ...]:
+        """The teeth as CombTooth (one mode) or TwoModeTooth (two modes) records, built on each call."""
+        tooth = CombTooth if len(self.units) == 1 else TwoModeTooth
         return tuple(
-            TwoModeTooth(Fraction(x1, d1), Fraction(x2, d2), Fraction(m, dm), Fraction(n, self.den))
-            for (x1, x2, m), n in zip(self.places, self.phase_num)
+            tooth(*(Fraction(x, d) for x, d in zip(place, self.place_dens)), Fraction(n, self.den))
+            for place, n in zip(self.places, self.phase_num)
         )
 
 
-def finite_comb(unit: CombUnit, teeth: Iterable[tuple[RationalLike, RationalLike, RationalLike]]) -> CombState:
-    """Build a finite comb; zero-magnitude teeth are dropped, indices must be distinct."""
-    cleaned = []
-    for index, magnitude, phase in teeth:
-        mag = as_fraction(magnitude)
-        if mag < 0:
-            raise ValueError("magnitudes must be nonnegative")
-        if mag == 0:
-            continue
-        cleaned.append(CombTooth(as_fraction(index), mag, mod2(phase)))
-    cleaned.sort(key=lambda t: t.index)
-    for a, b in zip(cleaned, cleaned[1:]):
-        if a.index == b.index:
-            raise ValueError(f"duplicate tooth index {a.index}")
-    return CombState(unit, entries=tuple(cleaned))
+def _units(state: CombState | FiniteComb) -> tuple[CombUnit, ...]:
+    return state.units if isinstance(state, FiniteComb) else (state.unit,)
 
 
-def _over_one_den(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of values over their least common denominator (1 for no values)."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
+def _least(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den over their least common denominator (1 for no values)."""
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
+def _over_one_den(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator of (numerator, denominator) pairs in least terms."""
+    den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
+
+
+def _finite(units: tuple[CombUnit, ...], teeth: Iterable[Sequence[RationalLike]]) -> FiniteComb:
+    """A finite comb from (index per mode, magnitude, phase) teeth in any order.
+
+    Zero-magnitude teeth are dropped; indices must be distinct.
+    """
+    k = len(units)
+    kept = []
+    for tooth in teeth:
+        ratios = [as_ratio(v) for v in tooth]
+        if len(ratios) != k + 2:
+            raise ValueError(f"a {k}-mode tooth has {k + 2} values, got {len(ratios)}")
+        if ratios[k][0] < 0:
+            raise ValueError("magnitudes must be nonnegative")
+        if ratios[k][0]:
+            kept.append(ratios)
+    columns = [_over_one_den(column) for column in zip(*kept)] or [((), 1)] * (k + 2)
+    *dens, den = (d for _, d in columns)
+    rows = sorted(zip(*(nums for nums, _ in columns)))
+    for a, b in zip(rows, rows[1:]):
+        if a[:k] == b[:k]:
+            index = ", ".join(str(Fraction(x, d)) for x, d in zip(a[:k], dens))
+            raise ValueError(f"duplicate tooth index {'pair ' if k == 2 else ''}({index})")
+    places, phase_num = tuple(row[:-1] for row in rows), [row[-1] for row in rows]
+    return FiniteComb(tuple(units), places, tuple(dens), phase_num, den)
+
+
+def finite_comb(unit: CombUnit, teeth: Iterable[tuple[RationalLike, RationalLike, RationalLike]]) -> FiniteComb:
+    """Build a single-mode finite comb from (index, magnitude, phase) teeth in any order.
+
+    Zero-magnitude teeth are dropped; indices must be distinct.
+    """
+    return _finite((unit,), teeth)
 
 
 def twomode_comb(
     units: tuple[CombUnit, CombUnit],
     teeth: Iterable[tuple[RationalLike, RationalLike, RationalLike, RationalLike]],
-) -> TwoModeComb:
+) -> FiniteComb:
     """Build a finite two-mode comb from (index1, index2, magnitude, phase) teeth in any order.
 
     Zero-magnitude teeth are dropped; index pairs must be distinct.
     """
-    cleaned = []
-    for index1, index2, magnitude, phase in teeth:
-        mag = as_fraction(magnitude)
-        if mag < 0:
-            raise ValueError("magnitudes must be nonnegative")
-        if mag == 0:
-            continue
-        cleaned.append((as_fraction(index1), as_fraction(index2), mag, mod2(phase)))
-    cleaned.sort(key=lambda t: t[:2])
-    for a, b in zip(cleaned, cleaned[1:]):
-        if a[:2] == b[:2]:
-            raise ValueError(f"duplicate tooth index pair ({a[0]}, {a[1]})")
-    (x1, d1), (x2, d2), (mags, dm), (nums, den) = (_over_one_den([t[k] for t in cleaned]) for k in range(4))
-    return TwoModeComb(tuple(units), tuple(zip(x1, x2, mags)), (d1, d2, dm), tuple(nums), den)
+    return _finite(units, teeth)
 
 
 def _minimal_cycle(pattern: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -216,7 +238,7 @@ def _require_regime(state_unit: CombUnit, n_fold: int) -> None:
         )
 
 
-def gkp_codeword(n_fold: int, j: int, window: int | None = None) -> CombState:
+def gkp_codeword(n_fold: int, j: int, window: int | None = None) -> CombState | FiniteComb:
     """Order-N comb codeword: teeth at (2k+j)N, uniform magnitude, zero phase.
 
     window=None gives the periodic (infinite) comb; window=W keeps
@@ -231,11 +253,8 @@ def gkp_codeword(n_fold: int, j: int, window: int | None = None) -> CombState:
         return periodic_comb(unit, j * n_fold, 2 * n_fold, [Fraction(0)])
     if window < 0:
         raise ValueError("window must be nonnegative")
-    teeth = [
-        (Fraction((2 * k + j) * n_fold), Fraction(1), Fraction(0))
-        for k in range(-window, window + 1)
-    ]
-    return finite_comb(unit, teeth)
+    places = tuple(((2 * k + j) * n_fold, 1) for k in range(-window, window + 1))
+    return FiniteComb((unit,), places, (1, 1), (0,) * len(places), 1)
 
 
 # --- exact polynomial phase machinery for periodic supports ---------------
@@ -285,27 +304,21 @@ _PHASE_GATES = {
 _SHIFT_GATES = {"X": Fraction(1), "stab_p": Fraction(2)}
 
 
-def _add_phase(phase: Fraction, num: int, den: int) -> Fraction:
-    """(phase + num/den) mod 2 from integer numerators, for den > 0."""
-    d = phase.denominator * den
-    return Fraction((phase.numerator * den + num * phase.denominator) % (2 * d), d)
+def _add_phases(state: FiniteComb, added: Iterable[int], scale: int) -> FiniteComb:
+    """state with added[k] / scale (units of pi) on tooth k's phase; every place is kept."""
+    den = math.lcm(state.den, scale)
+    s, c = den // state.den, den // scale
+    nums = [n * s + a * c for n, a in zip(state.phase_num, added)]
+    return FiniteComb(state.units, state.places, state.place_dens, nums, den)
 
 
-def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> CombState:
-    _require_regime(state.unit, n_fold)
+def _apply_phase(state: CombState | FiniteComb, n_fold: int, coef: Fraction, power: int):
     N = n_fold
     c, e = coef.numerator, coef.denominator
-    if state.entries is not None:
-        # a phase gate keeps every index and magnitude, so the teeth stay sorted and nonzero
-        teeth = tuple(
-            CombTooth(
-                t.index,
-                t.magnitude,
-                _add_phase(t.phase, c * t.index.numerator**power, e * (t.index.denominator * N) ** power),
-            )
-            for t in state.entries
-        )
-        return CombState(state.unit, entries=teeth)
+    if isinstance(state, FiniteComb):
+        # at index x/d the gate adds c x^power / (e (d N)^power)
+        d = state.place_dens[0]
+        return _add_phases(state, [c * x**power for x, _ in state.places], e * (d * N) ** power)
     p = state.periodic
     # at offset a/b tooth t adds c (a + t period b)^power / (e (b N)^power): an integer Newton row, one gcd
     a, b = p.offset.numerator, p.offset.denominator
@@ -336,52 +349,43 @@ def _apply_phase(state: CombState, n_fold: int, coef: Fraction, power: int) -> C
     return _canonical_comb(state.unit, p.offset, p.period, new_pattern, p.magnitude)
 
 
-def _translate_p(state: CombState, n_fold: int, r: Fraction) -> CombState:
-    _require_regime(state.unit, n_fold)
+def _translate_p(state: CombState | FiniteComb, n_fold: int, r: Fraction):
     shift = r * n_fold
-    if state.entries is not None:
-        # one shift for every tooth keeps their order
-        teeth = tuple(CombTooth(t.index + shift, t.magnitude, t.phase) for t in state.entries)
-        return CombState(state.unit, entries=teeth)
+    if isinstance(state, FiniteComb):
+        # x/d + a/b over their least common denominator; one shift for every tooth keeps their order
+        (d, dm), (a, b) = state.place_dens, shift.as_integer_ratio()
+        den = math.lcm(d, b)
+        xs, den = _least([x * (den // d) + a * (den // b) for x, _ in state.places], den)
+        places = tuple((x, m) for x, (_, m) in zip(xs, state.places))
+        return FiniteComb(state.units, places, (den, dm), state.phase_num, state.den)
     p = state.periodic
     return periodic_comb(state.unit, p.offset + shift, p.period, p.pattern, p.magnitude)
 
 
-def _apply_cz(state: TwoModeComb, n_fold: int) -> TwoModeComb:
-    for u in state.units:
-        _require_regime(u, n_fold)
-    # at indices x1/d1, x2/d2 CZ adds x1 x2 / (d1 d2 N^2): over den, a multiple of d1 d2 N^2
-    d1, d2, _ = state.place_dens
-    den = math.lcm(state.den, d1 * d2 * n_fold * n_fold)
-    s, c, modulus = den // state.den, den // (d1 * d2 * n_fold * n_fold), 2 * den
-    phase_num = tuple(
-        (n * s + x1 * x2 * c) % modulus for (x1, x2, _), n in zip(state.places, state.phase_num)
-    )
-    # CZ keeps every place, so the output shares the input's
-    return TwoModeComb(state.units, state.places, state.place_dens, phase_num, den)
-
-
 def gkp_apply(
     kind: str,
-    state: CombState | TwoModeComb,
+    state: CombState | FiniteComb,
     n_fold: int,
     amount: RationalLike | None = None,
 ):
     """Apply a comb gate exactly.
 
     Single-mode kinds: Z, S, T, X, stab_q, stab_p, translate_q, translate_p
-    (the last two take `amount` in logical units).  CZ acts on a TwoModeComb,
-    adding l1 l2 (units of pi) at logical indices l = v/N.
+    (the last two take `amount` in logical units).  CZ acts on a two-mode
+    FiniteComb, adding l1 l2 (units of pi) at logical indices l = v/N.
     Amounts must be exact rationals; floats raise NonRationalPhase.
     """
     if amount is not None and kind in (*_PHASE_GATES, *_SHIFT_GATES, "CZ"):
         raise ValueError(f"{kind} takes no amount")
+    units = _units(state)
+    if (kind == "CZ") != (len(units) == 2):
+        raise TypeError(f"{kind} does not act on a {len(units)}-mode comb")
+    for unit in units:
+        _require_regime(unit, n_fold)
     if kind == "CZ":
-        if not isinstance(state, TwoModeComb):
-            raise TypeError("CZ needs a TwoModeComb")
-        return _apply_cz(state, n_fold)
-    if not isinstance(state, CombState):
-        raise TypeError(f"{kind} needs a single-mode CombState")
+        # at indices x1/d1, x2/d2 CZ adds x1 x2 / (d1 d2 N^2)
+        d1, d2, _ = state.place_dens
+        return _add_phases(state, [x1 * x2 for x1, x2, _ in state.places], d1 * d2 * n_fold * n_fold)
     if kind in ("translate_q", "translate_p"):
         if amount is None:
             raise ValueError(f"{kind} requires amount")
@@ -417,23 +421,27 @@ def _equal_up_to_phase(
     return (True, Fraction(diffs.pop() if diffs else 0, den))
 
 
-def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction | None]:
-    """Exact equality test modulo one global phase.
+def comb_equal_up_to_phase(
+    a: CombState | FiniteComb, b: CombState | FiniteComb
+) -> tuple[bool, Fraction | None]:
+    """Exact equality test modulo one global phase, for finite combs of any mode count and periodic combs.
 
     Returns (True, phase) with b = e^{i pi phase} a when supports and
     magnitudes coincide and all phase differences agree; (False, None)
     otherwise.
     """
-    if a.unit != b.unit:
+    if _units(a) != _units(b):
         raise UnitMismatch("combs live in different unit regimes")
-    if a.support_kind != b.support_kind:
+    if type(a) is not type(b):
         raise ValueError("support kinds differ")
-    if a.entries is not None:
-        place = lambda s: [(t.index, t.magnitude) for t in s.entries]
-        phases = lambda s: _over_one_den([t.phase for t in s.entries])
-        return _equal_up_to_phase(place(a), place(b), phases(a), phases(b))
+    if isinstance(a, FiniteComb):
+        # both keep their teeth in index order, so none is sorted
+        return _equal_up_to_phase(
+            (a.place_dens, a.places), (b.place_dens, b.places), (a.phase_num, a.den), (b.phase_num, b.den)
+        )
     pa, pb = a.periodic, b.periodic
-    (nums_a, den_a), (nums_b, den_b) = _over_one_den(pa.pattern), _over_one_den(pb.pattern)
+    ratios = lambda p: [ph.as_integer_ratio() for ph in p.pattern]
+    (nums_a, den_a), (nums_b, den_b) = _over_one_den(ratios(pa)), _over_one_den(ratios(pb))
     # both patterns over one span, a multiple of each length
     span = math.lcm(len(nums_a), len(nums_b))
     return _equal_up_to_phase(
@@ -444,44 +452,27 @@ def comb_equal_up_to_phase(a: CombState, b: CombState) -> tuple[bool, Fraction |
     )
 
 
-def twomode_equal_up_to_phase(a: TwoModeComb, b: TwoModeComb) -> tuple[bool, Fraction | None]:
-    """comb_equal_up_to_phase for two-mode combs; both keep their teeth in one order, so none is sorted."""
-    if a.units != b.units:
-        raise UnitMismatch("two-mode combs live in different unit regimes")
-    return _equal_up_to_phase(
-        (a.place_dens, a.places), (b.place_dens, b.places), (a.phase_num, a.den), (b.phase_num, b.den)
-    )
-
-
-def _tooth_numerators(state: CombState) -> list[tuple[list[int], int]]:
-    """A finite comb's indices, magnitudes and phases, each over its least common denominator."""
-    return [_over_one_den([getattr(t, k) for t in state.entries]) for k in ("index", "magnitude", "phase")]
-
-
-def product_comb(a: CombState, b: CombState) -> TwoModeComb:
-    """Tensor product of two finite combs; each factor's index order gives (index1, index2) order."""
-    if a.entries is None or b.entries is None:
+def product_comb(a: FiniteComb, b: FiniteComb) -> FiniteComb:
+    """Tensor product of two single-mode finite combs, in (index1, index2) order from the factors' orders."""
+    if not (isinstance(a, FiniteComb) and isinstance(b, FiniteComb)):
         raise ValueError("product_comb needs finite combs")
-    if not (a.entries and b.entries):
+    units = (a.unit, b.unit)
+    if not (a.places and b.places):
         # no teeth: every place denominator is 1, whatever the factors' teeth
-        return twomode_comb((a.unit, b.unit), [])
-    (x1, d1), (mags_a, da), (phases_a, pa) = _tooth_numerators(a)
-    (x2, d2), (mags_b, db), (phases_b, pb) = _tooth_numerators(b)
-    # ma mb / (da db) in least common terms: g = gcd(da db, gcd(mags_a) gcd(mags_b)) divides every
-    # product, and g / gcd(g, gcd(mags_a)) divides gcd(mags_b), so each factor takes its part of g
-    g = math.gcd(da * db, math.gcd(*mags_a) * math.gcd(*mags_b))
-    ga = math.gcd(g, *mags_a)
-    mags_a, mags_b = [m // ga for m in mags_a], [m // (g // ga) for m in mags_b]
-    den = math.lcm(pa, pb)
-    modulus, sa, sb = 2 * den, den // pa, den // pb
-    places = tuple((i1, i2, ma * mb) for i1, ma in zip(x1, mags_a) for i2, mb in zip(x2, mags_b))
-    phase_num = tuple((x * sa + y * sb) % modulus for x in phases_a for y in phases_b)
-    return TwoModeComb((a.unit, b.unit), places, (d1, d2, da * db // g), phase_num, den)
+        return twomode_comb(units, [])
+    (d1, da), (d2, db) = a.place_dens, b.place_dens
+    pairs = list(product(a.places, b.places))
+    mags, dm = _least([ma * mb for (_, ma), (_, mb) in pairs], da * db)
+    places = tuple((x1, x2, m) for ((x1, _), (x2, _)), m in zip(pairs, mags))
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    phase_num = [x * sa + y * sb for x in a.phase_num for y in b.phase_num]
+    return FiniteComb(units, places, (d1, d2, dm), phase_num, den)
 
 
-def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:
-    """All teeth with lo <= index < hi, materialized as CombTooth records."""
-    if state.entries is not None:
+def teeth_in_range(state: CombState | FiniteComb, lo: int, hi: int) -> list[CombTooth]:
+    """All teeth of a single-mode comb with lo <= index < hi, materialized as CombTooth records."""
+    if isinstance(state, FiniteComb):
         return [t for t in state.entries if lo <= t.index < hi]
     p = state.periodic
     # offset + t * period >= x exactly when t >= ceil((x - offset) / period)
@@ -493,15 +484,16 @@ def teeth_in_range(state: CombState, lo: int, hi: int) -> list[CombTooth]:
 # --- serialization ---------------------------------------------------------
 
 
-def comb_to_json_dict(state: CombState) -> dict:
+def comb_to_json_dict(state: CombState | FiniteComb) -> dict:
+    finite = isinstance(state, FiniteComb)
     out = {
         "unit": {
             "sqrtPiExp": state.unit.sqrt_pi_exp,
             "rational": rational_to_json(state.unit.scale),
         },
-        "kind": state.support_kind,
+        "kind": "finite" if finite else "periodic",
     }
-    if state.entries is not None:
+    if finite:
         out["entries"] = [
             {
                 "index": rational_to_json(t.index),

@@ -27,6 +27,13 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise NonRationalPhase(f"expected an exact rational, got {value!r}")
 
 
+def as_ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) in least terms, building no Fraction; floats raise as in as_fraction."""
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
+    raise NonRationalPhase(f"expected an exact rational, got {value!r}")
+
+
 def mod2(phase: RationalLike) -> Fraction:
     """Reduce a phase (units of pi) into [0, 2)."""
     return as_fraction(phase) % 2

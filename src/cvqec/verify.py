@@ -245,7 +245,7 @@ def gkp_exact_suite(n_fold: int) -> list[dict]:
     for j in (0, 1):
         for jp in (0, 1):
             prod = combs.product_comb(windowed[j], windowed[jp])
-            same, phase = combs.twomode_equal_up_to_phase(prod, combs.gkp_apply("CZ", prod, N))
+            same, phase = combs.comb_equal_up_to_phase(prod, combs.gkp_apply("CZ", prod, N))
             expected = mod2(j * jp)
             rows.append(
                 result_row(

@@ -234,6 +234,27 @@ def test_error_set_contents():
     assert rotations["rotation_1"].phases is not None
 
 
+@pytest.mark.parametrize("N, D", [(2, 8), (3, 12), (5, 40)])
+def test_mapped_errors_are_images_of_comb_translations(N, D):
+    # gamma_l images a p-translation by l/N (a raw shift by l), rotation_s a q-translation by theta_s N
+    images = {name: ("p", k) for l in range(1, N) for name, k in ((f"gamma_{l}", l), (f"gamma_{l}_dag", -l))}
+    images |= {f"rotation_{s}": ("q", theta) for s, theta in enumerate(rotation_sample_angles(N), start=1)}
+    shifts, rotations = map_error_generators(N, D)
+    got = {**shifts, **rotations}
+    assert got.keys() == images.keys()
+    # one tooth on each level a shift by up to N - 1 keeps inside [0, D), so no tooth crosses an edge
+    comb = finite_comb(bridge_unit(N), [(-m, 1, F(m, 5)) for m in range(N, D - N)])
+    before = upsilon_exact(comb, D)
+    for name, (kind, amount) in images.items():
+        op, want = got[name], omega_map_translation(kind, amount, N, D)
+        assert (op.dim, op.structure, op.offset, op.den) == (want.dim, want.structure, want.offset, want.den)
+        assert np.array_equal(op.data, want.data)
+        assert (op.phase_num is None) == (want.phase_num is None)
+        assert op.phase_num is None or np.array_equal(op.phase_num, want.phase_num)
+        moved = gkp_apply(f"translate_{kind}", comb, N, amount=F(amount, N) if kind == "p" else amount * N)
+        assert upsilon_exact(moved, D) == rot_exact(op, before)
+
+
 def test_order_one_code_has_no_shift_errors():
     shifts, rotations = map_error_generators(1, 8)
     assert shifts == {} and len(rotations) == ROTATION_SAMPLES

@@ -24,7 +24,6 @@ from cvqec.combs import (
     product_comb,
     teeth_in_range,
     twomode_comb,
-    twomode_equal_up_to_phase,
 )
 from cvqec.errors import NonRationalPhase, UnitMismatch
 
@@ -59,10 +58,24 @@ def test_codeword_ideal_descriptor_frozen():
     assert (w1.periodic.offset, w1.periodic.period) == (3, 6)
 
 
+@pytest.mark.parametrize("N", [1, 64])
+@pytest.mark.parametrize("window", [0, 1, 3, 2048])
+def test_windowed_codeword_is_the_finite_comb_of_its_teeth(N, window):
+    # gkp_codeword writes its places in order; finite_comb sorts the same teeth given backwards
+    for j in (0, 1):
+        teeth = [((2 * k + j) * N, 1, 0) for k in range(window, -window - 1, -1)]
+        assert gkp_codeword(N, j, window=window) == finite_comb(bridge_unit(N), teeth)
+
+
 def test_finite_comb_rejects_duplicates_and_floats():
     unit = bridge_unit(1)
     with pytest.raises(ValueError):
         finite_comb(unit, [(0, 1, 0), (0, 1, F(1, 2))])
+    # the message names the index alone, in least terms
+    with pytest.raises(ValueError, match=r"^duplicate tooth index \(1/2\)$"):
+        finite_comb(unit, [(F(1, 2), 1, 0), (F(2, 4), 3, F(1, 2))])
+    with pytest.raises(ValueError, match="a 1-mode tooth has 3 values, got 4"):
+        finite_comb(unit, [(0, 0, 1, 0)])
     with pytest.raises(NonRationalPhase):
         finite_comb(unit, [(0.5, 1, 0)])
 
@@ -85,7 +98,7 @@ def test_twomode_comb_sorts_teeth_given_in_any_order():
     for perm in itertools.permutations([*TWOMODE_TEETH, (0, 0, 0, 1)]):
         got = twomode_comb((unit, unit), perm)
         assert got == want
-        assert twomode_equal_up_to_phase(want, got) == (True, 0)
+        assert comb_equal_up_to_phase(want, got) == (True, 0)
 
 
 def test_twomode_comb_rejects_duplicates_and_floats():
@@ -112,13 +125,69 @@ def test_cz_output_keeps_integer_phases_over_one_den():
     assert out.entries[-2].phase == (F(3, 4) + F(1, 6) + F(5, 3) * F(1, 15)) % 2
 
 
+def assert_one_form(comb):
+    """Every coordinate an int over its least denominator, places in index order, phases in [0, 2 den)."""
+    assert type(comb.den) is int and all(type(d) is int for d in comb.place_dens)
+    assert all(type(x) is int for place in comb.places for x in place)
+    assert all(type(n) is int and 0 <= n < 2 * comb.den for n in comb.phase_num)
+    assert math.gcd(comb.den, *comb.phase_num) == 1
+    columns = list(zip(*comb.places)) or [()] * len(comb.place_dens)
+    assert [math.gcd(d, *column) for d, column in zip(comb.place_dens, columns)] == [1] * len(comb.place_dens)
+    indices = [place[: len(comb.units)] for place in comb.places]
+    assert indices == sorted(set(indices))
+
+
+ONE_FORM_STEPS = [
+    *((gate, None) for gate in ("Z", "S", "T", "X", "stab_q", "stab_p")),
+    *(("translate_q", r) for r in (F(1, 3), F(-5, 6), 2)),
+    # at N = 3 the first two move every half-odd index onto an integer, the third keeps them half-odd
+    *(("translate_p", r) for r in (F(1, 6), F(-7, 6), 1)),
+]
+
+
+@pytest.mark.parametrize("gate, r", ONE_FORM_STEPS)
+def test_finite_gate_outputs_keep_integers_in_least_terms(gate, r):
+    N = 3
+    teeth = [(F(-7, 2), F(1, 2), F(1, 3)), (F(1, 2), 3, 0), (F(9, 2), F(3, 2), F(3, 4))]
+    comb = finite_comb(bridge_unit(N), teeth)
+    assert_one_form(comb)
+    out = gkp_apply(gate, comb, N, amount=r)
+    assert_one_form(out)
+    assert_one_form(gkp_apply(gate, out, N, amount=r))
+    if gate in ORACLE_GATES or gate == "translate_q":
+        coef, power = (-r, 1) if gate == "translate_q" else ORACLE_GATES[gate]
+        want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in comb.entries]
+        assert records(out) == want
+    if r is not None:
+        # a translation and its inverse give the comb back, denominators and all
+        assert gkp_apply(gate, out, N, amount=-r) == comb
+    if gate == "translate_p":
+        assert indices(out) == [t.index + r * N for t in comb.entries]
+        assert out.place_dens[0] == (1 if (r * N).denominator == 2 else 2)
+    assert_one_form(product_comb(out, comb))
+    assert_one_form(gkp_apply("CZ", product_comb(comb, out), N))
+    assert_one_form(finite_comb(bridge_unit(N), []))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cz_twice_gives_codeword_products_back(N):
+    # CZ adds the integer (2k+j)(2k'+j') at codeword teeth, so twice it adds an even one: the phases
+    # come back to zero over den 1
+    for j in (0, 1):
+        for jp in (0, 1):
+            prod = product_comb(gkp_codeword(N, j, window=2), gkp_codeword(N, jp, window=2))
+            out = gkp_apply("CZ", prod, N)
+            assert out.den == 1 and set(out.phase_num) == {j * jp}
+            assert gkp_apply("CZ", out, N) == prod
+
+
 def test_product_keeps_per_tooth_magnitudes():
     # equality sees each tooth's magnitude, not the factors: (2a) x b is a x (2b)
     unit = bridge_unit(2)
     teeth = [(0, 1, F(1, 3)), (2, F(1, 2), 0), (4, 3, F(3, 2))]
     a, b = finite_comb(unit, teeth), finite_comb(unit, [(-2, F(2, 3), F(1, 4)), (6, 1, 1)])
     double = lambda s: finite_comb(unit, [(t.index, 2 * t.magnitude, t.phase) for t in s.entries])
-    assert twomode_equal_up_to_phase(product_comb(double(a), b), product_comb(a, double(b))) == (True, 0)
+    assert comb_equal_up_to_phase(product_comb(double(a), b), product_comb(a, double(b))) == (True, 0)
     # a magnitude 1/2 against 2 cancels to the integer 1
     half, two = finite_comb(unit, [(0, F(1, 2), 0)]), finite_comb(unit, [(0, 2, 0)])
     assert product_comb(half, two) == twomode_comb((unit, unit), [(0, 0, 1, 0)])
@@ -224,7 +293,7 @@ def test_cz_phase_is_product_parity():
         for jp in (0, 1):
             prod = product_comb(gkp_codeword(N, j, window=1), gkp_codeword(N, jp, window=1))
             out = gkp_apply("CZ", prod, N)
-            same, phase = twomode_equal_up_to_phase(prod, out)
+            same, phase = comb_equal_up_to_phase(prod, out)
             assert same and phase == F(j * jp)
 
 
@@ -494,6 +563,37 @@ def test_product_and_cz_match_fraction_oracle(N, teeth_a, teeth_b):
     assert records(gkp_apply("CZ", prod, N)) == cz
 
 
+# (gate, amount) steps: the fixed gates, and translations by small fractions
+ORACLE_STEPS = st.sampled_from([(gate, None) for gate in ("Z", "S", "T", "X", "stab_q", "stab_p")])
+ORACLE_STEPS |= st.tuples(
+    st.sampled_from(["translate_q", "translate_p"]), st.fractions(-2, 2, max_denominator=6)
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), oracle_teeth, st.lists(ORACLE_STEPS, max_size=5), oracle_index)
+def test_equal_combs_are_equal_dataclasses(N, teeth, steps, split):
+    # a takes the steps in order; b takes them backwards, each translation split in two at `split`,
+    # so the two are built through different intermediate denominators
+    a = b = oracle_comb(N, teeth)
+    for gate, r in steps:
+        a = gkp_apply(gate, a, N, amount=r)
+    for gate, r in reversed(steps):
+        if r is not None:
+            b = gkp_apply(gate, b, N, amount=r - split)
+            r = split
+        b = gkp_apply(gate, b, N, amount=r)
+    same = comb_equal_up_to_phase(a, b) == (True, 0)
+    assert (a == b) == same
+    if all(gate in ("Z", "S", "T", "stab_q", "translate_q") for gate, _ in steps):
+        # phase gates commute
+        assert a == b
+    other = oracle_comb(N, {F(1, 2): (F(3), F(1, 3)), F(-2): (F(1, 2), F(0))})
+    pa, pb = product_comb(a, other), product_comb(b, other)
+    assert (pa == pb) == same == (comb_equal_up_to_phase(pa, pb) == (True, 0))
+    assert (gkp_apply("CZ", pa, N) == gkp_apply("CZ", pb, N)) == same
+
+
 def oracle_equal(pairs):
     """(True, d) when every phase pair differs by d mod 2, the sum over Fractions."""
     diffs = {(pb - pa) % 2 for pa, pb in pairs}
@@ -517,7 +617,7 @@ def test_finite_equality_matches_fraction_oracle(teeth, shift, bends):
     # twomode_comb sorts the teeth it is given, so the reversed product builds the same comb
     pa, pb = product_comb(a, other), product_comb(b, other)
     pb = twomode_comb(pb.units, [tuple(vars(t).values()) for t in reversed(pb.entries)])
-    assert twomode_equal_up_to_phase(pa, pb) == want
+    assert comb_equal_up_to_phase(pa, pb) == want
 
 
 @settings(deadline=None, max_examples=60)
@@ -548,7 +648,7 @@ def test_phase_differences_equal_only_mod_2():
     b = finite_comb(unit, [(0, 1, F(1, 2)), (2, 1, 0)])
     assert comb_equal_up_to_phase(a, b) == (True, F(1, 2))
     one = finite_comb(unit, [(4, 1, F(5, 3))])
-    assert twomode_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (True, F(1, 2))
+    assert comb_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (True, F(1, 2))
     assert comb_equal_up_to_phase(
         periodic_comb(unit, 1, 4, [0, F(3, 2)]), periodic_comb(unit, 1, 4, [F(1, 2), 0])
     ) == (True, F(1, 2))
@@ -563,7 +663,7 @@ def test_phase_differences_apart_by_a_small_fraction():
     b = finite_comb(unit, [(0, 1, F(1, 3)), (2, 1, F(1, 3) + F(1, 10**6))])
     assert comb_equal_up_to_phase(a, b) == (False, None)
     one = finite_comb(unit, [(4, 1, 0)])
-    assert twomode_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (False, None)
+    assert comb_equal_up_to_phase(product_comb(a, one), product_comb(b, one)) == (False, None)
     assert comb_equal_up_to_phase(
         periodic_comb(unit, 1, 4, [0, 0]), periodic_comb(unit, 1, 4, [F(1, 3), F(1, 3) + F(1, 10**6)])
     ) == (False, None)
@@ -576,10 +676,10 @@ def test_empty_combs_are_equal_with_zero_phase():
     unit = bridge_unit(2)
     assert comb_equal_up_to_phase(finite_comb(unit, []), finite_comb(unit, [])) == (True, 0)
     empty = twomode_comb((unit, unit), [])
-    assert twomode_equal_up_to_phase(empty, empty) == (True, 0)
+    assert comb_equal_up_to_phase(empty, empty) == (True, 0)
     none = finite_comb(unit, [])
     assert product_comb(none, none) == empty
-    assert twomode_equal_up_to_phase(product_comb(none, none), empty) == (True, 0)
+    assert comb_equal_up_to_phase(product_comb(none, none), empty) == (True, 0)
 
 
 def test_one_changed_magnitude_breaks_equality():
@@ -588,7 +688,7 @@ def test_one_changed_magnitude_breaks_equality():
     changed = [(0, 1, 0), (2, 3, F(1, 2)), (4, 1, F(1, 4))]
     a, b = finite_comb(unit, teeth), finite_comb(unit, changed)
     assert comb_equal_up_to_phase(a, b) == (False, None)
-    assert twomode_equal_up_to_phase(product_comb(a, a), product_comb(a, b)) == (False, None)
+    assert comb_equal_up_to_phase(product_comb(a, a), product_comb(a, b)) == (False, None)
     pattern = [0, F(1, 2)]
     assert comb_equal_up_to_phase(
         periodic_comb(unit, 0, 4, pattern), periodic_comb(unit, 0, 4, pattern, magnitude=2)

@@ -1,4 +1,4 @@
-"""Every module under src/cvqec/ and tests/ reads each name it imports."""
+"""Every module under src/cvqec/, tests/ and bench/ reads each name it imports."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
-MODULES = sorted([*(ROOT / "src" / "cvqec").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(path for folder in ("src/cvqec", "tests", "bench") for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
