@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply, teeth_in_range
+from .combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply
 from .errors import InvalidDimension
 from .fock import FockOperator, FockVector, fock_operator, rot_logical_op
 from .phases import RationalLike, as_fraction, mod2, phase_to_complex
@@ -40,6 +40,8 @@ def _levels(state: CombState | FiniteComb, D: int) -> tuple[dict[int, tuple[Frac
     """Upsilon(state) exactly, as level -> (magnitude, phase), and the squared mass it drops.
 
     The tooth on an integer v with -v in [0, D) goes to level -v; every other tooth is dropped.
+    A finite comb is read from its integer places; a periodic comb's window teeth are listed
+    from its integer offset and period, and a fractional offset puts no tooth on an integer.
     """
     if isinstance(state, FiniteComb):
         (d, dm), levels, dropped = state.place_dens, {}, 0
@@ -50,9 +52,14 @@ def _levels(state: CombState | FiniteComb, D: int) -> tuple[dict[int, tuple[Frac
             else:
                 dropped += m * m
         return levels, dropped / (dm * dm)
-    teeth = teeth_in_range(state, 1 - D, 1)
     # a periodic comb always has infinitely many teeth outside the window
-    return {-int(t.index): (t.magnitude, t.phase) for t in teeth if t.index.denominator == 1}, math.inf
+    p = state.periodic
+    if p.offset.denominator != 1:
+        return {}, math.inf
+    # tooth t sits at o + t period, in (-D, 0] for ceil((1 - D - o) / period) <= t <= floor(-o / period)
+    o, L = p.offset.numerator, len(p.pattern)
+    ts = range(-((D - 1 + o) // p.period), -o // p.period + 1)
+    return {-(o + t * p.period): (p.magnitude, p.pattern[t % L]) for t in ts}, math.inf
 
 
 def upsilon_apply(state: CombState | FiniteComb, D: int) -> tuple[FockVector, float]:

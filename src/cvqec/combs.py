@@ -13,8 +13,8 @@ r*N.  Quadratic and quartic phase gates act through the logical index
 l = v/N as l^2/2 and l^4/4 (units of pi).
 
 A finite comb, of one mode or two, is a FiniteComb: integer numerators over
-least common denominators, one form for every builder, gate and equality
-test.  A periodic comb is a CombState holding a PeriodicSupport.
+least common denominators, one form for every builder, gate, equality test
+and JSON writer.  A periodic comb is a CombState holding a PeriodicSupport.
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ def bridge_unit(n_fold: int) -> CombUnit:
 
 
 @dataclass(frozen=True)
-class CombTooth:
-    index: Fraction
-    magnitude: Fraction
-    phase: Fraction
-
-
-@dataclass(frozen=True)
 class PeriodicSupport:
     """Teeth at offset + t*period (t over all integers), uniform magnitude.
 
@@ -80,14 +73,6 @@ class CombState:
 
     unit: CombUnit
     periodic: PeriodicSupport
-
-
-@dataclass(frozen=True)
-class TwoModeTooth:
-    index1: Fraction
-    index2: Fraction
-    magnitude: Fraction
-    phase: Fraction
 
 
 @dataclass(frozen=True)
@@ -116,17 +101,9 @@ class FiniteComb:
     @property
     def unit(self) -> CombUnit:
         """A single-mode comb's unit."""
-        (unit,) = self.units
-        return unit
-
-    @property
-    def entries(self) -> tuple[CombTooth | TwoModeTooth, ...]:
-        """The teeth as CombTooth (one mode) or TwoModeTooth (two modes) records, built on each call."""
-        tooth = CombTooth if len(self.units) == 1 else TwoModeTooth
-        return tuple(
-            tooth(*(Fraction(x, d) for x, d in zip(place, self.place_dens)), Fraction(n, self.den))
-            for place, n in zip(self.places, self.phase_num)
-        )
+        if len(self.units) != 1:
+            raise ValueError(f"a single-mode comb is needed, got a {len(self.units)}-mode comb")
+        return self.units[0]
 
 
 def _units(state: CombState | FiniteComb) -> tuple[CombUnit, ...]:
@@ -470,17 +447,6 @@ def product_comb(a: FiniteComb, b: FiniteComb) -> FiniteComb:
     return FiniteComb(units, places, (d1, d2, dm), phase_num, den)
 
 
-def teeth_in_range(state: CombState | FiniteComb, lo: int, hi: int) -> list[CombTooth]:
-    """All teeth of a single-mode comb with lo <= index < hi, materialized as CombTooth records."""
-    if isinstance(state, FiniteComb):
-        return [t for t in state.entries if lo <= t.index < hi]
-    p = state.periodic
-    # offset + t * period >= x exactly when t >= ceil((x - offset) / period)
-    first, stop = (math.ceil((x - p.offset) / p.period) for x in (lo, hi))
-    L = len(p.pattern)
-    return [CombTooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]) for t in range(first, stop)]
-
-
 # --- serialization ---------------------------------------------------------
 
 
@@ -489,23 +455,24 @@ def comb_to_json_dict(state: CombState | FiniteComb) -> dict:
     out = {
         "unit": {
             "sqrtPiExp": state.unit.sqrt_pi_exp,
-            "rational": rational_to_json(state.unit.scale),
+            "rational": rational_to_json(*state.unit.scale.as_integer_ratio()),
         },
         "kind": "finite" if finite else "periodic",
     }
     if finite:
+        (d, dm), den = state.place_dens, state.den
         out["entries"] = [
             {
-                "index": rational_to_json(t.index),
-                "magnitude": rational_to_json(t.magnitude),
-                "phase": rational_to_json(t.phase, unit="pi"),
+                "index": rational_to_json(x, d),
+                "magnitude": rational_to_json(m, dm),
+                "phase": rational_to_json(n, den, unit="pi"),
             }
-            for t in state.entries
+            for (x, m), n in zip(state.places, state.phase_num)
         ]
     else:
         p = state.periodic
-        out["offset"] = rational_to_json(p.offset)
+        out["offset"] = rational_to_json(*p.offset.as_integer_ratio())
         out["period"] = p.period
-        out["pattern"] = [rational_to_json(ph, unit="pi") for ph in p.pattern]
-        out["magnitude"] = rational_to_json(p.magnitude)
+        out["pattern"] = [rational_to_json(*ph.as_integer_ratio(), unit="pi") for ph in p.pattern]
+        out["magnitude"] = rational_to_json(*p.magnitude.as_integer_ratio())
     return out

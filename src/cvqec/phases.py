@@ -64,8 +64,10 @@ def fraction_view(num: np.ndarray, den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, den) for n in num.tolist())
 
 
-def rational_to_json(value: Fraction, unit: str | None = None) -> dict:
-    out = {"num": value.numerator, "den": value.denominator}
+def rational_to_json(num: int, den: int, unit: str | None = None) -> dict:
+    """num / den (den > 0) in least terms, as JSON."""
+    g = math.gcd(num, den)
+    out = {"num": num // g, "den": den // g}
     if unit is not None:
         out["unit"] = unit
     return out

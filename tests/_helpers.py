@@ -2,13 +2,48 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from cvqec.combs import bridge_unit, finite_comb, gkp_apply, product_comb
+from cvqec.combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply, product_comb
 from cvqec.fock import FockVector, crot
 from cvqec.phases import mod2
+
+
+@dataclass(frozen=True)
+class Tooth:
+    index: Fraction
+    magnitude: Fraction
+    phase: Fraction
+
+
+@dataclass(frozen=True)
+class TwoModeTooth:
+    index1: Fraction
+    index2: Fraction
+    magnitude: Fraction
+    phase: Fraction
+
+
+def teeth(state: FiniteComb) -> tuple[Tooth | TwoModeTooth, ...]:
+    """The Fraction oracle of a finite comb: its teeth in index order, as Tooth or TwoModeTooth records."""
+    record = Tooth if len(state.units) == 1 else TwoModeTooth
+    return tuple(
+        record(*(Fraction(x, d) for x, d in zip(place, state.place_dens)), Fraction(n, state.den))
+        for place, n in zip(state.places, state.phase_num)
+    )
+
+
+def teeth_in_range(state: CombState, lo: int, hi: int) -> list[Tooth]:
+    """The Fraction oracle of a periodic comb: its teeth with lo <= index < hi, as Tooth records."""
+    p = state.periodic
+    # offset + t * period >= x exactly when t >= ceil((x - offset) / period)
+    first, stop = (math.ceil((x - p.offset) / p.period) for x in (lo, hi))
+    L = len(p.pattern)
+    return [Tooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]) for t in range(first, stop)]
 
 
 def random_state(rng: np.random.Generator, dim: int) -> FockVector:
@@ -76,6 +111,6 @@ def cz_crot_mismatches(N: int, D: int) -> int:
     rot = crot(N, N, D, D)
     index = lambda t: -int(t.index1) * D - int(t.index2)
     turn = lambda t: Fraction(int(rot.phase_num[index(t)]), rot.den)
-    want = {index(t): (t.magnitude, mod2(t.phase + turn(t))) for t in prod.entries}
-    got = {index(t): (t.magnitude, t.phase) for t in gkp_apply("CZ", prod, N).entries}
+    want = {index(t): (t.magnitude, mod2(t.phase + turn(t))) for t in teeth(prod)}
+    got = {index(t): (t.magnitude, t.phase) for t in teeth(gkp_apply("CZ", prod, N))}
     return sum(got.get(i) != w for i, w in want.items()) + len(got.keys() - want.keys())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import cz_crot_mismatches
+from _helpers import cz_crot_mismatches, teeth
 from cvqec import bridge, combs
 from cvqec.bridge import (
     ROTATION_SAMPLES,
@@ -18,10 +18,10 @@ from cvqec.bridge import (
     rotation_sample_angles,
     upsilon_apply,
 )
-from cvqec.combs import bridge_unit, finite_comb, gkp_apply, gkp_codeword
+from cvqec.combs import bridge_unit, finite_comb, gkp_apply, gkp_codeword, periodic_comb
 from cvqec.errors import InvalidDimension, NonRationalPhase
 from cvqec.fock import adjoint, fock_operator, rot_logical_op
-from cvqec.phases import mod2
+from cvqec.phases import mod2, phase_to_complex
 
 F = Fraction
 
@@ -55,6 +55,28 @@ def test_periodic_comb_keeps_window_and_drops_infinity():
     vec, dropped = upsilon_apply(w, 12)
     assert math.isinf(dropped)
     assert sorted(np.flatnonzero(np.abs(vec.amplitudes) > 0)) == [2, 6, 10]
+
+
+WINDOW_PATTERNS = [[F(1, 3)], [0, F(1, 2)], [F(1, 4), 0, F(5, 3)]]
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+@pytest.mark.parametrize("pattern", WINDOW_PATTERNS, ids=lambda pattern: f"L{len(pattern)}")
+def test_periodic_window_matches_brute_force(period, pattern):
+    # every tooth offset + t period in (-D, 0], found by trying each t; a fractional offset puts
+    # none on an integer
+    L = len(pattern)
+    for offset in [*range(period), F(1, 2), F(3 * period - 1, 3)]:
+        state = periodic_comb(bridge_unit(2), offset, period, pattern, F(2, 3))
+        for D in range(1, 3 * period + 2):
+            tried = [(offset + t * period, pattern[t % L]) for t in range(-D - 1, 2)]
+            kept = [(v, phase) for v, phase in tried if F(v).denominator == 1 and -D < v <= 0]
+            want = {-int(v): (F(2, 3), F(phase)) for v, phase in kept}
+            assert bridge._levels(state, D) == (want, math.inf)
+            amps = np.zeros(D, dtype=complex)
+            for m, (magnitude, phase) in want.items():
+                amps[m] = float(magnitude) * phase_to_complex(phase)
+            assert np.array_equal(upsilon_apply(state, D)[0].amplitudes, amps)
 
 
 # --- translation transport --------------------------------------------------------
@@ -103,7 +125,7 @@ def test_translation_input_validation():
 
 def upsilon_exact(state, D):
     """Upsilon(state) as {level: (magnitude, phase)}: tooth v on an integer in (-D, 0] goes to |-v>."""
-    kept = [t for t in state.entries if t.index.denominator == 1 and -D < t.index <= 0]
+    kept = [t for t in teeth(state) if t.index.denominator == 1 and -D < t.index <= 0]
     return {-int(t.index): (t.magnitude, t.phase) for t in kept}
 
 

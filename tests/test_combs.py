@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import teeth as teeth_of, teeth_in_range
 from cvqec import combs
 from cvqec.combs import (
     CombState,
@@ -17,12 +18,12 @@ from cvqec.combs import (
     PeriodicSupport,
     bridge_unit,
     comb_equal_up_to_phase,
+    comb_to_json_dict,
     finite_comb,
     gkp_apply,
     gkp_codeword,
     periodic_comb,
     product_comb,
-    teeth_in_range,
     twomode_comb,
 )
 from cvqec.errors import NonRationalPhase, UnitMismatch
@@ -32,11 +33,11 @@ BENCH = Path(__file__).parents[1] / "bench"
 
 
 def indices(state):
-    return [t.index for t in state.entries]
+    return [t.index for t in teeth_of(state)]
 
 
 def phases(state):
-    return [t.phase for t in state.entries]
+    return [t.phase for t in teeth_of(state)]
 
 
 # --- constructors ------------------------------------------------------------
@@ -91,7 +92,7 @@ TWOMODE_TEETH = [(2, -1, F(1, 2), F(1, 3)), (-1, 4, 3, F(7, 4)), (2, F(1, 2), F(
 def test_twomode_comb_sorts_teeth_given_in_any_order():
     unit = bridge_unit(2)
     want = twomode_comb((unit, unit), TWOMODE_TEETH)
-    assert [tuple(vars(t).values()) for t in want.entries] == [
+    assert [tuple(vars(t).values()) for t in teeth_of(want)] == [
         (F(i1), F(i2), F(m), F(p) % 2) for i1, i2, m, p in sorted(TWOMODE_TEETH, key=lambda t: t[:2])
     ]
     # a zero-magnitude tooth is dropped wherever it comes
@@ -122,7 +123,7 @@ def test_cz_output_keeps_integer_phases_over_one_den():
     assert all(type(x) is int for place in out.places for x in place)
     assert len(out.phase_num) == len(out.places) == 6
     # index 5, index 1/5: phase 3/4 + 1/6 + (5/3)(1/15) at logical l = v/N
-    assert out.entries[-2].phase == (F(3, 4) + F(1, 6) + F(5, 3) * F(1, 15)) % 2
+    assert teeth_of(out)[-2].phase == (F(3, 4) + F(1, 6) + F(5, 3) * F(1, 15)) % 2
 
 
 def assert_one_form(comb):
@@ -156,13 +157,13 @@ def test_finite_gate_outputs_keep_integers_in_least_terms(gate, r):
     assert_one_form(gkp_apply(gate, out, N, amount=r))
     if gate in ORACLE_GATES or gate == "translate_q":
         coef, power = (-r, 1) if gate == "translate_q" else ORACLE_GATES[gate]
-        want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in comb.entries]
+        want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in teeth_of(comb)]
         assert records(out) == want
     if r is not None:
         # a translation and its inverse give the comb back, denominators and all
         assert gkp_apply(gate, out, N, amount=-r) == comb
     if gate == "translate_p":
-        assert indices(out) == [t.index + r * N for t in comb.entries]
+        assert indices(out) == [t.index + r * N for t in teeth_of(comb)]
         assert out.place_dens[0] == (1 if (r * N).denominator == 2 else 2)
     assert_one_form(product_comb(out, comb))
     assert_one_form(gkp_apply("CZ", product_comb(comb, out), N))
@@ -186,7 +187,7 @@ def test_product_keeps_per_tooth_magnitudes():
     unit = bridge_unit(2)
     teeth = [(0, 1, F(1, 3)), (2, F(1, 2), 0), (4, 3, F(3, 2))]
     a, b = finite_comb(unit, teeth), finite_comb(unit, [(-2, F(2, 3), F(1, 4)), (6, 1, 1)])
-    double = lambda s: finite_comb(unit, [(t.index, 2 * t.magnitude, t.phase) for t in s.entries])
+    double = lambda s: finite_comb(unit, [(t.index, 2 * t.magnitude, t.phase) for t in teeth_of(s)])
     assert comb_equal_up_to_phase(product_comb(double(a), b), product_comb(a, double(b))) == (True, 0)
     # a magnitude 1/2 against 2 cancels to the integer 1
     half, two = finite_comb(unit, [(0, F(1, 2), 0)]), finite_comb(unit, [(0, 2, 0)])
@@ -407,7 +408,7 @@ def test_finite_gate_outputs_are_canonical(N, teeth, gate, r):
     # gates build their teeth directly: they must come out sorted, nonzero and reduced mod 2
     state = finite_comb(bridge_unit(N), [(i, m, p) for i, (m, p) in teeth.items()])
     out = gkp_apply(gate, state, N, amount=r if gate.startswith("translate") else None)
-    assert out == finite_comb(out.unit, [(t.index, t.magnitude, t.phase) for t in out.entries])
+    assert out == finite_comb(out.unit, [(t.index, t.magnitude, t.phase) for t in teeth_of(out)])
 
 
 @settings(deadline=None, max_examples=40)
@@ -427,7 +428,7 @@ def test_periodic_gate_action_matches_windowed(offset, period, pattern, gate):
     per_out = gkp_apply(gate, per, N)
     fin_out = gkp_apply(gate, fin, N)
     got = {(t.index, t.phase) for t in teeth_in_range(per_out, lo, hi)}
-    want = {(t.index, t.phase) for t in fin_out.entries}
+    want = {(t.index, t.phase) for t in teeth_of(fin_out)}
     assert got == want
 
 
@@ -534,8 +535,8 @@ def oracle_comb(N, teeth):
 
 def records(state):
     """Every tooth as a tuple, its phase checked to be a Fraction in [0, 2)."""
-    assert all(type(t.phase) is F and 0 <= t.phase < 2 for t in state.entries)
-    return [tuple(vars(t).values()) for t in state.entries]
+    assert all(type(t.phase) is F and 0 <= t.phase < 2 for t in teeth_of(state))
+    return [tuple(vars(t).values()) for t in teeth_of(state)]
 
 
 @settings(deadline=None, max_examples=100)
@@ -544,7 +545,7 @@ def test_finite_phase_gates_match_fraction_oracle(N, teeth, gate, r):
     state = oracle_comb(N, teeth)
     coef, power = (-r, 1) if gate == "translate_q" else ORACLE_GATES[gate]
     out = gkp_apply(gate, state, N, amount=r if gate == "translate_q" else None)
-    want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in state.entries]
+    want = [(t.index, t.magnitude, (t.phase + coef * (t.index / N) ** power) % 2) for t in teeth_of(state)]
     assert records(out) == want
 
 
@@ -555,8 +556,8 @@ def test_product_and_cz_match_fraction_oracle(N, teeth_a, teeth_b):
     prod = product_comb(a, b)
     want = [
         (ta.index, tb.index, ta.magnitude * tb.magnitude, (ta.phase + tb.phase) % 2)
-        for ta in a.entries
-        for tb in b.entries
+        for ta in teeth_of(a)
+        for tb in teeth_of(b)
     ]
     assert records(prod) == want
     cz = [(i1, i2, m, (p + (i1 / N) * (i2 / N)) % 2) for i1, i2, m, p in want]
@@ -610,13 +611,13 @@ def oracle_equal(pairs):
 )
 def test_finite_equality_matches_fraction_oracle(teeth, shift, bends):
     a = oracle_comb(3, teeth)
-    b = finite_comb(a.unit, [(t.index, t.magnitude, t.phase + shift + k) for t, k in zip(a.entries, bends)])
-    want = oracle_equal([(ta.phase, tb.phase) for ta, tb in zip(a.entries, b.entries)])
+    b = finite_comb(a.unit, [(t.index, t.magnitude, t.phase + shift + k) for t, k in zip(teeth_of(a), bends)])
+    want = oracle_equal([(ta.phase, tb.phase) for ta, tb in zip(teeth_of(a), teeth_of(b))])
     assert comb_equal_up_to_phase(a, b) == want
     other = finite_comb(a.unit, [(1, 2, F(1, 3)), (F(-3, 2), F(1, 2), F(7, 5))])
     # twomode_comb sorts the teeth it is given, so the reversed product builds the same comb
     pa, pb = product_comb(a, other), product_comb(b, other)
-    pb = twomode_comb(pb.units, [tuple(vars(t).values()) for t in reversed(pb.entries)])
+    pb = twomode_comb(pb.units, [tuple(vars(t).values()) for t in reversed(teeth_of(pb))])
     assert comb_equal_up_to_phase(pa, pb) == want
 
 
@@ -713,3 +714,41 @@ def test_teeth_in_range_boundaries():
     state = periodic_comb(bridge_unit(1), 0, 2, [F(0)])
     teeth = teeth_in_range(state, 0, 8)
     assert [t.index for t in teeth] == [0, 2, 4, 6]
+
+
+# --- single-mode only ---------------------------------------------------------------
+
+
+def test_single_mode_functions_refuse_a_two_mode_comb():
+    a = finite_comb(bridge_unit(2), [(0, 1, 0), (2, 1, F(1, 2))])
+    prod = product_comb(a, a)
+    with pytest.raises(ValueError, match=r"^a single-mode comb is needed, got a 2-mode comb$"):
+        product_comb(prod, a)
+    with pytest.raises(ValueError, match=r"^a single-mode comb is needed, got a 2-mode comb$"):
+        comb_to_json_dict(prod)
+
+
+# --- JSON ---------------------------------------------------------------------------
+
+
+def oracle_json(tooth):
+    """A tooth's JSON entry from its Fraction oracle."""
+    ratio = lambda v: {"num": v.numerator, "den": v.denominator}
+    phase = {**ratio(tooth.phase), "unit": "pi"}
+    return {"index": ratio(tooth.index), "magnitude": ratio(tooth.magnitude), "phase": phase}
+
+
+# negative and fractional indices, magnitudes outside least terms, nonzero phases
+JSON_TEETH = [
+    (F(-7, 2), F(2, 6), F(1, 3)), (-2, F(4, 8), F(3, 4)), (0, 3, 0), (F(5, 3), 1, F(7, 4)), (4, F(2, 6), 1),
+]
+
+
+@pytest.mark.parametrize("gate, r", [(None, None), ("translate_p", F(1, 3)), ("S", None), ("T", None)])
+def test_finite_json_entries_match_fraction_oracle(gate, r):
+    # the integer places over one denominator per coordinate are written in least terms, tooth by tooth
+    N = 3
+    comb = finite_comb(bridge_unit(N), JSON_TEETH)
+    if gate is not None:
+        comb = gkp_apply(gate, comb, N, amount=r)
+    assert comb_to_json_dict(comb)["entries"] == [oracle_json(t) for t in teeth_of(comb)]

@@ -23,7 +23,7 @@ def exact_fields() -> dict:
     ops = {f"rot_{gate}_N3_D64": rot_logical_op(gate, 3, 64) for gate in "ZST"}
     ops["adjoint_rotation_8_1/3"] = adjoint(fock_operator("rotation", 8, theta=Fraction(1, 3)))
     return {
-        name: {"phases": [rational_to_json(p, unit="pi") for p in op.phases]}
+        name: {"phases": [rational_to_json(*p.as_integer_ratio(), unit="pi") for p in op.phases]}
         for name, op in ops.items()
     }
 

@@ -76,8 +76,14 @@ def test_phase_to_complex_is_multiplicative(a, b):
 
 
 def test_rational_json_carries_unit_tag():
-    obj = rational_to_json(Fraction(3, 4), unit="pi")
+    obj = rational_to_json(3, 4, unit="pi")
     assert obj == {"num": 3, "den": 4, "unit": "pi"}
+
+
+def test_rational_json_reduces_to_least_terms():
+    assert rational_to_json(6, 8) == {"num": 3, "den": 4}
+    assert rational_to_json(-4, 6) == {"num": -2, "den": 3}
+    assert rational_to_json(0, 5) == {"num": 0, "den": 1}
 
 
 @pytest.mark.parametrize("start", [2**20 - 64, 2**40 - 64])
