@@ -42,8 +42,10 @@ def _levels(state: CombState | FiniteComb, D: int) -> tuple[dict[int, tuple[Frac
     The tooth on an integer v with -v in [0, D) goes to level -v; every other tooth is dropped.
     A finite comb is read from its integer places; a periodic comb's window teeth are listed
     from its integer offset and period, and a fractional offset puts no tooth on an integer.
+    A two-mode comb is refused with ValueError.
     """
     if isinstance(state, FiniteComb):
+        state.unit  # raises for a two-mode comb
         (d, dm), levels, dropped = state.place_dens, {}, 0
         for (x, m), n in zip(state.places, state.phase_num):
             # index x/d is an integer when d divides x

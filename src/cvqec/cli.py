@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, isometries
-from .bridge import bridge_gate_table, map_error_generators
+from .bridge import bridge_gate_table, map_error_generators, omega_map_translation
 from .combs import comb_to_json_dict, gkp_codeword
 from .errors import CVCodeError
 from .fock import (
@@ -39,10 +39,12 @@ from .verify import (
     suite_markdown,
 )
 
+# the CLI's four size bounds.  MAX_D bounds Fock levels and alg1's D*G
+# cells: at 2**20 a rotation detect check peaks at 408 MB and alg1 at 350 MB
 MAX_D = 2**16
+# code order: T's phases are reduced mod 8 N^4 in int64, which holds up to N = 139; check --suite
+# detect at N = 64, D = MAX_D peaks at 207 MB, building all 2(N - 1) shifts before any row
 MAX_N = 64
-MAX_BRIDGE_N = 8
-MAX_ALG1_CELLS = 4096
 MAX_WINDOW = 2048  # a windowed gkp codeword then has at most 4097 teeth
 # the largest bundle build-code writes under these caps is rot N=1 at D=MAX_D: 8,050,126 bytes
 # for fock:0,1,...,65535 (its label alone is 382,110 characters) and 7,801,548 for the ideal
@@ -266,11 +268,10 @@ def _detect_suite_rot(
     N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
     shifts, rotations = map_error_generators(N, D)
-    if config.inject_gamma is not None:
-        _require(1 <= config.inject_gamma < D, "injected shift outside [1, D)")
-        shifts[f"gamma_{config.inject_gamma}_injected"] = fock_operator(
-            "number_shift", D, shift=config.inject_gamma
-        )
+    k = config.inject_gamma
+    if k is not None:
+        _require(1 <= k < D, "injected shift outside [1, D)")
+        shifts[f"gamma_{k}_injected"] = omega_map_translation("p", k, N, D)
     results = []
     if shifts:
         results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)
@@ -325,7 +326,7 @@ def cmd_check(config: argparse.Namespace) -> int:
 
 
 def cmd_bridge(config: argparse.Namespace) -> int:
-    _require(1 <= config.N <= MAX_BRIDGE_N, f"N must be in [1, {MAX_BRIDGE_N}]")
+    _require(1 <= config.N <= MAX_N, f"N must be in [1, {MAX_N}]")
     _require(2 * config.N <= config.D <= MAX_D, f"D must be in [2N, {MAX_D}]")
     results = [
         result_row(f"gate_{gate}", row["exact_match"], row)
@@ -359,7 +360,7 @@ def cmd_bridge(config: argparse.Namespace) -> int:
 
 def cmd_alg1(config: argparse.Namespace) -> int:
     _require(config.D >= 1 and config.G >= 1, "D and G must be >= 1")
-    _require(config.D * config.G <= MAX_ALG1_CELLS, f"D*G must stay <= {MAX_ALG1_CELLS}")
+    _require(config.D * config.G <= MAX_D, f"D*G must stay <= {MAX_D}")
     # through the module attribute, which bench/spans.py patches to time the pipeline
     report = alg1_report(isometries.alg1_pipeline(config.D, config.G))
     ok = (

@@ -190,12 +190,11 @@ def periodic_comb(
     mag = as_fraction(magnitude)
     if mag <= 0:
         raise ValueError("periodic magnitude must be positive")
-    cycle = [p if type(p) is Fraction and 0 <= p.numerator < 2 * p.denominator else mod2(p) for p in pattern]
-    return _canonical_comb(unit, as_fraction(offset), period, cycle, mag)
+    return _canonical_comb(unit, as_fraction(offset), period, [mod2(p) for p in pattern], mag)
 
 
 def _canonical_comb(
-    unit: CombUnit, offset: Fraction, period: int, cycle: list[Fraction], mag: Fraction
+    unit: CombUnit, offset: Fraction, period: int, cycle: Sequence[Fraction], mag: Fraction
 ) -> CombState:
     """periodic_comb for a nonempty cycle of Fractions already in [0, 2)."""
     b = offset.denominator
@@ -336,7 +335,7 @@ def _translate_p(state: CombState | FiniteComb, n_fold: int, r: Fraction):
         places = tuple((x, m) for x, (_, m) in zip(xs, state.places))
         return FiniteComb(state.units, places, (den, dm), state.phase_num, state.den)
     p = state.periodic
-    return periodic_comb(state.unit, p.offset + shift, p.period, p.pattern, p.magnitude)
+    return _canonical_comb(state.unit, p.offset + shift, p.period, p.pattern, p.magnitude)
 
 
 def gkp_apply(

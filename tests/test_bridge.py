@@ -50,6 +50,12 @@ def test_nonfock_teeth_report_dropped_mass():
     assert empty.is_zero and dropped_all == 1.0
 
 
+def test_two_mode_comb_is_refused():
+    a = finite_comb(bridge_unit(1), [(0, 1, 0), (-1, 1, 0)])
+    with pytest.raises(ValueError, match="a single-mode comb is needed, got a 2-mode comb"):
+        upsilon_apply(combs.product_comb(a, a), 4)
+
+
 def test_periodic_comb_keeps_window_and_drops_infinity():
     w = gkp_codeword(2, 1)
     vec, dropped = upsilon_apply(w, 12)

@@ -508,6 +508,12 @@ def test_check_markdown_output(gkp_bundle, capsys):
     assert out.startswith("|") and "Z_on_0" in out
 
 
+def test_readme_states_each_cap():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for text in (f"[1, {MAX_N}]", f"[1, {MAX_D}]", f"W = {MAX_WINDOW}", f"{cli.MAX_BUNDLE_BYTES // 2**20} MiB"):
+        assert text in readme, text
+
+
 # --- bridge and alg1 ---------------------------------------------------------------
 
 
@@ -542,11 +548,22 @@ def test_readme_bridge_loop_exit_codes(capsys, dim, red):
 
 def test_bridge_rejects_out_of_range(capsys):
     assert main(["bridge", "--N", "0"]) == 2
-    assert main(["bridge", "--N", "9"]) == 2
+    assert main(["bridge", "--N", str(MAX_N + 1)]) == 2
     assert main(["bridge", "--N", "4", "--D", "6"]) == 2
     capsys.readouterr()
     # 0 is a given dim, not a request for the default 256
     assert_quiet_exit_2(capsys, ["bridge", "--N", "2", "--hadamard-dim", "0"])
+
+
+@pytest.mark.parametrize("N", range(1, MAX_N + 1))
+def test_bridge_serves_every_order(capsys, N):
+    # every gate row is exact; at the default hadamard dim 256 the series is red, and bridge
+    # exits 1, exactly when 256 mod 2N lies in [1, N]
+    code, report = run_json(capsys, ["bridge", "--N", str(N), "--D", str(max(64, 2 * N))])
+    gates = [r for r in report["results"] if r["name"].startswith("gate_")]
+    assert len(gates) == 4
+    assert all(r["pass"] and r["metrics"]["max_phase_diff"] == 0.0 for r in gates)
+    assert code == int(1 <= 256 % (2 * N) <= N)
 
 
 @pytest.mark.parametrize("series", ["abc", "0.1,,0.2", "nan", "inf", "0.1,-inf"])
@@ -564,8 +581,19 @@ def test_alg1_command_reports_certificate(capsys):
 
 
 def test_alg1_size_guard(capsys):
-    assert main(["alg1", "--D", "100", "--G", "100"]) == 2
-    capsys.readouterr()
+    # MAX_D + 1 = 65537 is prime, so only D = 1 or G = 1 reaches D*G = MAX_D + 1
+    for D, G in [(1, MAX_D + 1), (MAX_D + 1, 1), (300, 300)]:
+        assert main(["alg1", "--D", str(D), "--G", str(G)]) == 2
+        assert capsys.readouterr().err == f"error: D*G must stay <= {MAX_D}\n"
+
+
+@pytest.mark.parametrize("D, G", [(1, MAX_D), (MAX_D, 1), (256, 256)])
+def test_alg1_serves_max_d_cells(capsys, D, G):
+    code, report = run_json(capsys, ["alg1", "--D", str(D), "--G", str(G)])
+    metrics = report["results"][0]["metrics"]
+    assert code == 0 and metrics["union_ok"] and metrics["disjoint_ok"]
+    assert metrics["dim"] == 2 * MAX_D
+    assert all(v == 0.0 for v in metrics["residuals"].values())
 
 
 @pytest.mark.parametrize(
