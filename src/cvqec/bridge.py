@@ -1,8 +1,8 @@
 """Semi-unitary bridge between momentum combs and truncated Fock states.
 
-The bridge Upsilon keeps exactly the comb teeth sitting on integers v in
-(-D, 0] and sends tooth v to the Fock state |-v>.  Everything else is
-dropped and accounted for.  Conjugating translations through the bridge
+The bridge Upsilon keeps exactly the teeth of a single-mode finite comb
+that sit on integers v in (-D, 0] and sends tooth v to the Fock state |-v>;
+every other tooth is dropped.  Conjugating translations through the bridge
 gives the rotation-side gates, and this one convention makes every comb
 gate intertwine exactly, Upsilon(g c) = g_rot Upsilon(c), on any comb in
 the integer-spacing regime of order N (`combs.bridge_unit`):
@@ -28,70 +28,40 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply
+from .combs import FiniteComb, bridge_unit, finite_comb, gkp_apply
 from .errors import InvalidDimension
-from .fock import FockOperator, FockVector, fock_operator, rot_logical_op
-from .phases import RationalLike, as_fraction, mod2, phase_to_complex
+from .fock import FockOperator, fock_operator, rot_logical_op
+from .phases import RationalLike, as_fraction, mod2
 
 ROTATION_SAMPLES = 8  # sampled rotation errors in the mapped error set
 
 
-def _levels(state: CombState | FiniteComb, D: int) -> tuple[dict[int, tuple[Fraction, Fraction]], float]:
-    """Upsilon(state) exactly, as level -> (magnitude, phase), and the squared mass it drops.
+def _levels(state: FiniteComb, D: int) -> dict[int, tuple[Fraction, Fraction]]:
+    """Upsilon(state) exactly, as level -> (magnitude, phase), for a single-mode finite comb.
 
     The tooth on an integer v with -v in [0, D) goes to level -v; every other tooth is dropped.
-    A finite comb is read from its integer places; a periodic comb's window teeth are listed
-    from its integer offset and period, and a fractional offset puts no tooth on an integer.
-    A two-mode comb is refused with ValueError.
     """
-    if isinstance(state, FiniteComb):
-        state.unit  # raises for a two-mode comb
-        (d, dm), levels, dropped = state.place_dens, {}, 0
-        for (x, m), n in zip(state.places, state.phase_num):
-            # index x/d is an integer when d divides x
-            if x % d == 0 and -D * d < x <= 0:
-                levels[-x // d] = (Fraction(m, dm), Fraction(n, state.den))
-            else:
-                dropped += m * m
-        return levels, dropped / (dm * dm)
-    # a periodic comb always has infinitely many teeth outside the window
-    p = state.periodic
-    if p.offset.denominator != 1:
-        return {}, math.inf
-    # tooth t sits at o + t period, in (-D, 0] for ceil((1 - D - o) / period) <= t <= floor(-o / period)
-    o, L = p.offset.numerator, len(p.pattern)
-    ts = range(-((D - 1 + o) // p.period), -o // p.period + 1)
-    return {-(o + t * p.period): (p.magnitude, p.pattern[t % L]) for t in ts}, math.inf
+    (d, dm), levels = state.place_dens, {}
+    for (x, m), n in zip(state.places, state.phase_num):
+        # index x/d is an integer when d divides x
+        if x % d == 0 and -D * d < x <= 0:
+            levels[-x // d] = (Fraction(m, dm), Fraction(n, state.den))
+    return levels
 
 
-def upsilon_apply(state: CombState | FiniteComb, D: int) -> tuple[FockVector, float]:
-    """Map a comb to the truncated Fock space.
-
-    The tooth on integer v with -v in [0, D) becomes the amplitude of |-v>,
-    magnitude and phase preserved; the squared magnitude of everything else
-    is returned as dropped mass (infinite for periodic combs).  A comb with
-    no surviving teeth maps to the zero vector.
-    """
-    if D < 1:
-        raise InvalidDimension("D must be >= 1")
-    levels, dropped = _levels(state, D)
-    amps = np.zeros(D, dtype=complex)
-    for m, (magnitude, phase) in levels.items():
-        amps[m] = float(magnitude) * phase_to_complex(phase)
-    return FockVector(D, amps), dropped
-
-
-def omega_map_translation(kind: str, amount: RationalLike, n_fold: int, dim: int) -> FockOperator:
+def omega_map_translation(kind: str, amount: RationalLike, dim: int) -> FockOperator:
     """Image of a translation under the bridge.
 
-    kind="q": amount a (as a rational multiple of pi per unit index) gives
-    the diagonal phase operator e^{i pi a m}.  kind="p": an integer amount k
-    gives the unit band at offset k, the number shift by |k| (lowering for
-    k > 0); fractional amounts give the exact zero operator, since no
-    integer tooth maps onto another.
+    The amount is raw, in comb index units, not `gkp_apply`'s logical units:
+    kind="q": amount a (a rational multiple of pi per unit index) gives the
+    diagonal phase operator e^{i pi a m}, so the logical q-translation by r
+    of an order-N comb is amount r/N.  kind="p": an integer amount k gives
+    the unit band at offset k, the number shift by |k| (lowering for k > 0),
+    so the logical p-translation by k is amount kN; fractional amounts give
+    the exact zero operator, since no integer tooth maps onto another.
     """
-    if n_fold < 1 or dim < 1:
-        raise InvalidDimension("n_fold and dim must be >= 1")
+    if dim < 1:
+        raise InvalidDimension("dim must be >= 1")
     a = as_fraction(amount)
     if kind == "q":
         return fock_operator("rotation", dim, theta=a)
@@ -118,14 +88,14 @@ def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, FockOperator]
     "rotation_s" is the image of the q-translation by the s-th sampled
     angle, a rotation that carries its exact angle.
     """
-    if dim <= n_fold:
-        raise InvalidDimension("dim must exceed n_fold")
+    if not 1 <= n_fold < dim:
+        raise InvalidDimension(f"need 1 <= n_fold < dim, got n_fold={n_fold}, dim={dim}")
     shifts: dict[str, FockOperator] = {}
     for l in range(1, n_fold):
-        shifts[f"gamma_{l}"] = omega_map_translation("p", l, n_fold, dim)
-        shifts[f"gamma_{l}_dag"] = omega_map_translation("p", -l, n_fold, dim)
+        shifts[f"gamma_{l}"] = omega_map_translation("p", l, dim)
+        shifts[f"gamma_{l}_dag"] = omega_map_translation("p", -l, dim)
     angles = enumerate(rotation_sample_angles(n_fold), start=1)
-    rotations = {f"rotation_{s}": omega_map_translation("q", theta, n_fold, dim) for s, theta in angles}
+    rotations = {f"rotation_{s}": omega_map_translation("q", theta, dim) for s, theta in angles}
     return shifts, rotations
 
 
@@ -165,10 +135,10 @@ def bridge_gate_table(n_fold: int, dim: int) -> dict[str, dict]:
         raise InvalidDimension("dim must be at least 2*n_fold")
     N = n_fold
     comb = finite_comb(bridge_unit(N), [(-m, 1, Fraction(m, 4)) for m in (N, N + 1) if m < dim])
-    before = _levels(comb, dim)[0]
+    before = _levels(comb, dim)
     table: dict[str, dict] = {}
     for gate in ("Z", "S", "T", "X"):
-        got = _levels(gkp_apply(gate, comb, N), dim)[0]
+        got = _levels(gkp_apply(gate, comb, N), dim)
         want = _rot_image(rot_logical_op(gate, N, dim), before)
         diff = 0.0 if got == want else _phase_gap(got, want)
         table[gate] = {"exact_match": diff == 0.0, "max_phase_diff": diff}

@@ -271,7 +271,7 @@ def _detect_suite_rot(
     k = config.inject_gamma
     if k is not None:
         _require(1 <= k < D, "injected shift outside [1, D)")
-        shifts[f"gamma_{k}_injected"] = omega_map_translation("p", k, N, D)
+        shifts[f"gamma_{k}_injected"] = omega_map_translation("p", k, D)
     results = []
     if shifts:
         results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)

@@ -2,11 +2,11 @@
 
 Operators on the first D number states are stored by their structure: a
 diagonal or a number shift is one band at a signed offset from the main
-diagonal, a residue-class kernel such as logical H keeps its table of 2N^2
-values, and only a caller-supplied "dense" operator keeps a D x D matrix.
-Bands and dense operators act on vectors.  A kernel never does: the only
-use of logical H is its 2x2 restriction to the code space, which
-`verify.restricted_matrix` forms from the codewords' residue-class sums.
+diagonal, and a residue-class kernel such as logical H keeps its table of
+2N^2 values; no operator stores a D x D matrix.  Bands act on vectors.  A
+kernel never does: the only use of logical H is its 2x2 restriction to the
+code space, which `verify.restricted_matrix` forms from the codewords'
+residue-class sums.
 Diagonal phase operators built from rational angles (units of pi) also keep
 them exactly, as an int64 numerator array over one denominator.  That is
 what lets the bridge check the comb gates against the rotation-side
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidDimension, ZeroProjection
-from .phases import RationalLike, as_fraction, fraction_view, mod_power
+from .phases import RationalLike, as_fraction, mod_power
 
 SUPPORT_TOL = 1e-12
 
@@ -54,23 +53,11 @@ class FockVector:
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(self.amplitudes))
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.amplitudes == 0))
-
     def normalized_copy(self) -> "FockVector":
         n = self.norm
         if n < SUPPORT_TOL:
             raise ZeroProjection("cannot normalize a (near-)zero vector")
         return FockVector(self.dim, self.amplitudes / n)
-
-    @staticmethod
-    def basis(dim: int, m: int) -> "FockVector":
-        if not 0 <= m < dim:
-            raise InvalidDimension(f"basis index {m} outside [0, {dim})")
-        amps = np.zeros(dim, dtype=complex)
-        amps[m] = 1.0
-        return FockVector(dim, amps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,25 +71,24 @@ class FockVector:
 class FockOperator:
     """Operator on the truncated number basis, stored by its structure.
 
-    For "dense", `data` is the dim x dim matrix.  For "band" it is the one
-    band that may be nonzero, of length dim - |offset|, with entry i at
-    (i, i + offset), or at (i - offset, i) for a negative offset: offset +s
-    is a lowering shift by s, -s a raising one, and 0 the main diagonal.
-    For "kernel" it is a table of P values, and entry (m, m') is
-    data[m m' mod P].  `entries` builds the dense matrix on demand.
+    For "band", the default, `data` is the one band that may be nonzero, of
+    length dim - |offset|, with entry i at (i, i + offset), or at
+    (i - offset, i) for a negative offset: offset +s is a lowering shift by
+    s, -s a raising one, and 0 the main diagonal.  For "kernel" it is a
+    table of P values, and entry (m, m') is data[m m' mod P].  `entries`
+    builds the dense matrix on demand.
 
     The band at offset 0 of a unit-modulus operator may keep its phases
     exactly, as int64 numerators `phase_num` over the one denominator `den`
     (units of pi, reduced into [0, 2 den)); the float band then agrees with
     them at materialization precision.  `den` is reduced to the least common
     denominator (1 without phases), so two operators have equal phases iff
-    their `phase_num` and `den` are equal.  `phases` is the same data as a
-    tuple of Fraction, built on demand.
+    their `phase_num` and `den` are equal.
     """
 
     dim: int
     data: np.ndarray
-    structure: str = "dense"
+    structure: str = "band"
     offset: int = 0
     phase_num: np.ndarray | None = None
     den: int = 1
@@ -110,9 +96,7 @@ class FockOperator:
     def __post_init__(self):
         if self.dim <= 0:
             raise InvalidDimension(f"dim must be positive, got {self.dim}")
-        if self.structure == "dense":
-            shape = (self.dim, self.dim)
-        elif self.structure == "kernel":
+        if self.structure == "kernel":
             shape = (max(np.size(self.data), 1),)
         elif self.structure == "band":
             if not abs(self.offset) < self.dim:
@@ -145,14 +129,8 @@ class FockOperator:
         object.__setattr__(self, "den", den // g)
 
     @property
-    def phases(self) -> tuple[Fraction, ...] | None:
-        return None if self.phase_num is None else fraction_view(self.phase_num, self.den)
-
-    @property
     def entries(self) -> np.ndarray:
         """The dense dim x dim matrix, read-only."""
-        if self.structure == "dense":
-            return self.data
         if self.structure == "kernel":
             m = np.arange(self.dim) % self.data.size
             matrix = self.data[np.outer(m, m) % self.data.size]
@@ -161,20 +139,12 @@ class FockOperator:
         matrix.setflags(write=False)
         return matrix
 
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.data == 0))
-
-
-def identity(dim: int) -> FockOperator:
-    return FockOperator(dim, np.ones(dim), structure="band")
-
 
 def diagonal_phase_operator(num: np.ndarray, *, den: int = 1) -> FockOperator:
     """Unit-modulus diagonal operator diag(e^{i pi num_m / den}), phases kept exact.
 
     `num` is an integer numerator array.  Each entry is the cos and sin of pi
-    times the float of the reduced phase, as in `phase_to_complex`.
+    times the float of the reduced phase.
     """
     num = np.asarray(num) % (2 * den)
     angle = np.pi * (num / den)
@@ -217,28 +187,14 @@ def fock_operator(
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def adjoint(op: FockOperator) -> FockOperator:
-    """Conjugate transpose; a band moves to the opposite offset (a kernel is symmetric)."""
-    return FockOperator(
-        op.dim,
-        op.data.conj().T,
-        structure=op.structure,
-        offset=-op.offset,
-        phase_num=None if op.phase_num is None else -op.phase_num,
-        den=op.den,
-    )
-
-
 def apply_operator(op: FockOperator, vec: FockVector) -> FockVector:
-    """op|vec> for a band (O(dim)) or dense operator.
+    """op|vec> for a band, in O(dim).
 
     A kernel raises ValueError: `verify.restricted_matrix` restricts one to
     the code space from the codewords' residue-class sums instead.
     """
     if op.dim != vec.dim:
         raise InvalidDimension(f"operator dim {op.dim} != vector dim {vec.dim}")
-    if op.structure == "dense":
-        return FockVector(vec.dim, op.data @ vec.amplitudes)
     if op.structure == "kernel":
         raise ValueError("a kernel is not applied to a vector; restrict it with verify.restricted_matrix")
     # band entry i sits at (row + i, col + i)

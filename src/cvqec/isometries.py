@@ -87,10 +87,6 @@ class PartialIsometryRep:
             if _max_abs(P @ P - P) > PROJECTOR_TOL or _max_abs(P - P.conj().T) > PROJECTOR_TOL:
                 raise ValueError(f"{name} is not a projector")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.pairs
-
 
 def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -119,7 +115,7 @@ def canonical_partial_isometry(X: np.ndarray, Y: np.ndarray) -> PartialIsometryR
 
     V maps each Y eigenvector onto the X eigenvector of the (unique) matching
     eigenvalue, within MATCH_TOL; K and L are the spectral projectors onto
-    the matched subspaces.  An empty match returns the zero map (is_zero set)
+    the matched subspaces.  An empty match returns the zero map (no pairs)
     rather than raising.
     """
     wx, ux = _checked_eigh(X, "X")

@@ -39,11 +39,6 @@ def mod2(phase: RationalLike) -> Fraction:
     return as_fraction(phase) % 2
 
 
-def phase_to_complex(phase: RationalLike) -> complex:
-    angle = math.pi * float(Fraction(phase))
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def mod_power(m: np.ndarray, power: int, modulus: int) -> np.ndarray:
     """m**power mod modulus, in int64.
 

@@ -41,7 +41,7 @@ def _check_codewords(codewords: Sequence[FockVector]) -> None:
 def restricted_matrix(op: FockOperator, codewords: Sequence[FockVector]) -> np.ndarray:
     """The 2x2 matrix of op in the codeword basis, <i|op|j>.
 
-    A band or dense operator is applied to each codeword.  A kernel never is:
+    A band is applied to each codeword.  A kernel never is:
     its entry (m, m') depends on m m' mod P only, so <i|op|j> = C_i^H K C_j,
     where C_j holds codeword j's sums over the residue classes mod P and
     K[r, s] = data[r s mod P].  The sum runs only over the classes where

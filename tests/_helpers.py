@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from cvqec.combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply, product_comb
-from cvqec.fock import FockVector, crot
-from cvqec.phases import mod2
+from cvqec.fock import FockOperator, FockVector, crot
+from cvqec.phases import RationalLike, fraction_view, mod2
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,30 @@ def teeth_in_range(state: CombState, lo: int, hi: int) -> list[Tooth]:
     first, stop = (math.ceil((x - p.offset) / p.period) for x in (lo, hi))
     L = len(p.pattern)
     return [Tooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]) for t in range(first, stop)]
+
+
+def basis(dim: int, m: int) -> FockVector:
+    """The number state |m> on `dim` levels."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[m] = 1
+    return FockVector(dim, amps)
+
+
+def phases(op: FockOperator) -> tuple[Fraction, ...]:
+    """A diagonal phase operator's exact phases, as Fractions of pi."""
+    return fraction_view(op.phase_num, op.den)
+
+
+def phase_to_complex(phase: RationalLike) -> complex:
+    """e^{i pi phase}, from the float of an exact phase."""
+    angle = math.pi * float(Fraction(phase))
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def adjoint(op: FockOperator) -> FockOperator:
+    """The conjugate transpose: a band moves to the opposite offset, exact phases negate, a kernel is symmetric."""
+    phase_num = None if op.phase_num is None else -op.phase_num
+    return FockOperator(op.dim, op.data.conj(), op.structure, -op.offset, phase_num, op.den)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> FockVector:

@@ -12,18 +12,19 @@ from fractions import Fraction
 from pathlib import Path
 
 from cvqec.cli import main
-from cvqec.fock import adjoint, fock_operator, rot_logical_op
+from cvqec.fock import fock_operator, rot_logical_op
 from cvqec.phases import rational_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def exact_fields() -> dict:
-    """The exact `phases` field of each operator's JSON form."""
+    """The exact `phases` field of each operator's JSON form, from its numerators over `den`."""
     ops = {f"rot_{gate}_N3_D64": rot_logical_op(gate, 3, 64) for gate in "ZST"}
-    ops["adjoint_rotation_8_1/3"] = adjoint(fock_operator("rotation", 8, theta=Fraction(1, 3)))
+    # the adjoint of the rotation by 1/3 is the rotation by -1/3
+    ops["adjoint_rotation_8_1/3"] = fock_operator("rotation", 8, theta=Fraction(-1, 3))
     return {
-        name: {"phases": [rational_to_json(*p.as_integer_ratio(), unit="pi") for p in op.phases]}
+        name: {"phases": [rational_to_json(n, op.den, unit="pi") for n in op.phase_num.tolist()]}
         for name, op in ops.items()
     }
 

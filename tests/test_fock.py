@@ -14,7 +14,6 @@ from cvqec.errors import InvalidDimension, NonRationalPhase, ZeroProjection
 from cvqec.fock import (
     FockOperator,
     FockVector,
-    adjoint,
     apply_operator,
     approx_ideal_rot_codeword,
     coherent_state,
@@ -25,14 +24,10 @@ from cvqec.fock import (
     rot_codeword_from_primitive,
     rot_logical_op,
 )
-from cvqec.phases import mod2, phase_to_complex
+from cvqec.phases import mod2
 from cvqec.verify import restricted_matrix
 
-from _helpers import random_state
-
-
-def basis(dim, m):
-    return FockVector.basis(dim, m)
+from _helpers import adjoint, basis, phase_to_complex, phases, random_state
 
 
 # --- operator constructors ----------------------------------------------------
@@ -45,12 +40,12 @@ def test_annihilation_action_oracle():
     expected = np.zeros(6, dtype=complex)
     expected[2] = math.sqrt(3)
     assert np.allclose(out.amplitudes, expected)
-    assert apply_operator(a, basis(6, 0)).is_zero
+    assert not np.any(apply_operator(a, basis(6, 0)).amplitudes)
 
 
 def test_rotation_exact_phase_channel():
     r = fock_operator("rotation", 4, theta=Fraction(1, 2))
-    assert r.phases == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    assert phases(r) == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
     assert np.allclose(np.diag(r.entries), [1, 1j, -1, -1j])
 
 
@@ -73,7 +68,7 @@ def test_number_shift_matrix_and_adjoint():
 def test_adjoint_negates_exact_phases():
     r = fock_operator("rotation", 3, theta=Fraction(1, 3))
     r_dag = adjoint(r)
-    assert r_dag.phases == (Fraction(0), Fraction(5, 3), Fraction(4, 3))
+    assert phases(r_dag) == (Fraction(0), Fraction(5, 3), Fraction(4, 3))
     assert np.allclose(r.entries @ r_dag.entries, np.eye(3))
 
 
@@ -81,7 +76,7 @@ def test_exact_data_is_kept_over_the_least_denominator():
     # 16/8, 4/8, 24/8, 12/8 reduce mod 2 to 0, 1/2, 1, 3/2: numerators 0..3 over 2
     op = FockOperator(4, [1, 1j, -1, -1j], "band", phase_num=np.array([16, 4, 24, 12]), den=8)
     assert op.den == 2 and op.phase_num.tolist() == [0, 1, 2, 3]
-    assert op.phases == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    assert phases(op) == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
     ref = fock_operator("rotation", 4, theta=Fraction(1, 2))
     assert op.den == ref.den and np.array_equal(op.phase_num, ref.phase_num)
     with pytest.raises(InvalidDimension):
@@ -149,11 +144,11 @@ def test_codewords_from_same_primitive_are_orthogonal():
 
 def test_logical_z_s_t_phases_frozen():
     z = rot_logical_op("Z", 2, 8)
-    assert z.phases == tuple(mod_two(Fraction(m, 2)) for m in range(8))
+    assert phases(z) == tuple(mod_two(Fraction(m, 2)) for m in range(8))
     s = rot_logical_op("S", 2, 8)
-    assert s.phases == tuple(mod_two(Fraction(m * m, 8)) for m in range(8))
+    assert phases(s) == tuple(mod_two(Fraction(m * m, 8)) for m in range(8))
     t = rot_logical_op("T", 2, 8)
-    assert t.phases == tuple(mod_two(Fraction(m**4, 64)) for m in range(8))
+    assert phases(t) == tuple(mod_two(Fraction(m**4, 64)) for m in range(8))
 
 
 def mod_two(x: Fraction) -> Fraction:
@@ -191,7 +186,7 @@ def test_s_squared_matches_z_on_code_support():
     s = rot_logical_op("S", N, dim)
     z = rot_logical_op("Z", N, dim)
     for m in range(0, dim, N):
-        assert mod_two(2 * s.phases[m]) == z.phases[m]
+        assert mod_two(2 * phases(s)[m]) == phases(z)[m]
 
 
 def test_crot_phases_lexicographic():
@@ -200,7 +195,7 @@ def test_crot_phases_lexicographic():
     idx = 0
     for m in range(4):
         for mp in range(3):
-            assert c.phases[idx] == mod_two(Fraction(m * mp, 6))
+            assert phases(c)[idx] == mod_two(Fraction(m * mp, 6))
             idx += 1
 
 

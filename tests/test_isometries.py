@@ -157,7 +157,7 @@ def test_degenerate_spectrum_refused():
 
 def test_disjoint_spectra_give_flagged_zero_map():
     rep = canonical_partial_isometry(np.diag([0.0, 1.0]), np.diag([5.0, 6.0]))
-    assert rep.is_zero
+    assert rep.pairs == ()
     assert np.allclose(rep.V, 0) and np.allclose(rep.K, 0) and np.allclose(rep.L, 0)
 
 

@@ -14,9 +14,10 @@ from cvqec.phases import (
     fraction_view,
     mod2,
     mod_power,
-    phase_to_complex,
     rational_to_json,
 )
+
+from _helpers import phase_to_complex
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -54,6 +55,7 @@ def test_mod2_lands_in_window_and_is_idempotent(x):
     assert (x - r) % 2 == 0
 
 
+# phase_to_complex is the float reference that tests/test_fock.py holds diagonal_phase_operator to
 @pytest.mark.parametrize(
     "phase, value",
     [

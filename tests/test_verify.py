@@ -15,10 +15,8 @@ from cvqec.errors import InvalidDimension, NonOrthonormalCodewords
 from cvqec.fock import (
     FockOperator,
     FockVector,
-    adjoint,
     approx_ideal_rot_codeword,
     fock_operator,
-    identity,
     rot_logical_op,
 )
 from cvqec.verify import (
@@ -33,13 +31,13 @@ from cvqec.verify import (
     suite_markdown,
 )
 
-from _helpers import random_state
+from _helpers import adjoint, basis, random_state
 
 F = Fraction
 
 
 def trivial_code(dim=8):
-    return [FockVector.basis(dim, 0), FockVector.basis(dim, 2)]
+    return [basis(dim, 0), basis(dim, 2)]
 
 
 def envelope_code(N, eps, dim):
@@ -50,7 +48,7 @@ def envelope_code(N, eps, dim):
 
 
 def test_identity_error_always_passes():
-    report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-12)
+    report = detectability_check(trivial_code(), {"id": FockOperator(8, np.ones(8))}, tol=1e-12)
     assert report.passed
     row = report.rows[0]
     assert row.c_E == pytest.approx(1.0)
@@ -66,8 +64,8 @@ def test_single_loss_is_detectable_on_order_two_code():
 
 def test_double_loss_is_not_detectable_on_order_two_code():
     words = envelope_code(2, 1e-4, 256)
-    a = fock_operator("annihilation", 256).entries
-    a2 = FockOperator(256, a @ a, "dense")
+    # a^2|l> = sqrt(l (l - 1))|l - 2>, the band at offset 2
+    a2 = FockOperator(256, np.sqrt(np.arange(1, 255) * np.arange(2, 256)), offset=2)
     report = detectability_check(words, {"aa": a2}, tol=1e-6)
     assert not report.passed
     assert report.rows[0].off_diag_max > 0.1
@@ -75,18 +73,18 @@ def test_double_loss_is_not_detectable_on_order_two_code():
 
 def test_orthonormality_is_enforced():
     dim = 8
-    skew = [FockVector.basis(dim, 0), FockVector(dim, np.ones(dim) / np.sqrt(dim))]
+    skew = [basis(dim, 0), FockVector(dim, np.ones(dim) / np.sqrt(dim))]
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check(skew, {"id": identity(dim)}, tol=1e-6)
-    unnormalized = [FockVector(dim, 2.0 * FockVector.basis(dim, 0).amplitudes), FockVector.basis(dim, 2)]
+        detectability_check(skew, {"id": FockOperator(dim, np.ones(dim))}, tol=1e-6)
+    unnormalized = [FockVector(dim, 2.0 * basis(dim, 0).amplitudes), basis(dim, 2)]
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check(unnormalized, {"id": identity(dim)}, tol=1e-6)
+        detectability_check(unnormalized, {"id": FockOperator(dim, np.ones(dim))}, tol=1e-6)
 
 
 def test_nan_overlap_fails_orthonormality():
     nan_word = FockVector(8, np.where(np.arange(8) == 0, np.nan, 0.0))
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check([nan_word, FockVector.basis(8, 2)], {"id": identity(8)}, tol=1e-6)
+        detectability_check([nan_word, basis(8, 2)], {"id": FockOperator(8, np.ones(8))}, tol=1e-6)
 
 
 @pytest.mark.parametrize("nan_at", [(0, 0), (1, 0)])
@@ -107,10 +105,9 @@ def test_scalar_plus_offspace_noise_passes(c, seed):
     rng = np.random.default_rng(seed)
     dim = 8
     words = trivial_code(dim)
-    junk = np.zeros((dim, dim), dtype=complex)
-    rows = [1, 3, 4, 5, 6, 7]
-    junk[np.ix_(rows, rows)] = rng.normal(size=(6, 6))
-    op = FockOperator(dim, c * np.eye(dim) + junk, "dense")
+    diagonal = np.full(dim, c, dtype=complex)
+    diagonal[[1, 3, 4, 5, 6, 7]] += rng.normal(size=6)
+    op = FockOperator(dim, diagonal)
     report = detectability_check(words, {"op": op}, tol=1e-9)
     assert report.passed
     assert report.rows[0].c_E == pytest.approx(c)
@@ -120,21 +117,21 @@ def test_scalar_plus_offspace_noise_passes(c, seed):
 
 
 def test_identity_action_has_unit_fidelity():
-    res = logical_action(identity(8), trivial_code(), np.eye(2), tol=1e-9)
+    res = logical_action(FockOperator(8, np.ones(8)), trivial_code(), np.eye(2), tol=1e-9)
     assert res.passed and res.aligned_fidelity == pytest.approx(1.0)
     assert abs(res.global_phase) < 1e-12
 
 
 def test_z_action_on_fock_code():
     # order-1 code: even/odd supports, so |0>, |1> see Z as diag(1, -1)
-    words = [FockVector.basis(8, 0), FockVector.basis(8, 1)]
+    words = [basis(8, 0), basis(8, 1)]
     z = rot_logical_op("Z", 1, 8)
     res = logical_action(z, words, np.diag([1, -1]), tol=1e-9)
     assert res.passed and res.aligned_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wrong_target_fails():
-    words = [FockVector.basis(8, 0), FockVector.basis(8, 1)]
+    words = [basis(8, 0), basis(8, 1)]
     z = rot_logical_op("Z", 1, 8)
     res = logical_action(z, words, np.eye(2), tol=1e-3)
     assert not res.passed
@@ -144,9 +141,7 @@ def test_wrong_target_fails():
 def test_zero_restriction_is_flagged():
     # operator living entirely off the code support
     dim = 8
-    op = np.zeros((dim, dim), dtype=complex)
-    op[1, 1] = 1.0
-    res = logical_action(FockOperator(dim, op, "dense"), trivial_code(dim), np.eye(2), tol=1e-9)
+    res = logical_action(FockOperator(dim, np.eye(dim)[1]), trivial_code(dim), np.eye(2), tol=1e-9)
     assert res.passed is False and res.aligned_fidelity == 0.0
 
 
@@ -176,7 +171,7 @@ def test_ideal_x_fidelity_is_envelope_or_edge(N, D, fidelity, passed):
 @given(st.fractions(min_value=0, max_value=2, max_denominator=16))
 def test_fidelity_ignores_global_phase(phi):
     z = cmath.exp(1j * cmath.pi * float(phi))
-    op = FockOperator(8, z * np.eye(8, dtype=complex), "dense")
+    op = FockOperator(8, np.full(8, z))
     res = logical_action(op, trivial_code(), np.eye(2))
     assert res.aligned_fidelity == pytest.approx(1.0)
 
@@ -199,9 +194,7 @@ def test_half_stabilizer_rotation_is_not():
 
 def test_annihilated_code_space_is_not_stabilized():
     dim = 8
-    op = np.zeros((dim, dim), dtype=complex)
-    op[1, 1] = 1.0
-    assert not stabilizer_check(FockOperator(dim, op, "dense"), trivial_code(dim), tol=1e-9)
+    assert not stabilizer_check(FockOperator(dim, np.eye(dim)[1]), trivial_code(dim), tol=1e-9)
 
 
 # --- convergence scans -----------------------------------------------------------
@@ -325,6 +318,6 @@ def test_logical_h_restriction_matches_integer_phase_oracle(N, dim):
 
 
 def test_report_rows():
-    report = detectability_check(trivial_code(), {"id": identity(8)}, tol=1e-9)
+    report = detectability_check(trivial_code(), {"id": FockOperator(8, np.ones(8))}, tol=1e-9)
     assert report.passed is True and report.tol == 1e-9
     assert report.rows[0].name == "id"
