@@ -80,23 +80,22 @@ def rotation_sample_angles(n_fold: int) -> list[Fraction]:
     return [Fraction(s, n_fold * (ROTATION_SAMPLES + 1)) for s in range(1, ROTATION_SAMPLES + 1)]
 
 
-def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, FockOperator], dict[str, FockOperator]]:
-    """Mapped error set: the bridge images of the comb translations below the code order.
+def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, int], dict[str, Fraction]]:
+    """Mapped error set, as the raw amounts of the comb translations below the code order.
 
-    "gamma_l" / "gamma_l_dag" for l = 1..N-1 are the images of the
-    p-translations by l and -l, the number shifts lowering and raising by l;
-    "rotation_s" is the image of the q-translation by the s-th sampled
-    angle, a rotation that carries its exact angle.
+    "gamma_l" / "gamma_l_dag" for l = 1..N-1 are the p-translations by l and
+    -l, whose images are the number shifts lowering and raising by l;
+    "rotation_s" is the q-translation by the s-th sampled angle, whose image
+    is a rotation that carries its exact angle.  `omega_map_translation`
+    builds an image from its amount.
     """
     if not 1 <= n_fold < dim:
         raise InvalidDimension(f"need 1 <= n_fold < dim, got n_fold={n_fold}, dim={dim}")
-    shifts: dict[str, FockOperator] = {}
+    shifts: dict[str, int] = {}
     for l in range(1, n_fold):
-        shifts[f"gamma_{l}"] = omega_map_translation("p", l, dim)
-        shifts[f"gamma_{l}_dag"] = omega_map_translation("p", -l, dim)
-    angles = enumerate(rotation_sample_angles(n_fold), start=1)
-    rotations = {f"rotation_{s}": omega_map_translation("q", theta, dim) for s, theta in angles}
-    return shifts, rotations
+        shifts[f"gamma_{l}"], shifts[f"gamma_{l}_dag"] = l, -l
+    angles = {f"rotation_{s}": theta for s, theta in enumerate(rotation_sample_angles(n_fold), start=1)}
+    return shifts, angles
 
 
 def _rot_image(op: FockOperator, levels: dict) -> dict | None:

@@ -43,7 +43,7 @@ from .verify import (
 # cells: at 2**20 a rotation detect check peaks at 408 MB and alg1 at 350 MB
 MAX_D = 2**16
 # code order: T's phases are reduced mod 8 N^4 in int64, which holds up to N = 139; check --suite
-# detect at N = 64, D = MAX_D peaks at 207 MB, building all 2(N - 1) shifts before any row
+# detect at N = 64, D = MAX_D peaks at 80 MB RSS, as --suite logical does, building one error at a time
 MAX_N = 64
 MAX_WINDOW = 2048  # a windowed gkp codeword then has at most 4097 teeth
 # the largest bundle build-code writes under these caps is rot N=1 at D=MAX_D: 8,050,126 bytes
@@ -253,31 +253,23 @@ def _logical_suite_rot(
     return results
 
 
-def _detect_rows(words: list[FockVector], errors: dict, tol: float) -> list[dict]:
-    return [
-        result_row(
-            f"detect_{row.name}",
-            row.passed,
-            {"off_diag_max": row.off_diag_max, "diag_spread": row.diag_spread, "tol": tol},
-        )
-        for row in detectability_check(words, errors, tol).rows
-    ]
-
-
 def _detect_suite_rot(
     N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
 ) -> list[dict]:
-    shifts, rotations = map_error_generators(N, D)
+    shifts, angles = map_error_generators(N, D)
     k = config.inject_gamma
     if k is not None:
         _require(1 <= k < D, "injected shift outside [1, D)")
-        shifts[f"gamma_{k}_injected"] = omega_map_translation("p", k, D)
+        shifts[f"gamma_{k}_injected"] = k
+    # each image is built as its row runs, so one error operator is held at a time
     results = []
     if shifts:
-        results += _detect_rows(words, shifts, DETECT_TOL_SHIFT)
+        errors = ((name, omega_map_translation("p", l, D)) for name, l in shifts.items())
+        results += detectability_check(words, errors, DETECT_TOL_SHIFT)
     if ideal:
         # envelope and edge (README): the spread tends to ~ 2 eps N / |cos(theta N / 2)| as D grows
-        results += _detect_rows(words, rotations, DETECT_TOL_ROTATION)
+        errors = ((name, omega_map_translation("q", theta, D)) for name, theta in angles.items())
+        results += detectability_check(words, errors, DETECT_TOL_ROTATION)
     # N = 1 has no shift below its order, so without ideal rotation rows nothing could fail
     _require(bool(results), f"detect suite has no rows for N={N} and a non-ideal primitive")
     return results

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,43 +71,27 @@ def restricted_matrix(op: FockOperator, codewords: Sequence[FockVector]) -> np.n
 # --- detectability ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    name: str
-    c_E: complex
-    off_diag_max: float
-    diag_spread: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DetectabilityReport:
-    rows: tuple[ErrorRow, ...]
-    tol: float
-    passed: bool
-
-
-def _error_row(name: str, M: np.ndarray, tol: float) -> ErrorRow:
-    """The verdict on one restricted 2x2 matrix M; a NaN entry fails it."""
-    c = (M[0, 0] + M[1, 1]) / 2
-    off = float(np.max(np.abs([M[0, 1], M[1, 0]])))
-    spread = float(abs(M[0, 0] - M[1, 1]))
-    return ErrorRow(name, complex(c), off, spread, off <= tol and spread <= tol)
-
-
 def detectability_check(
     codewords: Sequence[FockVector],
-    errors: Mapping[str, FockOperator],
+    errors: Iterable[tuple[str, FockOperator]],
     tol: float,
-) -> DetectabilityReport:
-    """Check P E P = c_E P for each error, against orthonormal codewords.
+) -> list[dict]:
+    """Check P E P = c_E P for each (name, E), against orthonormal codewords.
 
     Each error's restricted matrix must be a multiple of the identity within
-    tol (off-diagonals and diagonal spread).
+    tol (off-diagonals and diagonal spread); a NaN entry fails the row.  Each
+    error is restricted as it is drawn, so a generator of errors holds one
+    operator at a time.  Returns one "detect_<name>" report row per error.
     """
     _check_codewords(codewords)
-    rows = tuple(_error_row(name, restricted_matrix(op, codewords), tol) for name, op in errors.items())
-    return DetectabilityReport(rows, tol, all(r.passed for r in rows))
+    rows = []
+    for name, op in errors:
+        M = restricted_matrix(op, codewords)
+        off = float(np.max(np.abs([M[0, 1], M[1, 0]])))
+        spread = float(abs(M[0, 0] - M[1, 1]))
+        metrics = {"off_diag_max": off, "diag_spread": spread, "tol": tol}
+        rows.append(result_row(f"detect_{name}", off <= tol and spread <= tol, metrics))
+    return rows
 
 
 # --- logical action ---------------------------------------------------------

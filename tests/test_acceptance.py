@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from _helpers import block_basis_semis, cz_crot_mismatches, hermitian_pair_with_shared, random_state
-from cvqec.bridge import bridge_gate_table, map_error_generators
+from cvqec.bridge import bridge_gate_table, map_error_generators, omega_map_translation
 from cvqec.fock import (
     apply_operator,
     approx_ideal_rot_codeword,
@@ -197,12 +197,14 @@ def test_criterion_7_order_three_error_set():
     # Known red: the achieved numbers are printed before the pinned assertions.
     N, D, eps = 3, 256, 1e-4
     words = [approx_ideal_rot_codeword(N, j, D, eps) for j in (0, 1)]
-    shifts, rotations = map_error_generators(N, D)
+    shifts, angles = map_error_generators(N, D)
 
-    shift_report = detectability_check(words, shifts, tol=1e-6)
-    shift_dev = max(max(r.off_diag_max, r.diag_spread) for r in shift_report.rows)
-    rot_report = detectability_check(words, rotations, tol=1e-6)
-    rot_dev = max(max(r.off_diag_max, r.diag_spread) for r in rot_report.rows)
+    shift_errors = ((name, omega_map_translation("p", l, D)) for name, l in shifts.items())
+    shift_rows = detectability_check(words, shift_errors, tol=1e-6)
+    shift_dev = max(max(r["metrics"]["off_diag_max"], r["metrics"]["diag_spread"]) for r in shift_rows)
+    rot_errors = ((name, omega_map_translation("q", theta, D)) for name, theta in angles.items())
+    rot_rows = detectability_check(words, rot_errors, tol=1e-6)
+    rot_dev = max(max(r["metrics"]["off_diag_max"], r["metrics"]["diag_spread"]) for r in rot_rows)
 
     gamma3 = fock_operator("number_shift", D, shift=N)
     target_x = np.array([[0, 1], [1, 0]], dtype=complex)

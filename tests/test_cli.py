@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,39 @@ def test_detect_suite_without_rows_is_refused(tmp_path, capsys):
         assert_quiet_exit_2(capsys, ["check", "--code", str(path), "--suite", "detect", "--format", fmt])
     code, report = run_json(capsys, ["check", "--code", str(path), "--suite", "detect", "--inject-gamma", "2"])
     assert code == 0 and [r["name"] for r in report["results"]] == ["detect_gamma_2_injected"]
+
+
+def test_detect_suite_holds_one_error_at_a_time(tmp_path, capsys):
+    # at N = 64 the 126 shifts are complex bands of about D entries each: 16.5 MB at D = 8192 held together
+    path = tmp_path / "wide.json"
+    assert main(["build-code", "--family", "rot", "--N", "64", "--D", "8192", "--out", str(path)]) == 0
+    peaks = {}
+    for suite in ("logical", "detect"):
+        tracemalloc.start()
+        try:
+            main(["check", "--code", str(path), "--suite", suite])
+            _, peaks[suite] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks["detect"] <= peaks["logical"] + 2**20, peaks
+
+
+def test_non_ideal_detect_builds_no_rotation(tmp_path, capsys, monkeypatch):
+    # the rotation rows run on ideal bundles only, so a non-ideal one builds its two shifts alone
+    path = tmp_path / "sparse.json"
+    argv = ["build-code", "--family", "rot", "--N", "2", "--D", "4096", "--primitive", "fock:0,2"]
+    assert main([*argv, "--out", str(path)]) == 0
+    built, post_init = [], fock.FockOperator.__post_init__
+
+    def counted(op):
+        post_init(op)
+        built.append((op.structure, op.offset))
+
+    monkeypatch.setattr(fock.FockOperator, "__post_init__", counted)
+    code, report = run_json(capsys, ["check", "--code", str(path), "--suite", "detect"])
+    assert code == 0 and [r["name"] for r in report["results"]] == ["detect_gamma_1", "detect_gamma_1_dag"]
+    assert built == [("band", 1), ("band", -1)]
 
 
 def test_gkp_logical_suite_is_exact(gkp_bundle, capsys):

@@ -20,7 +20,6 @@ from cvqec.fock import (
     rot_logical_op,
 )
 from cvqec.verify import (
-    _error_row,
     convergence_scan,
     detectability_check,
     gkp_exact_suite,
@@ -48,51 +47,54 @@ def envelope_code(N, eps, dim):
 
 
 def test_identity_error_always_passes():
-    report = detectability_check(trivial_code(), {"id": FockOperator(8, np.ones(8))}, tol=1e-12)
-    assert report.passed
-    row = report.rows[0]
-    assert row.c_E == pytest.approx(1.0)
-    assert row.off_diag_max == 0.0 and row.diag_spread == 0.0
+    [row] = detectability_check(trivial_code(), [("id", FockOperator(8, np.ones(8)))], tol=1e-12)
+    assert row["pass"]
+    assert row["metrics"]["off_diag_max"] == 0.0 and row["metrics"]["diag_spread"] == 0.0
 
 
 def test_single_loss_is_detectable_on_order_two_code():
     words = envelope_code(2, 1e-4, 256)
     a = fock_operator("annihilation", 256)
-    report = detectability_check(words, {"a": a}, tol=1e-6)
-    assert report.passed
+    [row] = detectability_check(words, [("a", a)], tol=1e-6)
+    assert row["pass"]
 
 
 def test_double_loss_is_not_detectable_on_order_two_code():
     words = envelope_code(2, 1e-4, 256)
     # a^2|l> = sqrt(l (l - 1))|l - 2>, the band at offset 2
     a2 = FockOperator(256, np.sqrt(np.arange(1, 255) * np.arange(2, 256)), offset=2)
-    report = detectability_check(words, {"aa": a2}, tol=1e-6)
-    assert not report.passed
-    assert report.rows[0].off_diag_max > 0.1
+    [row] = detectability_check(words, [("aa", a2)], tol=1e-6)
+    assert not row["pass"]
+    assert row["metrics"]["off_diag_max"] > 0.1
 
 
 def test_orthonormality_is_enforced():
     dim = 8
     skew = [basis(dim, 0), FockVector(dim, np.ones(dim) / np.sqrt(dim))]
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check(skew, {"id": FockOperator(dim, np.ones(dim))}, tol=1e-6)
+        detectability_check(skew, [("id", FockOperator(dim, np.ones(dim)))], tol=1e-6)
     unnormalized = [FockVector(dim, 2.0 * basis(dim, 0).amplitudes), basis(dim, 2)]
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check(unnormalized, {"id": FockOperator(dim, np.ones(dim))}, tol=1e-6)
+        detectability_check(unnormalized, [("id", FockOperator(dim, np.ones(dim)))], tol=1e-6)
 
 
 def test_nan_overlap_fails_orthonormality():
     nan_word = FockVector(8, np.where(np.arange(8) == 0, np.nan, 0.0))
     with pytest.raises(NonOrthonormalCodewords):
-        detectability_check([nan_word, basis(8, 2)], {"id": FockOperator(8, np.ones(8))}, tol=1e-6)
+        detectability_check([nan_word, basis(8, 2)], [("id", FockOperator(8, np.ones(8)))], tol=1e-6)
 
 
 @pytest.mark.parametrize("nan_at", [(0, 0), (1, 0)])
 def test_nan_entry_fails_the_verdict(nan_at):
-    # one NaN beside zeros: max(0.0, nan) is 0.0, so a max-based verdict would pass
-    M = np.eye(2, dtype=complex)
-    M[nan_at] = np.nan
-    assert not _error_row("nan", M, tol=1e-6).passed
+    # the band's NaN is the element <c_i|E|c_0> at nan_at = (i, 0): the diagonal at level 0, or the
+    # raising band's entry from level 0 to level 2.  NaN times a zero amplitude is NaN, so it reaches
+    # every restricted entry, and a verdict written as "not above tol" would pass the row
+    offset = -2 * nan_at[0]
+    data = np.ones(8 - abs(offset))
+    data[0] = np.nan
+    [row] = detectability_check(trivial_code(), [("nan", FockOperator(8, data, offset=offset))], tol=1e-6)
+    assert not row["pass"]
+    assert math.isnan(row["metrics"]["off_diag_max"]) and math.isnan(row["metrics"]["diag_spread"])
 
 
 @settings(deadline=None, max_examples=30)
@@ -108,9 +110,9 @@ def test_scalar_plus_offspace_noise_passes(c, seed):
     diagonal = np.full(dim, c, dtype=complex)
     diagonal[[1, 3, 4, 5, 6, 7]] += rng.normal(size=6)
     op = FockOperator(dim, diagonal)
-    report = detectability_check(words, {"op": op}, tol=1e-9)
-    assert report.passed
-    assert report.rows[0].c_E == pytest.approx(c)
+    [row] = detectability_check(words, [("op", op)], tol=1e-9)
+    assert row["pass"]
+    assert row["metrics"]["diag_spread"] == 0.0
 
 
 # --- logical action ----------------------------------------------------------
@@ -318,6 +320,8 @@ def test_logical_h_restriction_matches_integer_phase_oracle(N, dim):
 
 
 def test_report_rows():
-    report = detectability_check(trivial_code(), {"id": FockOperator(8, np.ones(8))}, tol=1e-9)
-    assert report.passed is True and report.tol == 1e-9
-    assert report.rows[0].name == "id"
+    # a generator of errors gives one row per error, in order
+    errors = ((name, FockOperator(8, np.ones(8))) for name in ("a", "b"))
+    rows = detectability_check(trivial_code(), errors, tol=1e-9)
+    metrics = {"off_diag_max": 0.0, "diag_spread": 0.0, "tol": 1e-9}
+    assert rows == [{"name": f"detect_{name}", "pass": True, "metrics": metrics} for name in ("a", "b")]
