@@ -11,14 +11,15 @@ the integer-spacing regime of order N (`combs.bridge_unit`):
   rotation e^{i pi r m/N}; so comb Z is rotation Z, and S and T, even in v,
   are the rotation S and T.
 - `translate_p` by an integer k moves tooth v to v + kN, which lowers the
-  level by kN; so comb X is rotation X, the lowering shift by N.  A
-  fractional p-translation has no Fock-side support at all.
+  level by kN; so comb X is rotation X, the lowering shift by N.
 - CZ adds l1 l2 at logical indices l = v/N, which is m m'/N^2 on |m, m'>:
   the two-mode rotation CROT (`fock.crot`).
 
 A lowering shift by s brings teeth from levels [D, D + s) into the window,
 and a raising one teeth from v in [1, s]; they are the only teeth for which
-the two sides differ.
+the two sides differ.  `fock.fock_operator` builds the image of a
+translation from its raw amount: "rotation" for a q-translation, "shift" for
+a p-translation by an integer.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .combs import FiniteComb, bridge_unit, finite_comb, gkp_apply
 from .errors import InvalidDimension
-from .fock import FockOperator, fock_operator, rot_logical_op
-from .phases import RationalLike, as_fraction, mod2
+from .fock import FockOperator, rot_logical_op
+from .phases import mod2
 
 ROTATION_SAMPLES = 8  # sampled rotation errors in the mapped error set
 
@@ -49,32 +50,6 @@ def _levels(state: FiniteComb, D: int) -> dict[int, tuple[Fraction, Fraction]]:
     return levels
 
 
-def omega_map_translation(kind: str, amount: RationalLike, dim: int) -> FockOperator:
-    """Image of a translation under the bridge.
-
-    The amount is raw, in comb index units, not `gkp_apply`'s logical units:
-    kind="q": amount a (a rational multiple of pi per unit index) gives the
-    diagonal phase operator e^{i pi a m}, so the logical q-translation by r
-    of an order-N comb is amount r/N.  kind="p": an integer amount k gives
-    the unit band at offset k, the number shift by |k| (lowering for k > 0),
-    so the logical p-translation by k is amount kN; fractional amounts give
-    the exact zero operator, since no integer tooth maps onto another.
-    """
-    if dim < 1:
-        raise InvalidDimension("dim must be >= 1")
-    a = as_fraction(amount)
-    if kind == "q":
-        return fock_operator("rotation", dim, theta=a)
-    if kind == "p":
-        if a.denominator != 1:
-            return FockOperator(dim, np.zeros(dim), "band")
-        k = a.numerator
-        if abs(k) >= dim:
-            raise InvalidDimension(f"shift {k} does not fit in dimension {dim}")
-        return FockOperator(dim, np.ones(dim - abs(k)), "band", offset=k)
-    raise ValueError(f"unknown translation kind {kind!r}")
-
-
 def rotation_sample_angles(n_fold: int) -> list[Fraction]:
     """ROTATION_SAMPLES evenly spaced angles strictly inside (0, pi/N), as rationals of pi."""
     return [Fraction(s, n_fold * (ROTATION_SAMPLES + 1)) for s in range(1, ROTATION_SAMPLES + 1)]
@@ -86,8 +61,8 @@ def map_error_generators(n_fold: int, dim: int) -> tuple[dict[str, int], dict[st
     "gamma_l" / "gamma_l_dag" for l = 1..N-1 are the p-translations by l and
     -l, whose images are the number shifts lowering and raising by l;
     "rotation_s" is the q-translation by the s-th sampled angle, whose image
-    is a rotation that carries its exact angle.  `omega_map_translation`
-    builds an image from its amount.
+    is a rotation that carries its exact angle.  `fock_operator("shift", dim, l)`
+    and `fock_operator("rotation", dim, theta)` build the images.
     """
     if not 1 <= n_fold < dim:
         raise InvalidDimension(f"need 1 <= n_fold < dim, got n_fold={n_fold}, dim={dim}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, isometries
-from .bridge import bridge_gate_table, map_error_generators, omega_map_translation
+from .bridge import bridge_gate_table, map_error_generators
 from .combs import comb_to_json_dict, gkp_codeword
 from .errors import CVCodeError
 from .fock import (
@@ -235,13 +235,9 @@ def _logical_row(gate: str, N: int, D: int, words: list[FockVector], tol: float)
     )
 
 
-def _logical_suite_rot(
-    N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
-) -> list[dict]:
+def _logical_suite_rot(N: int, D: int, words: list[FockVector], ideal: bool) -> list[dict]:
     results = [_logical_row(gate, N, D, words, LOGICAL_TOL_EXACT) for gate in ("Z", "S", "T")]
-    stab_ok = stabilizer_check(
-        fock_operator("rotation", D, theta=Fraction(2, N)), words, LOGICAL_TOL_EXACT
-    )
+    stab_ok = stabilizer_check(fock_operator("rotation", D, Fraction(2, N)), words, LOGICAL_TOL_EXACT)
     results.append(result_row("stabilizer_rotation", stab_ok, {"tol": LOGICAL_TOL_EXACT}))
     if ideal:
         # y = e^{-2 eps N}, x = y^2, K_j sector-j teeth below D.  Envelope: lowering by N scales a
@@ -253,22 +249,19 @@ def _logical_suite_rot(
     return results
 
 
-def _detect_suite_rot(
-    N: int, D: int, words: list[FockVector], ideal: bool, config: argparse.Namespace
-) -> list[dict]:
+def _detect_suite_rot(N: int, D: int, words: list[FockVector], ideal: bool, inject: int | None) -> list[dict]:
     shifts, angles = map_error_generators(N, D)
-    k = config.inject_gamma
-    if k is not None:
-        _require(1 <= k < D, "injected shift outside [1, D)")
-        shifts[f"gamma_{k}_injected"] = k
+    if inject is not None:
+        _require(1 <= inject < D, "injected shift outside [1, D)")
+        shifts[f"gamma_{inject}_injected"] = inject
     # each image is built as its row runs, so one error operator is held at a time
     results = []
     if shifts:
-        errors = ((name, omega_map_translation("p", l, D)) for name, l in shifts.items())
+        errors = ((name, fock_operator("shift", D, l)) for name, l in shifts.items())
         results += detectability_check(words, errors, DETECT_TOL_SHIFT)
     if ideal:
         # envelope and edge (README): the spread tends to ~ 2 eps N / |cos(theta N / 2)| as D grows
-        errors = ((name, omega_map_translation("q", theta, D)) for name, theta in angles.items())
+        errors = ((name, fock_operator("rotation", D, theta)) for name, theta in angles.items())
         results += detectability_check(words, errors, DETECT_TOL_ROTATION)
     # N = 1 has no shift below its order, so without ideal rotation rows nothing could fail
     _require(bool(results), f"detect suite has no rows for N={N} and a non-ideal primitive")
@@ -313,8 +306,9 @@ def cmd_check(config: argparse.Namespace) -> int:
         _field(bundle, "codewords") == [w.to_json_dict() for w in words],
         "bundle codewords differ from those its N, D, primitive and eps build",
     )
-    suite = _logical_suite_rot if config.suite == "logical" else _detect_suite_rot
-    return _finish(config, suite(N, D, words, ideal, config))
+    if config.suite == "logical":
+        return _finish(config, _logical_suite_rot(N, D, words, ideal))
+    return _finish(config, _detect_suite_rot(N, D, words, ideal, config.inject_gamma))
 
 
 def cmd_bridge(config: argparse.Namespace) -> int:

@@ -152,38 +152,29 @@ def diagonal_phase_operator(num: np.ndarray, *, den: int = 1) -> FockOperator:
     return FockOperator(len(num), data, structure="band", phase_num=num, den=den)
 
 
-def fock_operator(
-    kind: str,
-    dim: int,
-    *,
-    theta: RationalLike | None = None,
-    shift: int | None = None,
-) -> FockOperator:
-    """Standard single-mode operators on the first `dim` number states.
+def fock_operator(kind: str, dim: int, amount: RationalLike) -> FockOperator:
+    """Bridge image, on the first `dim` number states, of a comb translation.
 
-    kind:
-      "annihilation"  a|l> = sqrt(l)|l-1>
-      "rotation"      diag(e^{i pi theta m}) with exact phases; theta is an
-                      exact rational (units of pi), and a float raises
-                      NonRationalPhase
-      "number_shift"  sum_l |l><l+shift|, unit-amplitude lowering by `shift`
+    The amount is raw, in comb index units, not `gkp_apply`'s logical units:
+      "rotation"  a q-translation by theta (units of pi per unit index) gives
+                  diag(e^{i pi theta m}) with exact phases; theta is an exact
+                  rational, and a float raises NonRationalPhase.  The logical
+                  q-translation by r of an order-N comb is theta = r/N.
+      "shift"     a p-translation by an integer k, |k| < dim, gives the unit
+                  band at offset k: lowering by k for k > 0, raising by -k for
+                  k < 0, the identity at 0.  The logical p-translation by l
+                  of an order-N comb is k = lN.
     """
     if dim <= 0:
         raise InvalidDimension(f"dim must be positive, got {dim}")
-    if kind == "annihilation":
-        return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="band", offset=1)
+    a = as_fraction(amount)
     if kind == "rotation":
-        if theta is None:
-            raise ValueError("rotation requires theta")
-        frac = as_fraction(theta)
-        den = frac.denominator
-        return diagonal_phase_operator(frac.numerator % (2 * den) * np.arange(dim), den=den)
-    if kind == "number_shift":
-        if shift is None:
-            raise ValueError("number_shift requires shift")
-        if not 1 <= shift < dim:
-            raise InvalidDimension(f"shift {shift} outside [1, {dim})")
-        return FockOperator(dim, np.ones(dim - shift), structure="band", offset=shift)
+        den = a.denominator
+        return diagonal_phase_operator(a.numerator % (2 * den) * np.arange(dim), den=den)
+    if kind == "shift":
+        if a.denominator != 1 or not abs(a) < dim:
+            raise InvalidDimension(f"shift {a} is not an integer in (-{dim}, {dim})")
+        return FockOperator(dim, np.ones(dim - abs(a.numerator)), structure="band", offset=a.numerator)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -288,9 +279,7 @@ def rot_logical_op(kind: str, n_fold: int, dim: int) -> FockOperator:
         den = k * N**k
         return diagonal_phase_operator(mod_power(np.arange(dim), k, 2 * den), den=den)
     if kind == "X":
-        if dim <= N:
-            raise InvalidDimension(f"dim {dim} too small for shift {N}")
-        return fock_operator("number_shift", dim, shift=N)
+        return fock_operator("shift", dim, N)
     if kind == "H":
         angle = -np.pi * (np.arange(2 * N**2) / N**2)
         table = (np.cos(angle) + 1j * np.sin(angle)) / math.sqrt(2 * math.pi)

@@ -53,6 +53,11 @@ def basis(dim: int, m: int) -> FockVector:
     return FockVector(dim, amps)
 
 
+def annihilation(dim: int) -> FockOperator:
+    """The truncated annihilation operator, a|l> = sqrt(l)|l-1>: the band at offset 1."""
+    return FockOperator(dim, np.sqrt(np.arange(1, dim)), structure="band", offset=1)
+
+
 def phases(op: FockOperator) -> tuple[Fraction, ...]:
     """A diagonal phase operator's exact phases, as Fractions of pi."""
     return fraction_view(op.phase_num, op.den)

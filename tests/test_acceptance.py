@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from _helpers import block_basis_semis, cz_crot_mismatches, hermitian_pair_with_shared, random_state
-from cvqec.bridge import bridge_gate_table, map_error_generators, omega_map_translation
+from cvqec.bridge import bridge_gate_table, map_error_generators
 from cvqec.fock import (
     apply_operator,
     approx_ideal_rot_codeword,
@@ -51,7 +51,7 @@ def test_criterion_1_rotation_codewords_are_parity_eigenvectors():
     D = 48
     worst = 0.0
     for N in (1, 2, 3, 4):
-        half_turn = fock_operator("rotation", D, theta=F(1, N))
+        half_turn = fock_operator("rotation", D, F(1, N))
         for seed in range(20):
             rng = np.random.default_rng(seed)
             primitive = random_state(rng, D)
@@ -199,14 +199,14 @@ def test_criterion_7_order_three_error_set():
     words = [approx_ideal_rot_codeword(N, j, D, eps) for j in (0, 1)]
     shifts, angles = map_error_generators(N, D)
 
-    shift_errors = ((name, omega_map_translation("p", l, D)) for name, l in shifts.items())
+    shift_errors = ((name, fock_operator("shift", D, l)) for name, l in shifts.items())
     shift_rows = detectability_check(words, shift_errors, tol=1e-6)
     shift_dev = max(max(r["metrics"]["off_diag_max"], r["metrics"]["diag_spread"]) for r in shift_rows)
-    rot_errors = ((name, omega_map_translation("q", theta, D)) for name, theta in angles.items())
+    rot_errors = ((name, fock_operator("rotation", D, theta)) for name, theta in angles.items())
     rot_rows = detectability_check(words, rot_errors, tol=1e-6)
     rot_dev = max(max(r["metrics"]["off_diag_max"], r["metrics"]["diag_spread"]) for r in rot_rows)
 
-    gamma3 = fock_operator("number_shift", D, shift=N)
+    gamma3 = fock_operator("shift", D, N)
     target_x = np.array([[0, 1], [1, 0]], dtype=complex)
     action = logical_action(gamma3, words, target_x)
 

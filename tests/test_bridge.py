@@ -13,7 +13,6 @@ from cvqec.bridge import (
     ROTATION_SAMPLES,
     bridge_gate_table,
     map_error_generators,
-    omega_map_translation,
     rotation_sample_angles,
 )
 from cvqec.combs import bridge_unit, finite_comb, gkp_apply
@@ -69,15 +68,14 @@ def test_levels_keep_exactly_the_window_integers(case):
 
 
 def test_q_translation_becomes_rotation_phase():
-    got = omega_map_translation("q", F(2, 3), 9)
-    ref = fock_operator("rotation", 9, theta=F(2, 3))
-    assert phases(got) == phases(ref)
+    got = fock_operator("rotation", 9, F(2, 3))
+    assert phases(got) == tuple(F(2 * m, 3) % 2 for m in range(9))
 
 
 def test_q_translation_order():
     # N copies of the 2/N phase wrap to the identity
     N, dim = 3, 7
-    one = omega_map_translation("q", F(2, N), dim)
+    one = fock_operator("rotation", dim, F(2, N))
     total = [F(0)] * dim
     for _ in range(N):
         total = [(a + b) % 2 for a, b in zip(total, phases(one))]
@@ -87,23 +85,31 @@ def test_q_translation_order():
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_p_translation_becomes_number_shift(k):
     # k > 0 lowers the level by k, k < 0 raises it, k = 0 is the identity
-    got = omega_map_translation("p", k, 6)
+    got = fock_operator("shift", 6, k)
     assert got.structure == "band" and got.offset == k
     assert np.array_equal(got.entries, np.eye(6, k=k))
 
 
-def test_fractional_p_translation_is_zero():
-    got = omega_map_translation("p", F(1, 2), 6)
-    assert not np.any(got.data)
+def test_fractional_p_translation_is_refused():
+    # a fractional p-translation moves every integer tooth off the integers, so the bridge
+    # drops them all; that happens in Upsilon, and the shift kind has no image to build
+    N, D = 3, 12
+    comb = finite_comb(bridge_unit(N), [(-m, 1, F(m, 5)) for m in range(D)])
+    assert upsilon_exact(gkp_apply("translate_p", comb, N, amount=F(1, 2 * N)), D) == {}
+    with pytest.raises(InvalidDimension):
+        fock_operator("shift", 6, F(1, 2))
 
 
 def test_translation_input_validation():
     with pytest.raises(NonRationalPhase):
-        omega_map_translation("q", 0.3, 6)
+        fock_operator("rotation", 6, 0.3)
+    with pytest.raises(NonRationalPhase):
+        fock_operator("shift", 6, 2.0)
     with pytest.raises(ValueError):
-        omega_map_translation("r", 1, 6)
-    with pytest.raises(InvalidDimension):
-        omega_map_translation("p", 9, 6)
+        fock_operator("number_shift", 6, 1)
+    for k in (6, -6, 9):
+        with pytest.raises(InvalidDimension):
+            fock_operator("shift", 6, k)
 
 
 # --- gate transport ------------------------------------------------------------
@@ -146,8 +152,8 @@ def test_comb_gates_intertwine_with_rotation_gates(case, r, data):
     N, D, k_max, comb = case
     k = data.draw(st.integers(-k_max, k_max))
     pairs = [(gkp_apply(g, comb, N), rot_logical_op(g, N, D)) for g in ("Z", "S", "T", "X")]
-    pairs.append((gkp_apply("translate_q", comb, N, amount=r), omega_map_translation("q", r / N, D)))
-    pairs.append((gkp_apply("translate_p", comb, N, amount=k), omega_map_translation("p", k * N, D)))
+    pairs.append((gkp_apply("translate_q", comb, N, amount=r), fock_operator("rotation", D, r / N)))
+    pairs.append((gkp_apply("translate_p", comb, N, amount=k), fock_operator("shift", D, k * N)))
     before = upsilon_exact(comb, D)
     for out, op in pairs:
         assert upsilon_exact(out, D) == rot_exact(op, before)
@@ -226,10 +232,10 @@ def test_error_set_contents():
     shifts, angles = map_error_generators(3, 12)
     assert list(shifts.items()) == [("gamma_1", 1), ("gamma_1_dag", -1), ("gamma_2", 2), ("gamma_2_dag", -2)]
     assert list(angles.items()) == [(f"rotation_{s}", F(s, 27)) for s in range(1, 9)]
-    gamma_2 = omega_map_translation("p", shifts["gamma_2"], 12)
+    gamma_2 = fock_operator("shift", 12, shifts["gamma_2"])
     assert gamma_2.structure == "band" and gamma_2.offset == 2
-    assert np.allclose(omega_map_translation("p", shifts["gamma_1_dag"], 12).entries, np.eye(12, k=-1))
-    assert omega_map_translation("q", angles["rotation_1"], 12).phase_num is not None
+    assert np.allclose(fock_operator("shift", 12, shifts["gamma_1_dag"]).entries, np.eye(12, k=-1))
+    assert fock_operator("rotation", 12, angles["rotation_1"]).phase_num is not None
     for n_fold, dim in ((0, 8), (-1, 8), (8, 8)):
         with pytest.raises(InvalidDimension):
             map_error_generators(n_fold, dim)
@@ -237,17 +243,20 @@ def test_error_set_contents():
 
 def assert_images_of_comb_translations(N, D):
     # gamma_l is a p-translation by l/N (a raw shift by l), rotation_s a q-translation by theta_s N
-    images = {name: ("p", k) for l in range(1, N) for name, k in ((f"gamma_{l}", l), (f"gamma_{l}_dag", -l))}
-    images |= {f"rotation_{s}": ("q", theta) for s, theta in enumerate(rotation_sample_angles(N), start=1)}
+    images = {name: ("shift", k) for l in range(1, N) for name, k in ((f"gamma_{l}", l), (f"gamma_{l}_dag", -l))}
+    images |= {f"rotation_{s}": ("rotation", theta) for s, theta in enumerate(rotation_sample_angles(N), start=1)}
     shifts, angles = map_error_generators(N, D)
-    assert list(shifts.items()) == [(name, k) for name, (kind, k) in images.items() if kind == "p"]
-    assert list(angles.items()) == [(name, a) for name, (kind, a) in images.items() if kind == "q"]
+    assert list(shifts.items()) == [(name, k) for name, (kind, k) in images.items() if kind == "shift"]
+    assert list(angles.items()) == [(name, a) for name, (kind, a) in images.items() if kind == "rotation"]
     # one tooth on each level a shift by up to N - 1 keeps inside [0, D), so no tooth crosses an edge
     comb = finite_comb(bridge_unit(N), [(-m, 1, F(m, 5)) for m in range(N, D - N)])
     before = upsilon_exact(comb, D)
     for kind, amount in images.values():
-        moved = gkp_apply(f"translate_{kind}", comb, N, amount=F(amount, N) if kind == "p" else amount * N)
-        assert upsilon_exact(moved, D) == rot_exact(omega_map_translation(kind, amount, D), before)
+        if kind == "shift":
+            moved = gkp_apply("translate_p", comb, N, amount=F(amount, N))
+        else:
+            moved = gkp_apply("translate_q", comb, N, amount=amount * N)
+        assert upsilon_exact(moved, D) == rot_exact(fock_operator(kind, D, amount), before)
 
 
 @pytest.mark.parametrize("N, D", [(2, 8), (3, 12), (5, 40)])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +631,15 @@ def test_alg1_serves_max_d_cells(capsys, D, G):
     assert all(v == 0.0 for v in metrics["residuals"].values())
 
 
+# goldens whose report has a red row; every other golden's command exits 0
+GOLDEN_EXIT_CODES = {
+    # the ideal primitive's 8 rotation rows are envelope reds at D = 256 (README)
+    "check-detect-rot3-D256.json": 1,
+    # the injected gamma_2, a shift by the code order, takes the kitten code's |2> onto its |0>
+    "check-detect-rot2-D16-fock024-inject2.md": 1,
+}
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -665,7 +675,19 @@ def test_alg1_serves_max_d_cells(capsys, D, G):
         for N, D, fmt in [(1, 2, "json"), (2, 4, "json"), (8, 16, "json"), (8, 64, "md")]
     ]
     # the largest order: its T gate reduces the largest Newton denominator, 4 N^4
-    + [("check-logical-gkp64.json", ["check", "--suite", "logical", "--code", "gkp 64"])],
+    + [("check-logical-gkp64.json", ["check", "--suite", "logical", "--code", "gkp 64"])]
+    + [
+        ("check-detect-rot3-D256.json", ["check", "--suite", "detect", "--code", "rot 3 --D 256"]),
+        (
+            "check-detect-rot3-D64-fock0369.json",
+            ["check", "--suite", "detect", "--code", "rot 3 --D 64 --primitive fock:0,3,6,9"],
+        ),
+        (
+            "check-detect-rot2-D16-fock024-inject2.md",
+            ["check", "--suite", "detect", "--inject-gamma", "2", "--format", "md",
+             "--code", "rot 2 --D 16 --primitive fock:0,2,4"],
+        ),
+    ],
 )
 def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
     # The gkp and alg1 reports carry no float from a numerical routine, so their bytes are
@@ -679,7 +701,7 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, argv):
         family, N, *options = argv[-1].split()
         assert main(["build-code", "--family", family, "--N", N, *options, "--out", str(code)]) == 0
         argv = [*argv[:-1], str(code)]
-    assert main(argv) == 0
+    assert main(argv) == GOLDEN_EXIT_CODES.get(name, 0)
     out = capsys.readouterr().out.replace(json.dumps(str(code))[1:-1], "<code>")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -779,6 +801,45 @@ def test_trace_spans_cover_every_layer(tmp_path, monkeypatch):
     assert 2 not in codes
     assert {span[0] for span in tracer.spans} == set(spans.SPAN_METRICS)
     assert tracer.counts["fock.operators"] > 0
+
+
+def test_trace_jobs_call_every_patch_point(tmp_path, monkeypatch):
+    # three patch points share the span fock.operator and three verify.restrict, so span names
+    # alone miss one the CLI stops calling: count each under the trace test's seven jobs
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    modules = {"cli": cli, "isometries": isometries}
+    calls = {(module, attr): 0 for module, attr, _ in spans.PATCHES}
+    for module, attr in calls:
+        def counted(*args, _key=(module, attr), _fn=getattr(modules[module], attr), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(modules[module], attr, counted)
+    test_trace_spans_cover_every_layer(tmp_path, monkeypatch)
+    assert len(calls) == 13
+    assert [key for key, n in calls.items() if n == 0] == []
+
+
+def test_traced_detect_images_are_operators(tmp_path, monkeypatch):
+    # each detect row builds its image through cli.fock_operator while its restriction runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    code, out = str(tmp_path / "rot.json"), tmp_path / "out.json"
+    assert main(["build-code", "--family", "rot", "--N", "3", "--D", "256", "--out", code]) == 0
+    tracer = spans.Tracer()
+    modules = {"cli": cli, "combs": combs, "fock": fock, "isometries": isometries}
+    with spans.instrument(tracer, modules):
+        argv = ["check", "--code", code, "--suite", "detect", "--out", str(out)]
+        assert tracer.call("cli", cli.main, argv) == 1
+    rows = json.loads(out.read_text())["results"]
+    parents = [tracer.spans[parent] for name, _, _, parent in tracer.spans if name == "fock.operator"]
+    images = [parent for parent in parents if parent[0] == "verify.restrict"]
+    # 4 shifts and 8 rotations, one restriction span each for the two groups
+    assert len(images) == len(rows) == 12
+    assert sorted(Counter(map(id, images)).values()) == [4, 8]
 
 
 # --- reproducibility -----------------------------------------------------------------

@@ -22,7 +22,7 @@ def exact_fields() -> dict:
     """The exact `phases` field of each operator's JSON form, from its numerators over `den`."""
     ops = {f"rot_{gate}_N3_D64": rot_logical_op(gate, 3, 64) for gate in "ZST"}
     # the adjoint of the rotation by 1/3 is the rotation by -1/3
-    ops["adjoint_rotation_8_1/3"] = fock_operator("rotation", 8, theta=Fraction(-1, 3))
+    ops["adjoint_rotation_8_1/3"] = fock_operator("rotation", 8, Fraction(-1, 3))
     return {
         name: {"phases": [rational_to_json(n, op.den, unit="pi") for n in op.phase_num.tolist()]}
         for name, op in ops.items()

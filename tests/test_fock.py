@@ -27,7 +27,7 @@ from cvqec.fock import (
 from cvqec.phases import mod2
 from cvqec.verify import restricted_matrix
 
-from _helpers import adjoint, basis, phase_to_complex, phases, random_state
+from _helpers import adjoint, annihilation, basis, phase_to_complex, phases, random_state
 
 
 # --- operator constructors ----------------------------------------------------
@@ -35,7 +35,7 @@ from _helpers import adjoint, basis, phase_to_complex, phases, random_state
 
 def test_annihilation_action_oracle():
     # a|3> = sqrt(3)|2>
-    a = fock_operator("annihilation", 6)
+    a = annihilation(6)
     out = apply_operator(a, basis(6, 3))
     expected = np.zeros(6, dtype=complex)
     expected[2] = math.sqrt(3)
@@ -44,7 +44,7 @@ def test_annihilation_action_oracle():
 
 
 def test_rotation_exact_phase_channel():
-    r = fock_operator("rotation", 4, theta=Fraction(1, 2))
+    r = fock_operator("rotation", 4, Fraction(1, 2))
     assert phases(r) == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
     assert np.allclose(np.diag(r.entries), [1, 1j, -1, -1j])
 
@@ -52,11 +52,11 @@ def test_rotation_exact_phase_channel():
 def test_rotation_float_theta_is_refused():
     # theta is a rational of pi; a float would be rounded, so it is refused
     with pytest.raises(NonRationalPhase):
-        fock_operator("rotation", 4, theta=0.7)
+        fock_operator("rotation", 4, 0.7)
 
 
 def test_number_shift_matrix_and_adjoint():
-    g = fock_operator("number_shift", 5, shift=2)
+    g = fock_operator("shift", 5, 2)
     assert np.array_equal(g.entries, np.eye(5, k=2))
     # lowering: |4> -> |2>
     assert np.allclose(apply_operator(g, basis(5, 4)).amplitudes, basis(5, 2).amplitudes)
@@ -66,7 +66,7 @@ def test_number_shift_matrix_and_adjoint():
 
 
 def test_adjoint_negates_exact_phases():
-    r = fock_operator("rotation", 3, theta=Fraction(1, 3))
+    r = fock_operator("rotation", 3, Fraction(1, 3))
     r_dag = adjoint(r)
     assert phases(r_dag) == (Fraction(0), Fraction(5, 3), Fraction(4, 3))
     assert np.allclose(r.entries @ r_dag.entries, np.eye(3))
@@ -77,7 +77,7 @@ def test_exact_data_is_kept_over_the_least_denominator():
     op = FockOperator(4, [1, 1j, -1, -1j], "band", phase_num=np.array([16, 4, 24, 12]), den=8)
     assert op.den == 2 and op.phase_num.tolist() == [0, 1, 2, 3]
     assert phases(op) == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
-    ref = fock_operator("rotation", 4, theta=Fraction(1, 2))
+    ref = fock_operator("rotation", 4, Fraction(1, 2))
     assert op.den == ref.den and np.array_equal(op.phase_num, ref.phase_num)
     with pytest.raises(InvalidDimension):
         FockOperator(2, [1, -1], "band", phase_num=np.array([0.0, 1.0]))
@@ -120,7 +120,7 @@ def test_codewords_are_rotation_eigenvectors(seed, n_fold):
     rng = np.random.default_rng(seed)
     dim = 24
     primitive = random_state(rng, dim)
-    z_half = fock_operator("rotation", dim, theta=Fraction(1, n_fold))
+    z_half = fock_operator("rotation", dim, Fraction(1, n_fold))
     for j in (0, 1):
         word = rot_codeword_from_primitive(primitive, n_fold, j)
         assert abs(word.norm - 1) < 1e-12
@@ -249,9 +249,9 @@ def test_banded_operators_store_no_dense_matrix():
     tracemalloc.start()
     try:
         ops = [
-            fock_operator("number_shift", dim, shift=3),
-            fock_operator("annihilation", dim),
-            fock_operator("rotation", dim, theta=Fraction(3, 10)),
+            fock_operator("shift", dim, 3),
+            annihilation(dim),
+            fock_operator("rotation", dim, Fraction(3, 10)),
         ]
         ops += [adjoint(op) for op in ops]
         vec = basis(dim, m)

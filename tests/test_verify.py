@@ -30,7 +30,7 @@ from cvqec.verify import (
     suite_markdown,
 )
 
-from _helpers import adjoint, basis, random_state
+from _helpers import adjoint, annihilation, basis, random_state
 
 F = Fraction
 
@@ -54,7 +54,7 @@ def test_identity_error_always_passes():
 
 def test_single_loss_is_detectable_on_order_two_code():
     words = envelope_code(2, 1e-4, 256)
-    a = fock_operator("annihilation", 256)
+    a = annihilation(256)
     [row] = detectability_check(words, [("a", a)], tol=1e-6)
     assert row["pass"]
 
@@ -184,13 +184,13 @@ def test_fidelity_ignores_global_phase(phi):
 def test_code_order_rotation_is_a_stabilizer():
     for N in (1, 2, 3):
         words = envelope_code(N, 1e-3, 64 if N < 3 else 96)
-        rot = fock_operator("rotation", words[0].dim, theta=F(2, N))
+        rot = fock_operator("rotation", words[0].dim, F(2, N))
         assert stabilizer_check(rot, words, tol=1e-10)
 
 
 def test_half_stabilizer_rotation_is_not():
     words = envelope_code(2, 1e-3, 64)
-    rot = fock_operator("rotation", 64, theta=F(1, 2))
+    rot = fock_operator("rotation", 64, F(1, 2))
     assert not stabilizer_check(rot, words, tol=1e-10)
 
 
