@@ -57,8 +57,9 @@ def bridge_unit(n_fold: int) -> CombUnit:
 class PeriodicSupport:
     """Teeth at offset + t*period (t over all integers), uniform magnitude.
 
-    Tooth t carries phase pattern[t mod len(pattern)].  The pattern is any
-    finite cycle; constructors reduce it to its minimal period.
+    Tooth t carries phase pattern[t mod len(pattern)].  Constructors keep
+    the offset in [0, period) and the pattern its minimal cycle, which a
+    global phase keeps too; comb_equal_up_to_phase relies on this form.
     """
 
     offset: Fraction
@@ -69,7 +70,7 @@ class PeriodicSupport:
 
 @dataclass(frozen=True)
 class CombState:
-    """A periodic comb; build it with periodic_comb or gkp_codeword."""
+    """A periodic comb; build it with periodic_comb or gkp_codeword, whose canonical form equality needs."""
 
     unit: CombUnit
     periodic: PeriodicSupport
@@ -374,37 +375,15 @@ def gkp_apply(
     raise ValueError(f"unknown comb gate {kind!r}")
 
 
-def _equal_up_to_phase(
-    places_a: object,
-    places_b: object,
-    phases_a: tuple[Sequence[int], int],
-    phases_b: tuple[Sequence[int], int],
-) -> tuple[bool, Fraction | None]:
-    """(True, d) when the places agree and every tooth's phase_b - phase_a = d mod 2.
-
-    The places, compared whole, hold the teeth's positions and magnitudes;
-    the phases are (numerators, den), aligned tooth by tooth.  No teeth give
-    (True, 0).
-    """
-    if places_a != places_b:
-        return (False, None)
-    (nums_a, den_a), (nums_b, den_b) = phases_a, phases_b
-    den = math.lcm(den_a, den_b)
-    sa, sb, modulus = den // den_a, den // den_b, 2 * den
-    diffs = {(y * sb - x * sa) % modulus for x, y in zip(nums_a, nums_b)}
-    if len(diffs) > 1:
-        return (False, None)
-    return (True, Fraction(diffs.pop() if diffs else 0, den))
-
-
 def comb_equal_up_to_phase(
     a: CombState | FiniteComb, b: CombState | FiniteComb
 ) -> tuple[bool, Fraction | None]:
     """Exact equality test modulo one global phase, for finite combs of any mode count and periodic combs.
 
-    Returns (True, phase) with b = e^{i pi phase} a when supports and
-    magnitudes coincide and all phase differences agree; (False, None)
-    otherwise.
+    Returns (True, phase) with b = e^{i pi phase} a when the keys (places and
+    magnitudes) coincide and every tooth's phase difference agrees, (True, 0)
+    for no teeth and (False, None) otherwise.  Periodic combs compare at equal
+    minimal cycle length, from the canonical tooth 0 (see PeriodicSupport).
     """
     if _units(a) != _units(b):
         raise UnitMismatch("combs live in different unit regimes")
@@ -412,20 +391,20 @@ def comb_equal_up_to_phase(
         raise ValueError("support kinds differ")
     if isinstance(a, FiniteComb):
         # both keep their teeth in index order, so none is sorted
-        return _equal_up_to_phase(
-            (a.place_dens, a.places), (b.place_dens, b.places), (a.phase_num, a.den), (b.phase_num, b.den)
-        )
-    pa, pb = a.periodic, b.periodic
-    ratios = lambda p: [ph.as_integer_ratio() for ph in p.pattern]
-    (nums_a, den_a), (nums_b, den_b) = _over_one_den(ratios(pa)), _over_one_den(ratios(pb))
-    # both patterns over one span, a multiple of each length
-    span = math.lcm(len(nums_a), len(nums_b))
-    return _equal_up_to_phase(
-        (pa.offset, pa.period, pa.magnitude),
-        (pb.offset, pb.period, pb.magnitude),
-        (nums_a * (span // len(nums_a)), den_a),
-        (nums_b * (span // len(nums_b)), den_b),
-    )
+        forms = [((c.place_dens, c.places), c.phase_num, c.den) for c in (a, b)]
+    else:
+        key = lambda p: (p.offset, p.period, p.magnitude, len(p.pattern))
+        ratios = lambda p: [ph.as_integer_ratio() for ph in p.pattern]
+        forms = [(key(p), *_over_one_den(ratios(p))) for p in (a.periodic, b.periodic)]
+    (key_a, nums_a, den_a), (key_b, nums_b, den_b) = forms
+    if key_a != key_b:
+        return (False, None)
+    den = math.lcm(den_a, den_b)
+    sa, sb, modulus = den // den_a, den // den_b, 2 * den
+    diffs = {(y * sb - x * sa) % modulus for x, y in zip(nums_a, nums_b)}
+    if len(diffs) > 1:
+        return (False, None)
+    return (True, Fraction(diffs.pop() if diffs else 0, den))
 
 
 def product_comb(a: FiniteComb, b: FiniteComb) -> FiniteComb:

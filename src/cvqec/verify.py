@@ -101,33 +101,28 @@ def detectability_check(
 class LogicalActionResult:
     aligned_fidelity: float
     global_phase: float
-    passed: bool | None = None
 
 
 def logical_action(
     op: FockOperator,
     codewords: Sequence[FockVector],
     target: np.ndarray,
-    tol: float | None = None,
 ) -> LogicalActionResult:
     """Compare op's code-space action against a target 2x2 unitary.
 
     The restricted matrix is normalized by its dominant singular value (the
     truncated operator need not be unitary) and phase-aligned to the target;
     the fidelity |sum conj(T) M| / 2 is 1 exactly when they agree up to a
-    global phase.
+    global phase.  A zero restriction gives fidelity 0.
     """
     _check_codewords(codewords)
     M = restricted_matrix(op, codewords)
     s = float(np.linalg.svd(M, compute_uv=False)[0])
     if s == 0.0:
-        return LogicalActionResult(0.0, 0.0, False if tol is not None else None)
+        return LogicalActionResult(0.0, 0.0)
     Mn = M / s
     overlap = complex(np.sum(np.conj(np.asarray(target, dtype=complex)) * Mn))
-    fidelity = abs(overlap) / 2
-    phase = cmath.phase(overlap)
-    passed = None if tol is None else fidelity >= 1 - tol
-    return LogicalActionResult(fidelity, phase, passed)
+    return LogicalActionResult(abs(overlap) / 2, cmath.phase(overlap))
 
 
 def stabilizer_check(op: FockOperator, codewords: Sequence[FockVector], tol: float) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import teeth as teeth_of, teeth_in_range
@@ -411,6 +411,32 @@ def test_finite_gate_outputs_are_canonical(N, teeth, gate, r):
     assert out == finite_comb(out.unit, [(t.index, t.magnitude, t.phase) for t in teeth_of(out)])
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.integers(1, 5),
+    st.lists(small_phase, min_size=1, max_size=4),
+    st.booleans(),
+    st.sampled_from(["Z", "S", "T", "X", "stab_q", "stab_p", "translate_q", "translate_p"]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+@example(2, F(-7, 2), 2, [F(0), F(1, 2), F(0), F(1, 2)], True, "X", F(0))
+def test_periodic_gate_outputs_are_canonical(N, offset, period, pattern, by_hand, gate, r):
+    # equality aligns periodic combs from tooth 0 over the minimal cycle: every gate output must
+    # have its offset in [0, period) and a pattern that no proper rotation maps to itself
+    unit = bridge_unit(N)
+    if by_hand:
+        state = CombState(unit, PeriodicSupport(offset, period, tuple(ph % 2 for ph in pattern)))
+    else:
+        state = periodic_comb(unit, offset, period, pattern)
+    out = gkp_apply(gate, state, N, amount=r if gate.startswith("translate") else None)
+    p = out.periodic
+    assert 0 <= p.offset < p.period
+    assert all(p.pattern[d:] + p.pattern[:d] != p.pattern for d in range(1, len(p.pattern)))
+    assert out == periodic_comb(out.unit, p.offset, p.period, p.pattern, p.magnitude)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.fractions(min_value=0, max_value=3, max_denominator=3),
@@ -705,6 +731,12 @@ def test_periodic_patterns_differing_by_a_constant(pattern, shift):
     assert comb_equal_up_to_phase(a, b) == (True, shift)
     bent = periodic_comb(unit, 1, 4, [pattern[0] + shift, *pattern[1:]])
     assert comb_equal_up_to_phase(a, bent) == ((True, 0) if shift == 0 else (False, None))
+    for k in (-2, 1):
+        # b from offset 1 + 4k, where tooth t is a's tooth t + k, with its cycle given twice
+        spelling = [pattern[(t + k) % len(pattern)] + shift for t in range(2 * len(pattern))]
+        assert comb_equal_up_to_phase(a, periodic_comb(unit, 1 + 4 * k, 4, spelling)) == (True, shift)
+        spelling[1] += F(1, 3)
+        assert comb_equal_up_to_phase(a, periodic_comb(unit, 1 + 4 * k, 4, spelling)) == (False, None)
 
 
 # --- ranges -------------------------------------------------------------------------

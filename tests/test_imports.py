@@ -2,7 +2,9 @@
 
 Every top-level definition and class member in src/cvqec/ is read by src/ or bench/, so the
 package holds what its commands and the benchmark reach; the few that only an acceptance
-criterion reads are listed with its number.
+criterion reads are listed with its number.  More strictly, each is reached from what runs
+when cvqec.cli runs, following reads through reached definitions; the few that only the benchmark
+reads are listed with the file that reads each.
 """
 
 import ast
@@ -38,26 +40,31 @@ def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def definitions(source: str) -> set[str]:
+def definitions(source: str) -> dict[str, list[ast.AST]]:
     """The names a module's top-level functions, classes and assignments bind, and its classes' members.
 
     A member is a method or property, or an annotated field of a dataclass, named Class.member;
-    dunder methods, which Python calls itself, are left out.
+    dunder methods, which Python calls itself, are left out.  Each name maps to the nodes whose
+    reads it makes once reached: a function's or an assignment's whole statement; a class's
+    decorators, bases and the statements of its body that are not members; a member's statement.
     """
-    names = set()
+    names = {}
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[node.name] = [node]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
-        if isinstance(node, ast.ClassDef):
+            names |= {n.id: [node] for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.ClassDef):
             fields = any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
+            names[node.name] = [*node.decorator_list, *node.bases]
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("__"):
-                    names.add(f"{node.name}.{member.name}")
+                    names[f"{node.name}.{member.name}"] = [member]
                 elif fields and isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                    names.add(f"{node.name}.{member.target.id}")
+                    names[f"{node.name}.{member.target.id}"] = [member]
+                else:
+                    names[node.name].append(member)
     return names
 
 
@@ -112,6 +119,59 @@ def test_every_src_definition_is_read():
     found = set().union(*(unread(source, read) for source in src))
     assert sorted(found - CRITERION_ONLY.keys()) == []
     assert sorted(CRITERION_ONLY.keys() - found) == []  # a name src/ or bench/ reads leaves the list
+
+
+# definitions that only the benchmark reads, with the file under bench/ that reads each; a name
+# leaves the list once cli or a criterion reaches it
+BENCH_ONLY = {
+    "FockOperator.entries": "bench/spans.py",
+    "Alg1Result.grid_values": "bench/run.py",
+    "BlockOperator.diagonal_values": "bench/run.py",
+}
+
+
+def reach(defs: dict[str, list[ast.AST]], read: set[str]) -> set[str]:
+    """The names of `defs` that `read` reaches, adding the reads of each reached name's nodes."""
+    found = set()
+    while new := {name for name in defs.keys() - found if is_read(name, read)}:
+        found |= new
+        read = read | set().union(*(reads(node) for name in new for node in defs[name]))
+    return found
+
+
+def test_reach_follows_reads_from_the_roots():
+    source = "A = 1\nB = A\ndef f(): return g(B)\ndef g(x): return x\ndef u(): return f\n"
+    # a reached class reads its decorators, bases and non-member statements; a member reads its
+    # own statement once it is read as an attribute
+    source += "@deco\nclass K(Base):\n    x = C\n    def __init__(self): D\n    def m(self): E\n    def n(self): F\n"
+    source += "def deco(c): return c\nclass Base: pass\nC = D = E = F = 0\n"
+    source += "@dataclass\nclass R:\n    a: int = G\n    b: int = H\nG = H = 0\n"
+    found = reach(definitions(source), {"f", "K", ".m", ".a"})
+    assert sorted(found) == ["A", "B", "Base", "C", "D", "E", "G", "K", "K.m", "R.a", "deco", "f", "g"]
+
+
+def test_every_src_definition_is_reached_from_cli():
+    """Each definition in src/cvqec/ is reached from cli, a criterion's name or a BENCH_ONLY name.
+
+    A BENCH_ONLY name is read by its file and is not reached from cli or the criteria.
+    """
+    defs = {}
+    for path in MODULES:
+        if path.parent.name == "cvqec":
+            for name, nodes in definitions(path.read_text(encoding="utf-8")).items():
+                defs.setdefault(name, []).extend(nodes)
+    # what runs when cli runs as a program: its statements that define no name
+    cli = ast.parse((ROOT / "src/cvqec/cli.py").read_text(encoding="utf-8")).body
+    defining = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+    read = set().union(*(reads(node) for node in cli if not isinstance(node, defining)))
+    # names as is_read reads them: .name for a member, and a module's attribute for a top-level name
+    as_read = lambda names: {f".{name.rpartition('.')[2]}" for name in names}
+    from_cli = reach(defs, read | as_read(CRITERION_ONLY))
+    found = reach(defs, read | as_read(CRITERION_ONLY) | as_read(BENCH_ONLY))
+    assert sorted(defs.keys() - found) == []
+    assert sorted(BENCH_ONLY.keys() & from_cli) == []
+    for name, path in BENCH_ONLY.items():
+        assert is_read(name, reads((ROOT / path).read_text(encoding="utf-8"))), name
 
 
 def functions(path: str) -> dict[str, ast.FunctionDef]:

@@ -119,8 +119,8 @@ def test_scalar_plus_offspace_noise_passes(c, seed):
 
 
 def test_identity_action_has_unit_fidelity():
-    res = logical_action(FockOperator(8, np.ones(8)), trivial_code(), np.eye(2), tol=1e-9)
-    assert res.passed and res.aligned_fidelity == pytest.approx(1.0)
+    res = logical_action(FockOperator(8, np.ones(8)), trivial_code(), np.eye(2))
+    assert res.aligned_fidelity >= 1 - 1e-9 and res.aligned_fidelity == pytest.approx(1.0)
     assert abs(res.global_phase) < 1e-12
 
 
@@ -128,23 +128,23 @@ def test_z_action_on_fock_code():
     # order-1 code: even/odd supports, so |0>, |1> see Z as diag(1, -1)
     words = [basis(8, 0), basis(8, 1)]
     z = rot_logical_op("Z", 1, 8)
-    res = logical_action(z, words, np.diag([1, -1]), tol=1e-9)
-    assert res.passed and res.aligned_fidelity == pytest.approx(1.0, abs=1e-12)
+    res = logical_action(z, words, np.diag([1, -1]))
+    assert res.aligned_fidelity >= 1 - 1e-9 and res.aligned_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wrong_target_fails():
     words = [basis(8, 0), basis(8, 1)]
     z = rot_logical_op("Z", 1, 8)
-    res = logical_action(z, words, np.eye(2), tol=1e-3)
-    assert not res.passed
+    res = logical_action(z, words, np.eye(2))
+    assert not res.aligned_fidelity >= 1 - 1e-3
     assert res.aligned_fidelity == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_restriction_is_flagged():
     # operator living entirely off the code support
     dim = 8
-    res = logical_action(FockOperator(dim, np.eye(dim)[1]), trivial_code(dim), np.eye(2), tol=1e-9)
-    assert res.passed is False and res.aligned_fidelity == 0.0
+    res = logical_action(FockOperator(dim, np.eye(dim)[1]), trivial_code(dim), np.eye(2))
+    assert (res.aligned_fidelity, res.global_phase) == (0.0, 0.0)
 
 
 def x_fidelity_closed_form(N, D, eps):
@@ -163,10 +163,10 @@ def x_fidelity_closed_form(N, D, eps):
 def test_ideal_x_fidelity_is_envelope_or_edge(N, D, fidelity, passed):
     # the envelope alone at (52, 128) and (53, 128), which fails the 0.95 bar; the edge too at (52, 1024)
     words = [approx_ideal_rot_codeword(N, j, D, 1e-3) for j in (0, 1)]
-    res = logical_action(rot_logical_op("X", N, D), words, np.array([[0, 1], [1, 0]]), tol=5e-2)
+    res = logical_action(rot_logical_op("X", N, D), words, np.array([[0, 1], [1, 0]]))
     want = x_fidelity_closed_form(N, D, 1e-3)
     assert abs(res.aligned_fidelity - want) <= 1e-12
-    assert round(want, 10) == fidelity and res.passed is passed
+    assert round(want, 10) == fidelity and (res.aligned_fidelity >= 1 - 5e-2) is passed
 
 
 @settings(deadline=None, max_examples=30)
