@@ -383,7 +383,8 @@ def comb_equal_up_to_phase(
     Returns (True, phase) with b = e^{i pi phase} a when the keys (places and
     magnitudes) coincide and every tooth's phase difference agrees, (True, 0)
     for no teeth and (False, None) otherwise.  Periodic combs compare at equal
-    minimal cycle length, from the canonical tooth 0 (see PeriodicSupport).
+    minimal cycle length, from the canonical tooth 0 (see PeriodicSupport); a
+    periodic comb not in that form raises ValueError.
     """
     if _units(a) != _units(b):
         raise UnitMismatch("combs live in different unit regimes")
@@ -393,6 +394,10 @@ def comb_equal_up_to_phase(
         # both keep their teeth in index order, so none is sorted
         forms = [((c.place_dens, c.places), c.phase_num, c.den) for c in (a, b)]
     else:
+        for p in (a.periodic, b.periodic):
+            in_period = 0 <= p.offset.numerator < p.period * p.offset.denominator  # 0 <= offset < period
+            if not (in_period and len(_minimal_cycle(p.pattern)) == len(p.pattern)):
+                raise ValueError("a periodic comb needs its canonical form; build it with periodic_comb")
         key = lambda p: (p.offset, p.period, p.magnitude, len(p.pattern))
         ratios = lambda p: [ph.as_integer_ratio() for ph in p.pattern]
         forms = [(key(p), *_over_one_den(ratios(p))) for p in (a.periodic, b.periodic)]

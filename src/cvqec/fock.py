@@ -53,12 +53,6 @@ class FockVector:
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(self.amplitudes))
 
-    def normalized_copy(self) -> "FockVector":
-        n = self.norm
-        if n < SUPPORT_TOL:
-            raise ZeroProjection("cannot normalize a (near-)zero vector")
-        return FockVector(self.dim, self.amplitudes / n)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -214,19 +208,20 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
         for m in range(171, dim):
             amps.append(amps[-1] * (alpha / math.sqrt(m)))
         v = FockVector(dim, amps)
-        if not math.isfinite(v.norm):  # inf or nan: some level or the sum of squares overflowed
+        norm = v.norm  # at least 1: level 0 has amplitude 1
+        if not math.isfinite(norm):  # inf or nan: some level or the sum of squares overflowed
             raise OverflowError
-        return v.normalized_copy()
+        return FockVector(dim, v.amplitudes / norm)
     except OverflowError:
         raise ValueError(f"coherent state of amplitude {alpha} on {dim} levels overflows a float") from None
 
 
 def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> FockVector:
-    """Project a primitive onto the order-N codeword with logical index j.
+    """Project a primitive onto the order-N codeword with logical index j, normalized.
 
-    Computes the projection twice, by index selection (keep m = jN mod 2N)
-    and by the 2N-term rotation sum, and demands the two agree to 1e-12
-    before returning the normalized index-selected result.
+    The projector (1/2N) sum_s ((-1)^j R_{pi/N})^s is the 0/1 mask on m = jN
+    mod 2N, so the projection keeps those levels; a primitive with no weight
+    there raises ZeroProjection.
     """
     if n_fold <= 0:
         raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
@@ -235,21 +230,8 @@ def rot_codeword_from_primitive(primitive: FockVector, n_fold: int, j: int) -> F
     dim = primitive.dim
     if dim < 2 * n_fold:
         raise InvalidDimension(f"dim {dim} < 2*n_fold = {2 * n_fold}")
-
-    residue = np.arange(dim) % (2 * n_fold)
-    selected = np.where(residue == j * n_fold, primitive.amplitudes, 0.0)
-
-    # rotation-sum route: (1/2N) sum_s ((-1)^j R_{pi/N})^s is diagonal, and its entry at
-    # level m is e^{i pi s (m + jN) / N} averaged over s, which depends on m mod 2N only;
-    # the angle's numerator is reduced mod 2N in integers, so it stays small at any level
-    r, s = np.ogrid[: 2 * n_fold, : 2 * n_fold]
-    unit = np.exp(1j * np.pi * np.arange(2 * n_fold) / n_fold)
-    table = unit[(r + j * n_fold) * s % (2 * n_fold)].mean(axis=1)
-    acc = table[residue] * primitive.amplitudes
-
-    if np.max(np.abs(acc - selected)) > 1e-12:
-        raise RuntimeError("projector routes disagree beyond 1e-12; numerical fault")
-
+    selected = np.zeros(dim, dtype=complex)
+    selected[j * n_fold :: 2 * n_fold] = primitive.amplitudes[j * n_fold :: 2 * n_fold]
     norm = np.linalg.norm(selected)
     if norm < SUPPORT_TOL:
         raise ZeroProjection(
@@ -299,20 +281,15 @@ def crot(n_fold: int, m_fold: int, dim1: int, dim2: int) -> FockOperator:
 
 
 def approx_ideal_rot_codeword(n_fold: int, j: int, dim: int, eps: float) -> FockVector:
-    """Normalized envelope comb sum_k e^{-eps (2k+j)N} |(2k+j)N> below `dim`."""
-    if n_fold <= 0:
-        raise InvalidDimension(f"n_fold must be positive, got {n_fold}")
-    if j not in (0, 1):
-        raise ValueError(f"j must be 0 or 1, got {j}")
+    """The ideal family member: the envelope primitive e^{-eps m} on all `dim` levels, projected.
+
+    That is the normalized comb sum_k e^{-eps (2k+j)N} |(2k+j)N> below `dim`,
+    from rot_codeword_from_primitive, so dim < 2N raises InvalidDimension and
+    an envelope that underflows on the sector raises ZeroProjection.
+    """
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    support = np.arange(j * n_fold, dim, 2 * n_fold)
-    if support.size == 0:
-        raise InvalidDimension(f"dim {dim} leaves no support for j={j}, N={n_fold}")
-    amps = np.zeros(dim, dtype=complex)
     with np.errstate(over="ignore"):  # a huge eps gives -inf exponents, whose exp is 0
-        amps[support] = np.exp(-eps * support.astype(float))
-    return FockVector(dim, amps).normalized_copy()
-
+        return rot_codeword_from_primitive(FockVector(dim, np.exp(-eps * np.arange(dim))), n_fold, j)

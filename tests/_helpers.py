@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from cvqec.combs import CombState, FiniteComb, bridge_unit, finite_comb, gkp_apply, product_comb
-from cvqec.fock import FockOperator, FockVector, crot
+from cvqec.errors import ZeroProjection
+from cvqec.fock import SUPPORT_TOL, FockOperator, FockVector, crot
 from cvqec.phases import RationalLike, fraction_view, mod2
 
 
@@ -51,6 +52,33 @@ def basis(dim: int, m: int) -> FockVector:
     amps = np.zeros(dim, dtype=complex)
     amps[m] = 1
     return FockVector(dim, amps)
+
+
+def rotation_sum_projection(primitive: FockVector, n_fold: int, j: int) -> np.ndarray:
+    """The order-N sector j projection of a primitive, unnormalized, as the 2N-term rotation sum.
+
+    (1/2N) sum_s ((-1)^j R_{pi/N})^s is diagonal, and its entry at level m is
+    e^{i pi s (m + jN) / N} averaged over s, which depends on m mod 2N only;
+    the angle's numerator is reduced mod 2N in integers, so it stays small at
+    any level.
+    """
+    residue = np.arange(primitive.dim) % (2 * n_fold)
+    r, s = np.ogrid[: 2 * n_fold, : 2 * n_fold]
+    unit = np.exp(1j * np.pi * np.arange(2 * n_fold) / n_fold)
+    table = unit[(r + j * n_fold) * s % (2 * n_fold)].mean(axis=1)
+    return table[residue] * primitive.amplitudes
+
+
+def ideal_codeword(n_fold: int, j: int, dim: int, eps: float) -> FockVector:
+    """The ideal codeword built directly: e^{-eps m} on the levels m = jN mod 2N below `dim`, normalized."""
+    support = np.arange(j * n_fold, dim, 2 * n_fold)
+    amps = np.zeros(dim, dtype=complex)
+    with np.errstate(over="ignore"):  # a huge eps gives -inf exponents, whose exp is 0
+        amps[support] = np.exp(-eps * support.astype(float))
+    norm = FockVector(dim, amps).norm
+    if norm < SUPPORT_TOL:
+        raise ZeroProjection("cannot normalize a (near-)zero vector")
+    return FockVector(dim, amps / norm)
 
 
 def annihilation(dim: int) -> FockOperator:

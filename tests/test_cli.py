@@ -60,7 +60,7 @@ def test_build_writes_rot_bundle(tmp_path):
     assert len(bundle["codewords"]) == 2
     amps0 = bundle["codewords"][0]["entries"]
     assert amps0[0] == [1.0, 0.0] and all(a == [0.0, 0.0] for a in amps0[1:])
-    # a far level on the j = 1 sector: the rotation-sum route reduces its angle mod 2 pi first
+    # a far level on the j = 1 sector lands in the codeword (test_fock checks the projector at such levels)
     for N, level in ((3, 2613), (5, 3895)):
         argv = ["build-code", "--family", "rot", "--N", str(N), "--D", "4096",
                 "--primitive", f"fock:0,{level}", "--out", str(out)]
@@ -386,7 +386,7 @@ def _retyped(bundle, field, value):
         ("eps", "0.001", "needs a number eps"),
         ("eps", True, "needs a number eps"),
         # e^{-eps m} underflows to 0 on the j = 1 sector, without an overflow warning
-        ("eps", 1e308, "cannot normalize"),
+        ("eps", 1e308, "primitive has no weight on the j=1 sector of order 2"),
     ],
 )
 def test_check_rejects_wrongly_typed_bundles(

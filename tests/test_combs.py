@@ -699,6 +699,21 @@ def test_phase_differences_apart_by_a_small_fraction():
 # --- equality up to one global phase ------------------------------------------------
 
 
+def test_periodic_equality_refuses_a_noncanonical_comb():
+    # built by hand, a comb may repeat its cycle or keep its offset outside [0, period); equality
+    # reads the canonical form, so it refuses such a comb rather than answer (False, None) for an equal one
+    unit, half = bridge_unit(2), (F(0), F(1, 2))
+    repeated = CombState(unit, PeriodicSupport(F(1), 4, half + half))
+    far = CombState(unit, PeriodicSupport(F(5), 4, half))
+    for hand, offset in ((repeated, 1), (far, 5)):
+        canonical = periodic_comb(unit, offset, 4, half)
+        for pair in ((hand, canonical), (canonical, hand)):
+            with pytest.raises(ValueError, match="canonical form"):
+                comb_equal_up_to_phase(*pair)
+        rebuilt = periodic_comb(unit, hand.periodic.offset, 4, hand.periodic.pattern)
+        assert comb_equal_up_to_phase(rebuilt, canonical) == (True, 0)
+
+
 def test_empty_combs_are_equal_with_zero_phase():
     unit = bridge_unit(2)
     assert comb_equal_up_to_phase(finite_comb(unit, []), finite_comb(unit, [])) == (True, 0)

@@ -1,5 +1,6 @@
 """Truncated Fock-space operators, codeword construction, exact phase channels."""
 
+import cmath
 import json
 import math
 import tracemalloc
@@ -7,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvqec.cli import _parse_primitive
 from cvqec.errors import InvalidDimension, NonRationalPhase, ZeroProjection
 from cvqec.fock import (
+    SUPPORT_TOL,
     FockOperator,
     FockVector,
     apply_operator,
@@ -27,7 +30,16 @@ from cvqec.fock import (
 from cvqec.phases import mod2
 from cvqec.verify import restricted_matrix
 
-from _helpers import adjoint, annihilation, basis, phase_to_complex, phases, random_state
+from _helpers import (
+    adjoint,
+    annihilation,
+    basis,
+    ideal_codeword,
+    phase_to_complex,
+    phases,
+    random_state,
+    rotation_sum_projection,
+)
 
 
 # --- operator constructors ----------------------------------------------------
@@ -139,6 +151,71 @@ def test_codewords_from_same_primitive_are_orthogonal():
     assert abs(inner(w0, w1)) < 1e-14
 
 
+def fock_primitive(dim: int, levels: list[int]) -> FockVector:
+    """The primitive `fock:` plus the sorted levels, as build-code parses it."""
+    return _parse_primitive("fock:" + ",".join(map(str, sorted(levels))), dim)
+
+
+@st.composite
+def order_and_primitive(draw):
+    """(N, primitive) with D in [2N, 4096]: a `fock:` level set, a coherent state with |alpha| <= 5,
+    or the unnormalized envelope e^{-eps m} with eps in [0, 1]."""
+    N = draw(st.integers(1, 64))
+    D = draw(st.integers(2 * N, 4096))
+    kind = draw(st.sampled_from(["fock", "coherent", "envelope"]))
+    if kind == "fock":
+        # multiples of N land in a sector, other levels in neither
+        level = st.integers(0, D - 1) | st.integers(0, (D - 1) // N).map(lambda k: k * N)
+        return N, fock_primitive(D, draw(st.lists(level, min_size=1, max_size=6, unique=True)))
+    if kind == "coherent":
+        return N, coherent_state(cmath.rect(draw(st.floats(0, 5)), draw(st.floats(0, 2 * math.pi))), D)
+    return N, FockVector(D, np.exp(-draw(st.floats(0, 1)) * np.arange(D)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(order_and_primitive())
+# far levels on the j = 1 sector, and one in neither sector at the largest D the CLI allows
+@example((3, fock_primitive(4096, [0, 2613])))
+@example((5, fock_primitive(4096, [0, 3895])))
+@example((64, fock_primitive(65536, [0, 65535])))
+def test_codeword_selection_matches_rotation_sum(order_primitive):
+    N, primitive = order_primitive
+    for j in (0, 1):
+        want = rotation_sum_projection(primitive, N, j)
+        try:
+            word = rot_codeword_from_primitive(primitive, N, j)
+        except ZeroProjection:
+            assert np.linalg.norm(want) < SUPPORT_TOL + 1e-12
+            continue
+        # the builder's selection before normalization, within the bound the builder once checked at runtime
+        assert np.max(np.abs(word.amplitudes * np.linalg.norm(want) - want)) <= 1e-12
+
+
+def _outcome(build, *args):
+    """The codeword's amplitude bytes, or the type of the exception `build` raises."""
+    try:
+        return build(*args).amplitudes.tobytes()
+    except Exception as exc:
+        return type(exc)
+
+
+def test_ideal_family_matches_direct_construction_bytewise():
+    for N in (1, 2, 3, 5, 8, 52, 53, 64):
+        for D in (2 * N, 2 * N + 1, 64, 255, 256, 2048, 4096):
+            if D < 2 * N:
+                continue  # refused by the envelope route: test_ideal_codeword_needs_room
+            for eps in (0, 1e-9, 1e-4, 1e-3, 0.0108, 0.1, 5):
+                for j in (0, 1):
+                    args = (N, j, D, eps)
+                    want = _outcome(ideal_codeword, *args)
+                    assert _outcome(approx_ideal_rot_codeword, *args) == want, args
+    # e^{-eps m} underflows to 0 on the j = 1 sector
+    for eps in (800, 1e308):
+        for build in (approx_ideal_rot_codeword, ideal_codeword):
+            with pytest.raises(ZeroProjection):
+                build(3, 1, 64, eps)
+
+
 # --- logical operators -----------------------------------------------------------
 
 
@@ -209,8 +286,10 @@ def test_ideal_codeword_envelope_frozen():
 
 
 def test_ideal_codeword_needs_room():
-    with pytest.raises(InvalidDimension):
-        approx_ideal_rot_codeword(4, 1, 3, 0.1)
+    # dim < 2N is refused on both sectors, though level 0 of the j = 0 sector fits
+    for j in (0, 1):
+        with pytest.raises(InvalidDimension):
+            approx_ideal_rot_codeword(4, j, 3, 0.1)
 
 
 # --- serialization ----------------------------------------------------------------
