@@ -76,31 +76,49 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-# a codeword's entries table at its depth in the bundle: rows of [re, im] pairs
+# the codewords at their depth in the bundle.  A vector's entries table holds rows of [re, im] pairs
 _ROW, _PAIR = "\n        ],\n        [\n          ", ",\n          "
 _ZERO_PAIRS = np.array([f"{a!r}{_PAIR}{b!r}" for a in (0.0, -0.0) for b in (0.0, -0.0)], dtype=object)
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# one tooth of a finite comb codeword's entries table at its depth in the bundle; a phase's unit is pi
+_VECTOR = (
+    '{{\n      "dim": {dim},\n      "entries": [\n        [\n          {rows}\n        ]\n      ],'
+    '\n      "structure": "vector"\n    }}'
+)
+# a comb's unit, a finite comb's teeth and a periodic comb's pattern of phases; a phase's unit is pi
+_UNIT = (
+    '{{\n        "rational": {{\n          "den": {rational[den]},\n          "num": {rational[num]}'
+    '\n        }},\n        "sqrtPiExp": {sqrtPiExp}\n      }}'
+)
 _TOOTH = (
     '{{\n          "index": {{\n            "den": {index[den]},\n            "num": {index[num]}\n          }},'
     '\n          "magnitude": {{\n            "den": {magnitude[den]},\n            "num": {magnitude[num]}'
     '\n          }},\n          "phase": {{\n            "den": {phase[den]},\n            "num": {phase[num]},'
     '\n            "unit": "pi"\n          }}\n        }}'
 )
+_FINITE = (
+    '{{\n      "entries": [\n        {teeth}\n      ],\n      "kind": "finite",\n      "unit": {unit}\n    }}'
+)
+_PHASE = '{{\n          "den": {den},\n          "num": {num},\n          "unit": "pi"\n        }}'
+_PERIODIC = (
+    '{{\n      "kind": "periodic",\n      "magnitude": {{\n        "den": {magnitude[den]},'
+    '\n        "num": {magnitude[num]}\n      }},\n      "offset": {{\n        "den": {offset[den]},'
+    '\n        "num": {offset[num]}\n      }},'
+    '\n      "pattern": [\n        {pattern}\n      ],\n      "period": {period},\n      "unit": {unit}\n    }}'
+)
 
 
 def _bundle_text(bundle: dict) -> str:
     """Exactly json.dumps(bundle, indent=2, sort_keys=True), a FockVector codeword as its to_json_dict().
 
-    A vector's entries table is written from its amplitudes: a pair of zeros is
-    picked by its two sign bits, and any other value is its repr, with json's
-    spelling of nan and inf.  A finite comb codeword's teeth, all integers, are
-    each written from one template.  A table stands in as the string "\\0"
-    until then; "codewords" sorts before every string-valued field, and
-    "entries" before a comb's other fields, so the k-th stand-in is the k-th
-    table.
+    Each codeword is written from a template.  A vector's entries table is
+    written from its amplitudes: a pair of zeros is picked by its two sign
+    bits, and any other value is its repr, with json's spelling of nan and
+    inf.  A comb codeword's numbers are all integers, and each tooth or phase
+    fills one template.  A codeword stands in as the string "\\0" until then;
+    "codewords" sorts before every string-valued field, so the k-th stand-in
+    is the k-th codeword.
     """
-    tables, words = [], []
+    texts, words = [], []
     for w in bundle["codewords"]:
         if isinstance(w, FockVector):
             amps = w.amplitudes
@@ -108,15 +126,21 @@ def _bundle_text(bundle: dict) -> str:
             rest = amps != 0
             values = iter([_JSON_SPELLING.get(v, v) for v in map(repr, amps[rest].view(float).tolist())])
             rows[rest] = list(map(_PAIR.join, zip(values, values)))
-            tables.append("[\n        [\n          " + _ROW.join(rows.tolist()) + "\n        ]\n      ]")
-            w = {"dim": w.dim, "entries": "\0", "structure": "vector"}
+            texts.append(_VECTOR.format(dim=w.dim, rows=_ROW.join(rows.tolist())))
         elif w.get("kind") == "finite" and w["entries"]:
-            tables.append("[\n        " + ",\n        ".join(map(_TOOTH.format_map, w["entries"])) + "\n      ]")
-            w = {**w, "entries": "\0"}
-        words.append(w)
+            teeth = ",\n        ".join(map(_TOOTH.format_map, w["entries"]))
+            texts.append(_FINITE.format(teeth=teeth, unit=_UNIT.format_map(w["unit"])))
+        elif w.get("kind") == "periodic" and w["pattern"]:
+            pattern = ",\n        ".join(map(_PHASE.format_map, w["pattern"]))
+            unit = _UNIT.format_map(w["unit"])
+            texts.append(_PERIODIC.format_map({**w, "pattern": pattern, "unit": unit}))
+        else:
+            words.append(w)
+            continue
+        words.append("\0")
     text = json.dumps({**bundle, "codewords": words}, indent=2, sort_keys=True)
-    for table in tables:
-        text = text.replace('"\\u0000"', table, 1)
+    for word in texts:
+        text = text.replace('"\\u0000"', word, 1)
     return text
 
 
@@ -195,13 +219,20 @@ def _rot_codewords(N: int, D: int, primitive: str, eps: object) -> tuple[list[Fo
     return [rot_codeword_from_primitive(vector, N, j) for j in (0, 1)], False
 
 
+def _bundle(family: str, N: int, primitive: str, codewords: list, D: int | None = None, eps=None) -> dict:
+    """A bundle's fields as build-code writes them; D and eps (null unless ideal) are the rot family's."""
+    bundle = {
+        "tool_version": __version__, "family": family, "N": N, "primitive": primitive, "codewords": codewords
+    }
+    return {**bundle, "D": D, "eps": eps} if family == "rot" else bundle
+
+
 # --- commands ----------------------------------------------------------------
 
 
 def cmd_build_code(config: argparse.Namespace) -> int:
     _require(config.family in ("rot", "gkp"), "family must be rot or gkp")
     _require(1 <= config.N <= MAX_N, f"N must be in [1, {MAX_N}]")
-    bundle = {"tool_version": __version__, "family": config.family, "N": config.N}
     if config.family == "rot":
         _require(config.window is None, "--window applies only to the gkp family")
         D = 64 if config.D is None else config.D
@@ -210,18 +241,14 @@ def cmd_build_code(config: argparse.Namespace) -> int:
         eps = 1e-3 if config.eps is None else config.eps
         _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
         words, ideal = _rot_codewords(config.N, D, primitive, eps)
-        bundle.update({"D": D, "primitive": primitive, "eps": eps if ideal else None, "codewords": words})
+        bundle = _bundle("rot", config.N, primitive, words, D, eps if ideal else None)
     else:
         _require(
             config.D is None and config.eps is None and config.primitive is None,
             "--D, --eps and --primitive apply only to the rot family",
         )
-        bundle.update(
-            {
-                "primitive": "ideal" if config.window is None else f"window:{config.window}",
-                "codewords": _gkp_codewords(config.N, config.window),
-            }
-        )
+        primitive = "ideal" if config.window is None else f"window:{config.window}"
+        bundle = _bundle("gkp", config.N, primitive, _gkp_codewords(config.N, config.window))
     _emit(_bundle_text(bundle), config.out)
     return 0
 
@@ -268,44 +295,91 @@ def _detect_suite_rot(N: int, D: int, words: list[FockVector], ideal: bool, inje
     return results
 
 
-def cmd_check(config: argparse.Namespace) -> int:
-    _require(config.inject_gamma is None or config.suite == "detect", "--inject-gamma needs --suite detect")
-    with open(config.code, "rb") as fh:
-        text = fh.read(MAX_BUNDLE_BYTES + 1)
-    _require(len(text) <= MAX_BUNDLE_BYTES, f"bundle file is longer than {MAX_BUNDLE_BYTES} bytes")
-    bundle = json.loads(text.decode("utf-8"))
+def _rebuilt(bundle: dict, suite: str | None) -> dict:
+    """The bundle build-code writes from a read bundle's fields, each checked as it is read.
+
+    Both families rebuild their codewords from N and the primitive.  The comb
+    side has only the logical suite; with suite None that refusal is left to
+    the caller.
+    """
     _require(isinstance(bundle, dict), "bundle must be a JSON object")
     family = bundle.get("family")
     _require(family in ("rot", "gkp"), f"bundle has unknown family {family!r}")
     N = _field(bundle, "N")
     _require(type(N) is int, "bundle N must be an integer")
     _require(1 <= N <= MAX_N, f"N must be in [1, {MAX_N}]")
-    # both families rebuild their codewords from N and the primitive
     primitive = _field(bundle, "primitive")
     _require(isinstance(primitive, str), f"bundle primitive must be a string, got {primitive!r}")
     if family == "gkp":
-        _require(
-            config.suite == "logical",
-            "detect suite needs Fock-side codes; comb-side checks live in the logical suite",
-        )
+        _require_logical_suite(suite)
         # only the labels build-code writes: W in canonical decimal
         match = re.fullmatch(r"ideal|window:(0|[1-9][0-9]*)", primitive)
         _require(match is not None, f"gkp primitive must be ideal or window:W, got {primitive!r}")
         window = match[1]
         # more digits than MAX_WINDOW is too large, and int() refuses more than 4,300
         _require(window is None or len(window) <= len(str(MAX_WINDOW)), f"window must be at most {MAX_WINDOW}")
-        words = _gkp_codewords(N, None if window is None else int(window))
-        _require(_field(bundle, "codewords") == words, "bundle codewords are not its N's gkp codewords")
-        return _finish(config, gkp_exact_suite(N))
+        return _bundle("gkp", N, primitive, _gkp_codewords(N, None if window is None else int(window)))
     D, eps = _field(bundle, "D"), _field(bundle, "eps")
     _require(type(D) is int, "bundle D must be an integer")
     _require(1 <= D <= MAX_D, f"D must be in [1, {MAX_D}]")
     words, ideal = _rot_codewords(N, D, primitive, eps)
     _require(ideal or eps is None, f"a non-ideal primitive's eps must be null, got {eps!r}")
-    _require(
-        _field(bundle, "codewords") == [w.to_json_dict() for w in words],
-        "bundle codewords differ from those its N, D, primitive and eps build",
-    )
+    return _bundle("rot", N, primitive, words, D, eps)
+
+
+def _require_logical_suite(suite: str | None) -> None:
+    _require(suite != "detect", "detect suite needs Fock-side codes; comb-side checks live in the logical suite")
+
+
+# in build-code's layout the codewords table opens after the head's last field and closes before the tail's first
+_TABLE_OPEN, _TABLE_CLOSE = b'\n  "codewords": [\n', b"\n  ],"
+
+
+def _bundle_by_bytes(text: bytes) -> dict | None:
+    """The rebuilt bundle when `text` is byte for byte the file build-code writes for it, else None.
+
+    The fields around the codewords table, the head (D, N) and the tail (eps,
+    family, primitive, tool_version), are parsed as one JSON object.  No JSON
+    string holds a raw newline, so the table closes at the last list close at
+    depth 1, however long the label.  Equal bytes prove that the file parses to
+    exactly the rebuilt bundle (its values are finite, and a float's repr reads
+    back as itself), so the verdict is the parse's; a misread only costs the parse.
+    """
+    try:
+        head = text.index(_TABLE_OPEN)
+        tail = text.rindex(_TABLE_CLOSE) + len(_TABLE_CLOSE)
+        bundle = _rebuilt(json.loads(text[:head] + text[tail:]), None)
+        if (_bundle_text(bundle) + "\n").encode() == text:
+            return bundle
+    except Exception:  # _parsed_bundle raises any error that matters, in check's order of fields
+        pass
+    return None
+
+
+def _parsed_bundle(text: bytes, suite: str) -> dict:
+    """The rebuilt bundle of a file in any layout, once its codewords tables equal the rebuilt ones."""
+    parsed = json.loads(text.decode("utf-8"))
+    bundle = _rebuilt(parsed, suite)
+    if bundle["family"] == "gkp":
+        tables, message = bundle["codewords"], "bundle codewords are not its N's gkp codewords"
+    else:
+        tables = [w.to_json_dict() for w in bundle["codewords"]]
+        message = "bundle codewords differ from those its N, D, primitive and eps build"
+    _require(_field(parsed, "codewords") == tables, message)
+    return bundle
+
+
+def cmd_check(config: argparse.Namespace) -> int:
+    _require(config.inject_gamma is None or config.suite == "detect", "--inject-gamma needs --suite detect")
+    with open(config.code, "rb") as fh:
+        text = fh.read(MAX_BUNDLE_BYTES + 1)
+    _require(len(text) <= MAX_BUNDLE_BYTES, f"bundle file is longer than {MAX_BUNDLE_BYTES} bytes")
+    bundle = _bundle_by_bytes(text) or _parsed_bundle(text, config.suite)
+    N = bundle["N"]
+    if bundle["family"] == "gkp":
+        _require_logical_suite(config.suite)
+        return _finish(config, gkp_exact_suite(N))
+    D, words, ideal = bundle["D"], bundle["codewords"], bundle["primitive"] == "ideal"
     if config.suite == "logical":
         return _finish(config, _logical_suite_rot(N, D, words, ideal))
     return _finish(config, _detect_suite_rot(N, D, words, ideal, config.inject_gamma))

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -266,15 +268,16 @@ def test_gkp_detect_suite_is_refused(gkp_bundle, capsys):
     assert "logical suite" in err
 
 
-def _hand_written_bundle(path, family, N, D=None):
-    """A bundle with well-formed codewords, written without build-code's bounds."""
+def _hand_written_bundle(path, family, N, D=None, indented=False):
+    """A bundle with well-formed codewords, written without build-code's bounds: compact, or
+    indented as build-code writes it, byte for byte."""
     bundle = {"tool_version": __version__, "family": family, "N": N, "primitive": "ideal"}
     if family == "rot":
         words = [approx_ideal_rot_codeword(N, j, D, 1e-3).to_json_dict() for j in (0, 1)]
         bundle.update({"D": D, "eps": 1e-3, "codewords": words})
     else:
         bundle["codewords"] = [comb_to_json_dict(gkp_codeword(N, j)) for j in (0, 1)]
-    path.write_text(json.dumps(bundle))
+    path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n" if indented else json.dumps(bundle))
     return path
 
 
@@ -288,11 +291,12 @@ def _hand_written_bundle(path, family, N, D=None):
     ],
 )
 def test_check_rejects_oversized_bundles(tmp_path, capsys, suite, family, N, D, message):
-    path = _hand_written_bundle(tmp_path / "big.json", family, N, D)
-    assert main(["check", "--code", str(path), "--suite", suite]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and message in captured.err
+    for indented in (False, True):
+        path = _hand_written_bundle(tmp_path / "big.json", family, N, D, indented)
+        assert main(["check", "--code", str(path), "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
 
 
 def _check_exit(path, suite):
@@ -738,6 +742,19 @@ def test_windowed_gkp_bundle_matches_indented_dumps(N, window):
     assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
 
 
+def test_periodic_gkp_bundle_matches_indented_dumps():
+    # each periodic codeword fills one template, and each phase of its pattern another: the ideal
+    # codewords have one phase, and S and T at a fractional offset give longer patterns
+    words = [cli._gkp_codewords(N, None) for N in range(1, MAX_N + 1)]
+    for N, gate, offset in [(1, "S", Fraction(1, 2)), (2, "T", Fraction(1, 3)), (3, "S", Fraction(1, 5))]:
+        comb = combs.periodic_comb(combs.bridge_unit(N), offset, 2 * N, [0])
+        words.append([comb_to_json_dict(comb), comb_to_json_dict(combs.gkp_apply(gate, comb, N))])
+    for pair in words:
+        bundle = {"tool_version": __version__, "family": "gkp", "N": 2, "primitive": "ideal", "codewords": pair}
+        assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
+    assert max(len(w["pattern"]) for pair in words for w in pair) > 1
+
+
 @pytest.mark.parametrize(
     "N, primitive", [(64, "ideal"), (3, "coherent:0.3+1j"), (3, "coherent:1"), (64, "fock:0,64")]
 )
@@ -846,6 +863,147 @@ def test_traced_detect_images_are_operators(tmp_path, monkeypatch):
     assert sorted(Counter(map(id, images)).values()) == [4, 8]
 
 
+# --- check by bytes -------------------------------------------------------------------
+
+
+def _outcome(argv):
+    """Exit code, stdout, stderr and Python warnings of main(argv); an escaping exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _parsed_outcome(argv):
+    """_outcome(argv) with the byte path switched off, so that check parses every bundle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_bundle_by_bytes", lambda text: None)
+        return _outcome(argv)
+
+
+FOCK_EVERY_LEVEL = "fock:" + ",".join(map(str, range(MAX_D)))
+# every bundle the benchmark's two workloads build, the largest order at the D cap, eps at its
+# edges, each primitive family and the two largest labels: the longest fock label and the widest window
+BYTE_PATH_BUNDLES = [
+    *(f"rot --N {N} --D {D} --eps 0.001" for N in range(1, 9) for D in (64, 256)),
+    "rot --N 3 --D 2048 --eps 0.001",
+    *(f"gkp --N {N}" for N in range(1, 9)),
+    f"rot --N {MAX_N} --D {MAX_D}",
+    *(f"rot --N 2 --D 64 --eps {eps}" for eps in ("0", "-0.0", "1e-320", "0.0108")),
+    "rot --N 2 --D 16 --primitive fock:0,2,4",
+    "rot --N 3 --D 64 --primitive coherent:0.3+1j",
+    f"gkp --N {MAX_N} --window {MAX_WINDOW}",
+    f"rot --N 1 --D {MAX_D} --primitive {FOCK_EVERY_LEVEL}",
+]
+
+
+@pytest.mark.parametrize("options", BYTE_PATH_BUNDLES, ids=lambda options: options[:40])
+def test_check_by_bytes_matches_the_parse(tmp_path, monkeypatch, options):
+    # a bundle build-code wrote is decided from its bytes: no JSON parse sees its codewords tables,
+    # and every suite gives the exit code, stdout, stderr and --out bytes of the parse and compare
+    code, out = tmp_path / "code.json", tmp_path / "out.json"
+    assert main(["build-code", "--family", *options.split(), "--out", str(code)]) == 0
+    tables, real_loads = [], json.loads  # whether each JSON parse sees a codewords table
+
+    def loads(text, *args, **kwargs):
+        tables.append('"codewords"' in (text.decode() if isinstance(text, bytes) else text))
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    for suite in (["logical"], ["detect"], ["detect", "--inject-gamma", "2"]):
+        for target in ([], ["--out", str(out)]):
+            argv = ["check", "--code", str(code), "--suite", *suite, *target]
+            outcomes = []
+            for run in (_outcome, _parsed_outcome):
+                out.unlink(missing_ok=True)
+                outcomes.append((*run(argv), out.read_bytes() if out.exists() else None))
+            assert outcomes[0] == outcomes[1], argv
+            assert outcomes[0][0] in (0, 1) or "error:" in outcomes[0][2]
+    # the byte path parses the head and tail alone; the parse path, the whole bundle
+    assert tables == [False, True] * 6
+
+
+@pytest.fixture(scope="module")
+def built_rot_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("near") / "rot.json"
+    assert main(["build-code", "--family", "rot", "--N", "2", "--D", "64", "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+DIFFER = "bundle codewords differ from those its N, D, primitive and eps build"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the first decimal of codeword 0's first amplitude
+        (lambda t: re.sub(r"(\[\n          0\.)(\d)", lambda m: m[1] + str((int(m[2]) + 1) % 10), t, count=1),
+         DIFFER),
+        (lambda t: t.replace('"N": 2,', '"N": 3,'), DIFFER),
+        (lambda t: t.replace('"D": 64,', '"D": 65,'), DIFFER),
+        (lambda t: t.replace('"eps": 0.001,', '"eps": 0.002,'), DIFFER),
+        (lambda t: t.replace('"primitive": "ideal"', '"primitive": "fock:0,2"'), "eps must be null"),
+        # the rest are the same bundle: check ignores tool_version and layout
+        (lambda t: t.replace(f'"tool_version": "{__version__}"', '"tool_version": "0.0.0"'), None),
+        (lambda t: t.removesuffix("\n"), None),
+        (lambda t: t.replace("\n", "\r\n"), None),
+        (lambda t: t.replace("{\n", '{\n  "note": "extra",\n', 1), None),
+        (lambda t: json.dumps(json.loads(t)), None),
+    ],
+    ids=["amplitude-digit", "N", "D", "eps", "primitive", "tool_version", "no-final-newline", "crlf",
+         "extra-key", "compact"],
+)
+def test_near_miss_bundles_keep_the_parsed_verdict(built_rot_text, tmp_path, edit, message):
+    text = edit(built_rot_text)
+    assert text != built_rot_text
+    assert cli._bundle_by_bytes(text.encode()) is None
+    path = tmp_path / "code.json"
+    path.write_bytes(built_rot_text.encode())
+    argv = ["check", "--code", str(path), "--suite", "logical"]
+    built = _outcome(argv)
+    path.write_bytes(text.encode())
+    code, out, err, caught = _outcome(argv)
+    assert not caught
+    if message is None:
+        assert (code, out, err) == built[:3] and code == 0
+    else:
+        assert (code, out) == (2, "") and err.startswith("error:") and message in err
+
+
+@pytest.fixture(scope="module")
+def small_bundle_texts(tmp_path_factory):
+    """build-code's bytes for a small ideal rot bundle and a windowed gkp one."""
+    texts = []
+    for options in ("rot --N 2 --D 8", "gkp --N 1 --window 1"):
+        path = tmp_path_factory.mktemp("edit") / "code.json"
+        assert main(["build-code", "--family", *options.split(), "--out", str(path)]) == 0
+        texts.append(path.read_bytes())
+    return texts
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    which=st.sampled_from([0, 1]),
+    op=st.sampled_from(["replace", "delete", "insert"]),
+    at=st.floats(0, 1, exclude_max=True),
+    byte=st.integers(0, 255),
+    suite=st.sampled_from(["logical", "detect"]),
+)
+def test_single_byte_edits_keep_the_parsed_verdict(
+    small_bundle_texts, tmp_path_factory, which, op, at, byte, suite
+):
+    text = small_bundle_texts[which]
+    i = int(at * len(text))
+    text = {"replace": text[:i] + bytes([byte]) + text[i + 1:], "delete": text[:i] + text[i + 1:],
+            "insert": text[:i] + bytes([byte]) + text[i:]}[op]
+    path = tmp_path_factory.getbasetemp() / "edited.json"
+    path.write_bytes(text)
+    argv = ["check", "--code", str(path), "--suite", suite]
+    assert _outcome(argv) == _parsed_outcome(argv)
+
+
 # --- reproducibility -----------------------------------------------------------------
 
 
@@ -858,7 +1016,7 @@ def test_reports_are_byte_identical(tmp_path):
 
 
 def test_check_report_ignores_bundle_layout(tmp_path, capsys):
-    # check reads a bundle's fields, not its bytes: compact, unsorted JSON gives the same report
+    # another layout is parsed and its fields compared: compact, unsorted JSON gives the same report
     code = tmp_path / "rot.json"
     assert main(["build-code", "--family", "rot", "--N", "2", "--D", "16", "--out", str(code)]) == 0
     argv = ["check", "--code", str(code), "--suite", "logical"]
