@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__, isometries
 from .bridge import bridge_gate_table, map_error_generators
-from .combs import comb_to_json_dict, gkp_codeword
+from .combs import CombState, FiniteComb, gkp_codeword
 from .errors import CVCodeError
 from .fock import (
     FockVector,
@@ -84,64 +85,77 @@ _VECTOR = (
     '{{\n      "dim": {dim},\n      "entries": [\n        [\n          {rows}\n        ]\n      ],'
     '\n      "structure": "vector"\n    }}'
 )
-# a comb's unit, a finite comb's teeth and a periodic comb's pattern of phases; a phase's unit is pi
+# a comb's unit, a finite comb's teeth (index, magnitude and phase as least-terms pairs) and a
+# periodic comb's pattern of phases; a phase's unit is pi
 _UNIT = (
-    '{{\n        "rational": {{\n          "den": {rational[den]},\n          "num": {rational[num]}'
-    '\n        }},\n        "sqrtPiExp": {sqrtPiExp}\n      }}'
+    '{{\n        "rational": {{\n          "den": {u.scale.denominator},\n          "num": {u.scale.numerator}'
+    '\n        }},\n        "sqrtPiExp": {u.sqrt_pi_exp}\n      }}'
 )
 _TOOTH = (
-    '{{\n          "index": {{\n            "den": {index[den]},\n            "num": {index[num]}\n          }},'
-    '\n          "magnitude": {{\n            "den": {magnitude[den]},\n            "num": {magnitude[num]}'
-    '\n          }},\n          "phase": {{\n            "den": {phase[den]},\n            "num": {phase[num]},'
+    '{{\n          "index": {{\n            "den": {1},\n            "num": {0}\n          }},'
+    '\n          "magnitude": {{\n            "den": {3},\n            "num": {2}'
+    '\n          }},\n          "phase": {{\n            "den": {5},\n            "num": {4},'
     '\n            "unit": "pi"\n          }}\n        }}'
 )
 _FINITE = (
     '{{\n      "entries": [\n        {teeth}\n      ],\n      "kind": "finite",\n      "unit": {unit}\n    }}'
 )
-_PHASE = '{{\n          "den": {den},\n          "num": {num},\n          "unit": "pi"\n        }}'
+_PHASE = '{{\n          "den": {0.denominator},\n          "num": {0.numerator},\n          "unit": "pi"\n        }}'
 _PERIODIC = (
-    '{{\n      "kind": "periodic",\n      "magnitude": {{\n        "den": {magnitude[den]},'
-    '\n        "num": {magnitude[num]}\n      }},\n      "offset": {{\n        "den": {offset[den]},'
-    '\n        "num": {offset[num]}\n      }},'
-    '\n      "pattern": [\n        {pattern}\n      ],\n      "period": {period},\n      "unit": {unit}\n    }}'
+    '{{\n      "kind": "periodic",\n      "magnitude": {{\n        "den": {p.magnitude.denominator},'
+    '\n        "num": {p.magnitude.numerator}\n      }},\n      "offset": {{\n        "den": {p.offset.denominator},'
+    '\n        "num": {p.offset.numerator}\n      }},'
+    '\n      "pattern": [\n        {pattern}\n      ],\n      "period": {p.period},\n      "unit": {unit}\n    }}'
 )
 
 
-def _bundle_text(bundle: dict) -> str:
-    """Exactly json.dumps(bundle, indent=2, sort_keys=True), a FockVector codeword as its to_json_dict().
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
 
-    Each codeword is written from a template.  A vector's entries table is
-    written from its amplitudes: a pair of zeros is picked by its two sign
-    bits, and any other value is its repr, with json's spelling of nan and
-    inf.  A comb codeword's numbers are all integers, and each tooth or phase
-    fills one template.  A codeword stands in as the string "\\0" until then;
-    "codewords" sorts before every string-valued field, so the k-th stand-in
-    is the k-th codeword.
+
+def _codeword_text(w: FockVector | FiniteComb | CombState) -> str:
+    """A codeword's JSON text at its depth in a bundle, from its template.
+
+    A vector's entries table is written from its amplitudes: a pair of zeros is
+    picked by its two sign bits, and any other value is its repr, with json's
+    spelling of nan and inf.  A finite comb's index, magnitude and phase are
+    its integer numerators over their denominators, each reduced by one gcd; a
+    periodic comb's offset, magnitude and phases are Fractions, already in
+    least terms.
     """
-    texts, words = [], []
-    for w in bundle["codewords"]:
-        if isinstance(w, FockVector):
-            amps = w.amplitudes
-            rows = _ZERO_PAIRS[2 * np.signbit(amps.real) + np.signbit(amps.imag)]
-            rest = amps != 0
-            values = iter([_JSON_SPELLING.get(v, v) for v in map(repr, amps[rest].view(float).tolist())])
-            rows[rest] = list(map(_PAIR.join, zip(values, values)))
-            texts.append(_VECTOR.format(dim=w.dim, rows=_ROW.join(rows.tolist())))
-        elif w.get("kind") == "finite" and w["entries"]:
-            teeth = ",\n        ".join(map(_TOOTH.format_map, w["entries"]))
-            texts.append(_FINITE.format(teeth=teeth, unit=_UNIT.format_map(w["unit"])))
-        elif w.get("kind") == "periodic" and w["pattern"]:
-            pattern = ",\n        ".join(map(_PHASE.format_map, w["pattern"]))
-            unit = _UNIT.format_map(w["unit"])
-            texts.append(_PERIODIC.format_map({**w, "pattern": pattern, "unit": unit}))
-        else:
-            words.append(w)
-            continue
-        words.append("\0")
-    text = json.dumps({**bundle, "codewords": words}, indent=2, sort_keys=True)
-    for word in texts:
-        text = text.replace('"\\u0000"', word, 1)
-    return text
+    if isinstance(w, FockVector):
+        amps = w.amplitudes
+        rows = _ZERO_PAIRS[2 * np.signbit(amps.real) + np.signbit(amps.imag)]
+        rest = amps != 0
+        values = iter([_JSON_SPELLING.get(v, v) for v in map(repr, amps[rest].view(float).tolist())])
+        rows[rest] = list(map(_PAIR.join, zip(values, values)))
+        return _VECTOR.format(dim=w.dim, rows=_ROW.join(rows.tolist()))
+    unit = _UNIT.format(u=w.unit)  # a two-mode comb has no single unit, and refuses here
+    if isinstance(w, FiniteComb):
+        (d, dm), den = w.place_dens, w.den
+        teeth = ",\n        ".join(
+            _TOOTH.format(*_lowest(x, d), *_lowest(m, dm), *_lowest(n, den)) for (x, m), n in zip(w.places, w.phase_num)
+        )
+        return _FINITE.format(teeth=teeth, unit=unit)
+    pattern = ",\n        ".join(map(_PHASE.format, w.periodic.pattern))
+    return _PERIODIC.format(p=w.periodic, pattern=pattern, unit=unit)
+
+
+def _bundle_text(bundle: dict) -> str:
+    """A bundle's JSON text, laid out as json.dumps(..., indent=2, sort_keys=True) lays it out.
+
+    Each scalar field is json.dumps of its value, which is the text the
+    indented encoder gives a scalar, and each codeword is its _codeword_text.
+    The pieces are joined once: every copy of a large bundle's text costs time.
+    """
+    words = ",\n    ".join(map(_codeword_text, bundle["codewords"]))
+    pieces = ["{\n"]
+    for key, value in sorted(bundle.items()):
+        text = ["[\n    ", words, "\n  ]"] if key == "codewords" else [json.dumps(value)]
+        pieces += [f'  "{key}": ', *text, ",\n"]
+    pieces[-1] = "\n}"  # the last field takes no comma
+    return "".join(pieces)
 
 
 def _report_text(config: argparse.Namespace, results: list[dict]) -> str:
@@ -202,10 +216,10 @@ def _parse_primitive(text: str, dim: int) -> FockVector | None:
     raise ValueError(f"unrecognized primitive {text!r} (use ideal, fock:..., coherent:...)")
 
 
-def _gkp_codewords(N: int, window: int | None) -> list[dict]:
-    """The order-N gkp codewords in JSON form; gkp_codeword refuses a negative window."""
+def _gkp_codewords(N: int, window: int | None) -> list[CombState | FiniteComb]:
+    """The order-N gkp codewords; gkp_codeword refuses a negative window."""
     _require(window is None or window <= MAX_WINDOW, f"window must be at most {MAX_WINDOW}")
-    return [comb_to_json_dict(gkp_codeword(N, j, window=window)) for j in (0, 1)]
+    return [gkp_codeword(N, j, window=window) for j in (0, 1)]
 
 
 def _rot_codewords(N: int, D: int, primitive: str, eps: object) -> tuple[list[FockVector], bool]:
@@ -357,15 +371,12 @@ def _bundle_by_bytes(text: bytes) -> dict | None:
 
 
 def _parsed_bundle(text: bytes, suite: str) -> dict:
-    """The rebuilt bundle of a file in any layout, once its codewords tables equal the rebuilt ones."""
+    """The rebuilt bundle of a file in any layout, once its codewords equal, as parsed values, the rebuilt text's."""
     parsed = json.loads(text.decode("utf-8"))
     bundle = _rebuilt(parsed, suite)
-    if bundle["family"] == "gkp":
-        tables, message = bundle["codewords"], "bundle codewords are not its N's gkp codewords"
-    else:
-        tables = [w.to_json_dict() for w in bundle["codewords"]]
-        message = "bundle codewords differ from those its N, D, primitive and eps build"
-    _require(_field(parsed, "codewords") == tables, message)
+    message = {"gkp": "bundle codewords are not its N's gkp codewords",
+               "rot": "bundle codewords differ from those its N, D, primitive and eps build"}[bundle["family"]]
+    _require(_field(parsed, "codewords") == json.loads(_bundle_text(bundle))["codewords"], message)
     return bundle
 
 

@@ -26,7 +26,7 @@ from itertools import accumulate, product
 from typing import Iterable, Sequence
 
 from .errors import UnitMismatch
-from .phases import RationalLike, as_fraction, as_ratio, mod2, rational_to_json
+from .phases import RationalLike, as_fraction, as_ratio, mod2
 
 
 @dataclass(frozen=True)
@@ -429,33 +429,3 @@ def product_comb(a: FiniteComb, b: FiniteComb) -> FiniteComb:
     phase_num = [x * sa + y * sb for x in a.phase_num for y in b.phase_num]
     return FiniteComb(units, places, (d1, d2, dm), phase_num, den)
 
-
-# --- serialization ---------------------------------------------------------
-
-
-def comb_to_json_dict(state: CombState | FiniteComb) -> dict:
-    finite = isinstance(state, FiniteComb)
-    out = {
-        "unit": {
-            "sqrtPiExp": state.unit.sqrt_pi_exp,
-            "rational": rational_to_json(*state.unit.scale.as_integer_ratio()),
-        },
-        "kind": "finite" if finite else "periodic",
-    }
-    if finite:
-        (d, dm), den = state.place_dens, state.den
-        out["entries"] = [
-            {
-                "index": rational_to_json(x, d),
-                "magnitude": rational_to_json(m, dm),
-                "phase": rational_to_json(n, den, unit="pi"),
-            }
-            for (x, m), n in zip(state.places, state.phase_num)
-        ]
-    else:
-        p = state.periodic
-        out["offset"] = rational_to_json(*p.offset.as_integer_ratio())
-        out["period"] = p.period
-        out["pattern"] = [rational_to_json(*ph.as_integer_ratio(), unit="pi") for ph in p.pattern]
-        out["magnitude"] = rational_to_json(*p.magnitude.as_integer_ratio())
-    return out

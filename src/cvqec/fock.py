@@ -53,13 +53,6 @@ class FockVector:
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(self.amplitudes))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "structure": "vector",
-            "entries": np.column_stack((self.amplitudes.real, self.amplitudes.imag)).tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class FockOperator:

@@ -8,7 +8,6 @@ appear only when a state or operator is materialized as a numpy array.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -58,11 +57,3 @@ def fraction_view(num: np.ndarray, den: int) -> tuple[Fraction, ...]:
     """The Fraction view of numerators over one denominator."""
     return tuple(Fraction(n, den) for n in num.tolist())
 
-
-def rational_to_json(num: int, den: int, unit: str | None = None) -> dict:
-    """num / den (den > 0) in least terms, as JSON."""
-    g = math.gcd(num, den)
-    out = {"num": num // g, "den": den // g}
-    if unit is not None:
-        out["unit"] = unit
-    return out

@@ -47,6 +47,44 @@ def teeth_in_range(state: CombState, lo: int, hi: int) -> list[Tooth]:
     return [Tooth(p.offset + t * p.period, p.magnitude, p.pattern[t % L]) for t in range(first, stop)]
 
 
+def rational_to_json(num: int, den: int, unit: str | None = None) -> dict:
+    """The JSON oracle of num / den (den > 0): least terms, with an optional unit tag."""
+    g = math.gcd(num, den)
+    out = {"num": num // g, "den": den // g}
+    if unit is not None:
+        out["unit"] = unit
+    return out
+
+
+def vector_to_json_dict(v: FockVector) -> dict:
+    """The JSON oracle of a bundle's vector codeword: one [re, im] pair per level."""
+    entries = np.column_stack((v.amplitudes.real, v.amplitudes.imag)).tolist()
+    return {"dim": v.dim, "structure": "vector", "entries": entries}
+
+
+def comb_to_json_dict(state: CombState | FiniteComb) -> dict:
+    """The JSON oracle of a bundle's comb codeword, finite or periodic, with its unit."""
+    unit = state.unit
+    out = {
+        "unit": {"sqrtPiExp": unit.sqrt_pi_exp, "rational": rational_to_json(*unit.scale.as_integer_ratio())},
+        "kind": "finite" if isinstance(state, FiniteComb) else "periodic",
+    }
+    if isinstance(state, FiniteComb):
+        (d, dm), den = state.place_dens, state.den
+        out["entries"] = [
+            {"index": rational_to_json(x, d), "magnitude": rational_to_json(m, dm),
+             "phase": rational_to_json(n, den, unit="pi")}
+            for (x, m), n in zip(state.places, state.phase_num)
+        ]
+    else:
+        p = state.periodic
+        out["offset"] = rational_to_json(*p.offset.as_integer_ratio())
+        out["period"] = p.period
+        out["pattern"] = [rational_to_json(*ph.as_integer_ratio(), unit="pi") for ph in p.pattern]
+        out["magnitude"] = rational_to_json(*p.magnitude.as_integer_ratio())
+    return out
+
+
 def basis(dim: int, m: int) -> FockVector:
     """The number state |m> on `dim` levels."""
     amps = np.zeros(dim, dtype=complex)

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import comb_to_json_dict, vector_to_json_dict
 from cvqec import __version__, cli, combs, fock, isometries
 from cvqec.cli import MAX_D, MAX_N, MAX_WINDOW, _bundle_text, main
-from cvqec.combs import comb_to_json_dict, gkp_codeword
+from cvqec.combs import gkp_codeword
 from cvqec.fock import approx_ideal_rot_codeword
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -273,7 +274,7 @@ def _hand_written_bundle(path, family, N, D=None, indented=False):
     indented as build-code writes it, byte for byte."""
     bundle = {"tool_version": __version__, "family": family, "N": N, "primitive": "ideal"}
     if family == "rot":
-        words = [approx_ideal_rot_codeword(N, j, D, 1e-3).to_json_dict() for j in (0, 1)]
+        words = [vector_to_json_dict(approx_ideal_rot_codeword(N, j, D, 1e-3)) for j in (0, 1)]
         bundle.update({"D": D, "eps": 1e-3, "codewords": words})
     else:
         bundle["codewords"] = [comb_to_json_dict(gkp_codeword(N, j)) for j in (0, 1)]
@@ -726,20 +727,21 @@ table_floats = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e3
     )
 )
 def test_bundle_text_matches_indented_dumps(tables):
-    # the writer reads each codeword's amplitude array; json.dumps of its to_json_dict() is the oracle
+    # the writer reads each codeword's amplitude array; json.dumps of its oracle dict is the oracle
     words = [fock.FockVector(len(t), np.array(t, dtype=float).view(complex).ravel()) for t in tables]
     fields = {"tool_version": __version__, "family": "rot", "N": 2, "D": 16, "primitive": "ideal", "eps": 1e-3}
-    oracle = {**fields, "codewords": [w.to_json_dict() for w in words]}
+    oracle = {**fields, "codewords": list(map(vector_to_json_dict, words))}
     assert _bundle_text({**fields, "codewords": words}) == json.dumps(oracle, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("N", [1, 64])
 @pytest.mark.parametrize("window", [0, 1, 3, MAX_WINDOW])
 def test_windowed_gkp_bundle_matches_indented_dumps(N, window):
-    # the writer fills each finite tooth into one template; json.dumps of the same dicts is the oracle
+    # the writer fills each finite tooth into one template; json.dumps of the oracle dicts is the oracle
     bundle = {"tool_version": __version__, "family": "gkp", "N": N, "primitive": f"window:{window}",
               "codewords": cli._gkp_codewords(N, window)}
-    assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
+    oracle = {**bundle, "codewords": list(map(comb_to_json_dict, bundle["codewords"]))}
+    assert _bundle_text(bundle) == json.dumps(oracle, indent=2, sort_keys=True)
 
 
 def test_periodic_gkp_bundle_matches_indented_dumps():
@@ -748,11 +750,12 @@ def test_periodic_gkp_bundle_matches_indented_dumps():
     words = [cli._gkp_codewords(N, None) for N in range(1, MAX_N + 1)]
     for N, gate, offset in [(1, "S", Fraction(1, 2)), (2, "T", Fraction(1, 3)), (3, "S", Fraction(1, 5))]:
         comb = combs.periodic_comb(combs.bridge_unit(N), offset, 2 * N, [0])
-        words.append([comb_to_json_dict(comb), comb_to_json_dict(combs.gkp_apply(gate, comb, N))])
+        words.append([comb, combs.gkp_apply(gate, comb, N)])
     for pair in words:
         bundle = {"tool_version": __version__, "family": "gkp", "N": 2, "primitive": "ideal", "codewords": pair}
-        assert _bundle_text(bundle) == json.dumps(bundle, indent=2, sort_keys=True)
-    assert max(len(w["pattern"]) for pair in words for w in pair) > 1
+        oracle = {**bundle, "codewords": list(map(comb_to_json_dict, pair))}
+        assert _bundle_text(bundle) == json.dumps(oracle, indent=2, sort_keys=True)
+    assert max(len(w.periodic.pattern) for pair in words for w in pair) > 1
 
 
 @pytest.mark.parametrize(
@@ -766,7 +769,7 @@ def test_build_bytes_match_indented_dumps_at_the_d_cap(tmp_path, N, primitive):
     words, ideal = cli._rot_codewords(N, MAX_D, primitive, 1e-3)
     bundle = {
         "tool_version": __version__, "family": "rot", "N": N, "D": MAX_D, "primitive": primitive,
-        "eps": 1e-3 if ideal else None, "codewords": [w.to_json_dict() for w in words],
+        "eps": 1e-3 if ideal else None, "codewords": list(map(vector_to_json_dict, words)),
     }
     assert out.read_text(encoding="utf-8") == json.dumps(bundle, indent=2, sort_keys=True) + "\n"
 
@@ -912,6 +915,7 @@ def test_check_by_bytes_matches_the_parse(tmp_path, monkeypatch, options):
         return real_loads(text, *args, **kwargs)
 
     monkeypatch.setattr(json, "loads", loads)
+    seen = []  # the tables of each run
     for suite in (["logical"], ["detect"], ["detect", "--inject-gamma", "2"]):
         for target in ([], ["--out", str(out)]):
             argv = ["check", "--code", str(code), "--suite", *suite, *target]
@@ -919,10 +923,14 @@ def test_check_by_bytes_matches_the_parse(tmp_path, monkeypatch, options):
             for run in (_outcome, _parsed_outcome):
                 out.unlink(missing_ok=True)
                 outcomes.append((*run(argv), out.read_bytes() if out.exists() else None))
+                seen.append(tables[:])
+                tables.clear()
             assert outcomes[0] == outcomes[1], argv
             assert outcomes[0][0] in (0, 1) or "error:" in outcomes[0][2]
-    # the byte path parses the head and tail alone; the parse path, the whole bundle
-    assert tables == [False, True] * 6
+    # the byte path parses the head and tail alone.  The parse path parses the whole bundle, then
+    # the rebuilt text to compare its codewords with, unless it refuses the suite first (gkp detect)
+    assert seen[::2] == [[False]] * 6
+    assert seen[1::2] == [[True, True]] * 6 if options.startswith("rot") else [[True, True]] * 2 + [[True]] * 4
 
 
 @pytest.fixture(scope="module")
@@ -970,6 +978,35 @@ def test_near_miss_bundles_keep_the_parsed_verdict(built_rot_text, tmp_path, edi
         assert (code, out, err) == built[:3] and code == 0
     else:
         assert (code, out) == (2, "") and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "options, old, new, message",
+    [
+        ("rot --N 1 --D 4 --primitive fock:0,1", "[0.0, 0.0]", "[-0.0, 0.0]", None),
+        ("rot --N 1 --D 4 --primitive fock:0,1", "[1.0, 0.0]", "[1, 0.0]", None),
+        ("rot --N 1 --D 4 --primitive fock:0,1", '"dim": 4', '"dim": 4.0', None),
+        ("gkp --N 2", '"period": 4', '"period": 4.0', None),
+        ("rot --N 1 --D 4 --primitive fock:0,1", "[0.0, 0.0]", '["0.0", 0.0]', DIFFER),
+    ],
+    ids=["negative-zero", "integer-one", "float-dim", "float-period", "string-amplitude"],
+)
+def test_parsed_codewords_compare_as_values(tmp_path, options, old, new, message):
+    # a file in another layout has its codewords compared as parsed values with Python's ==, so
+    # -0.0 equals 0.0 and 1 equals 1.0, while a number spelled as a string differs
+    path = tmp_path / "code.json"
+    assert main(["build-code", "--family", *options.split(), "--out", str(path)]) == 0
+    argv = ["check", "--code", str(path), "--suite", "logical"]
+    built = _outcome(argv)
+    text = json.dumps(json.loads(path.read_text(encoding="utf-8")))
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err, caught = _outcome(argv)
+    assert not caught
+    if message is None:
+        assert (code, out, err) == built[:3] and code == 0
+    else:
+        assert (code, out) == (2, "") and err == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")

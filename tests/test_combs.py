@@ -1,6 +1,7 @@
 """Exact comb states: constructors, gates, equality, ranges."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from _helpers import teeth as teeth_of, teeth_in_range
 from cvqec import combs
+from cvqec.cli import _bundle_text
 from cvqec.combs import (
     CombState,
     CombUnit,
     PeriodicSupport,
     bridge_unit,
     comb_equal_up_to_phase,
-    comb_to_json_dict,
     finite_comb,
     gkp_apply,
     gkp_codeword,
@@ -771,8 +772,9 @@ def test_single_mode_functions_refuse_a_two_mode_comb():
     prod = product_comb(a, a)
     with pytest.raises(ValueError, match=r"^a single-mode comb is needed, got a 2-mode comb$"):
         product_comb(prod, a)
+    # the bundle writer reads a comb codeword's unit, which a two-mode comb lacks
     with pytest.raises(ValueError, match=r"^a single-mode comb is needed, got a 2-mode comb$"):
-        comb_to_json_dict(prod)
+        _bundle_text({"codewords": [prod]})
 
 
 # --- JSON ---------------------------------------------------------------------------
@@ -798,4 +800,5 @@ def test_finite_json_entries_match_fraction_oracle(gate, r):
     comb = finite_comb(bridge_unit(N), JSON_TEETH)
     if gate is not None:
         comb = gkp_apply(gate, comb, N, amount=r)
-    assert comb_to_json_dict(comb)["entries"] == [oracle_json(t) for t in teeth_of(comb)]
+    [word] = json.loads(_bundle_text({"codewords": [comb]}))["codewords"]
+    assert word["entries"] == [oracle_json(t) for t in teeth_of(comb)]

@@ -11,9 +11,9 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from _helpers import rational_to_json
 from cvqec.cli import main
 from cvqec.fock import fock_operator, rot_logical_op
-from cvqec.phases import rational_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqec.cli import _parse_primitive
+from cvqec.cli import _bundle_text, _parse_primitive
 from cvqec.errors import InvalidDimension, NonRationalPhase, ZeroProjection
 from cvqec.fock import (
     SUPPORT_TOL,
@@ -296,11 +296,11 @@ def test_ideal_codeword_needs_room():
 
 
 def test_vector_json_round_trip():
-    # one [re, im] pair per level, and the JSON text keeps every bit, negative zeros included
+    # one [re, im] pair per level, and the bundle text keeps every bit, negative zeros included
     v = FockVector(3, [complex(-0.0, 0.5), complex(0.1, -0.0), 5e-324])
-    text = json.dumps(v.to_json_dict())
-    assert text == '{"dim": 3, "structure": "vector", "entries": [[-0.0, 0.5], [0.1, -0.0], [5e-324, 0.0]]}'
-    back = np.array(json.loads(text)["entries"]).view(complex).ravel()
+    [word] = json.loads(_bundle_text({"codewords": [v]}))["codewords"]
+    assert word == {"dim": 3, "entries": [[-0.0, 0.5], [0.1, -0.0], [5e-324, 0.0]], "structure": "vector"}
+    back = np.array(word["entries"]).view(complex).ravel()
     assert back.tobytes() == v.amplitudes.tobytes()
 
 

@@ -1,4 +1,4 @@
-"""Exact phase arithmetic: reduction, conversion, serialization."""
+"""Exact phase arithmetic: reduction and conversion."""
 
 import cmath
 from fractions import Fraction
@@ -14,7 +14,6 @@ from cvqec.phases import (
     fraction_view,
     mod2,
     mod_power,
-    rational_to_json,
 )
 
 from _helpers import phase_to_complex
@@ -75,17 +74,6 @@ def test_phase_to_complex_is_multiplicative(a, b):
     lhs = phase_to_complex(mod2(a)) * phase_to_complex(mod2(b))
     rhs = phase_to_complex(mod2(a + b))
     assert abs(lhs - rhs) < 1e-12
-
-
-def test_rational_json_carries_unit_tag():
-    obj = rational_to_json(3, 4, unit="pi")
-    assert obj == {"num": 3, "den": 4, "unit": "pi"}
-
-
-def test_rational_json_reduces_to_least_terms():
-    assert rational_to_json(6, 8) == {"num": 3, "den": 4}
-    assert rational_to_json(-4, 6) == {"num": -2, "den": 3}
-    assert rational_to_json(0, 5) == {"num": 0, "den": 1}
 
 
 @pytest.mark.parametrize("start", [2**20 - 64, 2**40 - 64])
