@@ -930,7 +930,7 @@ def test_check_by_bytes_matches_the_parse(tmp_path, monkeypatch, options):
     # the byte path parses the head and tail alone.  The parse path parses the whole bundle, then
     # the rebuilt text to compare its codewords with, unless it refuses the suite first (gkp detect)
     assert seen[::2] == [[False]] * 6
-    assert seen[1::2] == [[True, True]] * 6 if options.startswith("rot") else [[True, True]] * 2 + [[True]] * 4
+    assert seen[1::2] == ([[True, True]] * 6 if options.startswith("rot") else [[True, True]] * 2 + [[True]] * 4)
 
 
 @pytest.fixture(scope="module")
